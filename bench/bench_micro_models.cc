@@ -10,7 +10,7 @@
 #include "src/cache/buffer_cache.h"
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/magnetic_disk.h"
 #include "src/flash/segment_manager.h"
 #include "src/runner/bench_registry.h"
@@ -64,9 +64,9 @@ void BM_FlashCardWrite(benchmark::State& state) {
   DeviceOptions options;
   options.block_bytes = 1024;
   options.capacity_bytes = 16 * 1024 * 1024;
-  FlashCard card(IntelCardDatasheet(), options);
+  LogFlashDevice card(IntelCardDatasheet(), options);
   const std::uint64_t span = 10 * 1024;
-  card.Preload(span, 0.8);
+  card.Preload(span, 0.8, /*interleave=*/true);
   BlockRecord rec;
   rec.block_count = 2;
   SimTime now = 0;

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "src/device/device_catalog.h"
-#include "src/device/nand_ssd.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/uflip.h"
 #include "src/runner/bench_registry.h"
 #include "src/util/check.h"
@@ -36,14 +36,14 @@ constexpr std::uint32_t kBlockBytes = 1024;
 
 // A fresh preloaded device per measurement: uFLIP prescribes independent
 // runs so device history does not bleed between patterns.
-std::unique_ptr<NandSsd> MakeDevice(const DeviceSpec& spec,
-                                    std::uint64_t capacity_bytes,
-                                    std::uint64_t region_blocks,
-                                    double utilization) {
+std::unique_ptr<LogFlashDevice> MakeDevice(const DeviceSpec& spec,
+                                           std::uint64_t capacity_bytes,
+                                           std::uint64_t region_blocks,
+                                           double utilization) {
   DeviceOptions options;
   options.block_bytes = kBlockBytes;
   options.capacity_bytes = capacity_bytes;
-  auto device = std::make_unique<NandSsd>(spec, options);
+  auto device = std::make_unique<LogFlashDevice>(spec, options);
   // No interleaved filler: the pattern region occupies whole erase blocks,
   // so sequential overwrites produce fully-dead victims (the cheap case the
   // random-write penalty is measured against).
@@ -142,7 +142,7 @@ void Run(BenchContext& ctx) {
     const double kb = static_cast<double>(blocks) * kBlockBytes / 1024.0;
     gran.BeginRow()
         .Cell(kb, 0)
-        .Cell(static_cast<double>(device->PagesForBytes(
+        .Cell(static_cast<double>(device->nand_timing().PagesForBytes(
                   static_cast<std::uint64_t>(blocks) * kBlockBytes)), 0)
         .Cell(stats.mean_response_us, 1)
         .Cell(stats.mean_response_us / kb, 1);
@@ -184,7 +184,7 @@ void Run(BenchContext& ctx) {
         RunUflipPattern(*device, UflipPattern::kSequentialRead, params);
     par.BeginRow()
         .Cell(static_cast<double>(channels), 0)
-        .Cell(static_cast<double>(device->units()), 0)
+        .Cell(static_cast<double>(device->nand_timing().units()), 0)
         .Cell(stats.mean_response_us, 1)
         .Cell(MbPerSec(stats), 1);
     ResultRow row;

@@ -36,9 +36,7 @@ int main(int argc, char** argv) {
                       "Worst-segment life @100k (years)", "@1M (years)"});
   for (const double util : {0.40, 0.60, 0.80, 0.90, 0.95}) {
     SimConfig config = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
-    if (workload == "hp") {
-      config.dram_bytes = 0;
-    }
+    ApplyWorkloadRules(workload, &config);
     config.flash_utilization = util;
     config.capacity_bytes = capacity;
     config.auto_capacity = false;

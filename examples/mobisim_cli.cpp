@@ -175,9 +175,7 @@ int RunMain(int argc, char** argv) {
     // distinct seeds give independent workload instances.  The trace cache
     // (when configured) shares the generated blocks with sweep/bench runs.
     blocks = *LoadOrGenerateBlockTrace(tcache.get(), workload, scale, seed);
-    if (workload == "hp") {
-      config.dram_bytes = 0;  // the paper's methodology for hp
-    }
+    ApplyWorkloadRules(workload, &config);
   }
 
   std::printf("mobisim: %s | workload %s (%zu block records)\n",

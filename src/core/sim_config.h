@@ -36,9 +36,9 @@ struct SimConfig {
   // paper's baseline runs).
   double flash_utilization = 0.80;
   // Spread the preloaded filler among workload blocks (see
-  // FlashCard::Preload).  Off by default: a real card segregates cold data
-  // into fully-live segments the greedy cleaner skips; interleaving is the
-  // pessimal-mixing ablation.
+  // LogFlashDevice::Preload).  Off by default: a real card segregates cold
+  // data into fully-live segments the greedy cleaner skips; interleaving is
+  // the pessimal-mixing ablation.
   bool interleave_prefill = false;
 
   // Disk power management: spin down after this much inactivity.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/device/flash_card.h"
-#include "src/device/nand_ssd.h"
 #include "src/fault/fault.h"
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
@@ -137,14 +135,8 @@ SimResult RunSimulation(const TraceView& trace, const SimConfig& config) {
           static_cast<double>(result.counters.usable_blocks) /
           static_cast<double>(result.counters.physical_blocks);
     }
-    if (const auto* card = dynamic_cast<const FlashCard*>(&system.device())) {
-      for (const auto& [at_us, fraction] : card->capacity_events()) {
-        result.capacity_timeline.emplace_back(SecFromUs(at_us), fraction);
-      }
-    } else if (const auto* ssd = dynamic_cast<const NandSsd*>(&system.device())) {
-      for (const auto& [at_us, fraction] : ssd->capacity_events()) {
-        result.capacity_timeline.emplace_back(SecFromUs(at_us), fraction);
-      }
+    for (const auto& [at_us, fraction] : system.device().capacity_events()) {
+      result.capacity_timeline.emplace_back(SecFromUs(at_us), fraction);
     }
   }
   return result;
@@ -154,15 +146,19 @@ SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config) {
   return RunSimulation(TraceView::FromBlockTrace(trace), config);
 }
 
+void ApplyWorkloadRules(const std::string& workload, SimConfig* config) {
+  if (workload == "hp") {
+    // The hp trace was gathered below the buffer cache; simulating one would
+    // double-count locality (section 4.1).
+    config->dram_bytes = 0;
+  }
+}
+
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
   const Trace trace = GenerateNamedWorkload(workload, scale);
   const BlockTrace blocks = BlockMapper::Map(trace);
   SimConfig adjusted = config;
-  if (workload == "hp") {
-    // The hp trace was gathered below the buffer cache; simulating one would
-    // double-count locality (section 4.1).
-    adjusted.dram_bytes = 0;
-  }
+  ApplyWorkloadRules(workload, &adjusted);
   return RunSimulation(blocks, adjusted);
 }
 

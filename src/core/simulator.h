@@ -14,7 +14,7 @@
 //     are immutable after construction, including mmap'd ones).
 //   - Do NOT share one StorageSystem/StorageDevice across threads, even
 //     through const methods: some accessors refresh cached aggregates (e.g.
-//     FlashCard::counters() recomputes erase statistics into a mutable
+//     LogFlashDevice::counters() recomputes erase statistics into a mutable
 //     member).  One simulation, one thread.
 //   - Anything added to this path must stay free of function-local statics,
 //     globals, and ambient RNG (rand, time-seeded generators); determinism
@@ -41,10 +41,15 @@ namespace mobisim {
 SimResult RunSimulation(const TraceView& trace, const SimConfig& config);
 SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config);
 
+// The per-workload configuration rules of the paper's methodology, the one
+// place every driver (RunNamedWorkload, RunSweep, the CLI tools) applies
+// them: the hp trace runs without a DRAM cache, since it was captured below
+// the buffer cache.
+void ApplyWorkloadRules(const std::string& workload, SimConfig* config);
+
 // Convenience: generate the named workload ("mac", "dos", "hp", "synth"),
-// lower it to block level, and simulate.  `scale` shrinks the workload for
-// fast runs.  The hp trace is automatically run without a DRAM cache, as in
-// the paper (its trace was captured below the buffer cache).
+// lower it to block level, apply ApplyWorkloadRules, and simulate.  `scale`
+// shrinks the workload for fast runs.
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config,
                            double scale = 1.0);
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "src/device/flash_card.h"
-#include "src/device/flash_disk.h"
-#include "src/device/nand_ssd.h"
+#include "src/device/geometric_disk.h"
 #include "src/util/check.h"
 
 namespace mobisim {
@@ -34,6 +32,7 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
   options.cleaning_policy = config.cleaning_policy;
   options.ftl_policy = config.ftl_policy;
   options.separate_cleaning_segment = config.separate_cleaning_segment;
+  options.asynchronous_erasure = config.flash_async_erasure;
   options.fault = config.fault;
   fault_on_ = config.fault.enabled();
 
@@ -55,38 +54,12 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
   } else {
     device_ = CreateDevice(config.device, options);
   }
-  disk_ = dynamic_cast<MagneticDisk*>(device_.get());
-  geo_disk_ = dynamic_cast<GeometricDisk*>(device_.get());
-
-  if (auto* card = dynamic_cast<FlashCard*>(device_.get())) {
-    card->Preload(trace_blocks, config.flash_utilization, config.interleave_prefill);
-  } else if (auto* ssd = dynamic_cast<NandSsd*>(device_.get())) {
-    ssd->Preload(trace_blocks, config.flash_utilization, config.interleave_prefill);
-  } else if (auto* flash_disk = dynamic_cast<FlashDisk*>(device_.get())) {
-    const std::uint64_t capacity_blocks = options.capacity_bytes / block_bytes;
-    const auto live_blocks = static_cast<std::uint64_t>(
-        config.flash_utilization * static_cast<double>(capacity_blocks));
-    flash_disk->Preload(std::max(live_blocks, trace_blocks));
-    flash_disk->set_asynchronous_erasure(config.flash_async_erasure &&
-                                         config.device.pre_erased_write_kbps > 0.0);
-  }
+  device_->Preload(trace_blocks, config.flash_utilization, config.interleave_prefill);
 }
 
 double StorageSystem::TotalEnergyJoules() const {
   return device_->energy().total_joules() + dram_.energy().total_joules() +
          sram_.energy().total_joules();
-}
-
-bool StorageSystem::DeviceIsSleeping(SimTime now) const {
-  if (disk_ != nullptr) {
-    return !disk_->IsSpinningAt(now);
-  }
-  if (geo_disk_ != nullptr) {
-    return !geo_disk_->IsSpinningAt(now);
-  }
-  // Flash devices have no spin state; write-behind is always cheap, so treat
-  // them as awake.
-  return false;
 }
 
 SimTime StorageSystem::DeviceRead(SimTime now, const BlockRecord& rec) {
@@ -321,7 +294,7 @@ SimTime StorageSystem::HandleWrite(const BlockRecord& rec) {
 
   // Write-behind: while the device is awake anyway, drain eagerly so the
   // buffer is empty when the disk next spins down.
-  if (!DeviceIsSleeping(now + response)) {
+  if (!device_->IsSleepingAt(now + response)) {
     DrainSramTo(now + response);
   }
   return response;

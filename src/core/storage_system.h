@@ -21,8 +21,6 @@
 #include "src/cache/buffer_cache.h"
 #include "src/cache/sram_write_buffer.h"
 #include "src/core/sim_config.h"
-#include "src/device/geometric_disk.h"
-#include "src/device/magnetic_disk.h"
 #include "src/device/storage_device.h"
 #include "src/fault/fault.h"
 
@@ -109,7 +107,6 @@ class StorageSystem {
   // Writes all buffered SRAM ranges to the device starting at `now`;
   // returns the completion time.
   SimTime DrainSramTo(SimTime now);
-  bool DeviceIsSleeping(SimTime now) const;
   // Write-back mode: flushes the cache's dirty blocks to the device (off the
   // critical path) and writes back a list of evicted dirty blocks.
   void SyncDirtyCache(SimTime now);
@@ -118,8 +115,6 @@ class StorageSystem {
   SimConfig config_;
   std::uint32_t block_bytes_;
   std::unique_ptr<StorageDevice> device_;
-  MagneticDisk* disk_ = nullptr;      // non-null for the average-cost disk model
-  GeometricDisk* geo_disk_ = nullptr;  // non-null for the geometry model
   BufferCache dram_;
   SramWriteBuffer sram_;
   SimTime next_cache_sync_us_ = 0;

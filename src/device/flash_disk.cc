@@ -20,10 +20,14 @@ FlashDisk::FlashDisk(const DeviceSpec& spec, const DeviceOptions& options)
   MOBISIM_CHECK(blocks > 0);
   mapped_.assign(blocks, false);
   pre_erased_bytes_ = blocks * options.block_bytes;
-  async_erase_ = spec.pre_erased_write_kbps > 0.0;
+  async_erase_ = options.asynchronous_erasure && spec.pre_erased_write_kbps > 0.0;
 }
 
-void FlashDisk::Preload(std::uint64_t live_blocks) {
+void FlashDisk::Preload(std::uint64_t trace_blocks, double utilization,
+                        bool /*interleave*/) {
+  const std::uint64_t live_blocks = std::max(
+      static_cast<std::uint64_t>(utilization * static_cast<double>(mapped_.size())),
+      trace_blocks);
   MOBISIM_CHECK(live_blocks <= mapped_.size());
   MOBISIM_CHECK(live_bytes_ == 0);
   for (std::uint64_t i = 0; i < live_blocks; ++i) {
@@ -31,14 +35,6 @@ void FlashDisk::Preload(std::uint64_t live_blocks) {
   }
   live_bytes_ = live_blocks * options_.block_bytes;
   pre_erased_bytes_ -= live_bytes_;
-}
-
-void FlashDisk::set_asynchronous_erasure(bool enabled) {
-  if (enabled) {
-    MOBISIM_CHECK(spec_.pre_erased_write_kbps > 0.0);
-    MOBISIM_CHECK(spec_.erase_kbps > 0.0);
-  }
-  async_erase_ = enabled;
 }
 
 void FlashDisk::AccountUntil(SimTime t) {

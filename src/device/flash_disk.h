@@ -22,14 +22,13 @@ class FlashDisk : public StorageDevice {
  public:
   FlashDisk(const DeviceSpec& spec, const DeviceOptions& options);
 
-  // Marks `live_blocks` logical blocks (starting at LBA 0) as containing
-  // data, leaving `capacity - live` pre-erased.  Call before the first I/O.
-  void Preload(std::uint64_t live_blocks);
+  // Marks the first max(utilization x capacity, trace_blocks) logical blocks
+  // as containing data, leaving the rest pre-erased.  The flash disk never
+  // copies, so `interleave` has nothing to spread.
+  void Preload(std::uint64_t trace_blocks, double utilization, bool interleave) override;
 
-  // Enables/disables the SDP5A decoupled-erasure path (enabled by default
-  // when the spec advertises it).  Disabling reproduces the paper's
-  // synchronous baseline for the section 5.3 comparison.
-  void set_asynchronous_erasure(bool enabled);
+  // Whether the SDP5A decoupled-erasure path is on: the spec advertises it
+  // and DeviceOptions::asynchronous_erasure did not turn it off.
   bool asynchronous_erasure() const { return async_erase_; }
 
   void AdvanceTo(SimTime now) override;

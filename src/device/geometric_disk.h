@@ -64,6 +64,7 @@ class GeometricDisk : public StorageDevice {
   SimTime busy_until() const override { return busy_until_; }
 
   bool IsSpinningAt(SimTime now) const;
+  bool IsSleepingAt(SimTime now) const override { return !IsSpinningAt(now); }
   const DiskGeometry& geometry() const { return geometry_; }
 
   // Mechanical time (us) to service `sectors` sectors starting at `sector`,

@@ -30,9 +30,8 @@ class MagneticDisk : public StorageDevice {
   SimTime busy_until() const override { return busy_until_; }
 
   // True if the platters would still be spinning at `now` (no state change).
-  // The storage system uses this to decide whether a write can be deferred
-  // into SRAM without waking the disk.
   bool IsSpinningAt(SimTime now) const;
+  bool IsSleepingAt(SimTime now) const override { return !IsSpinningAt(now); }
 
   // Current spin-down threshold (fixed, or the adaptive policy's latest).
   SimTime spin_down_threshold_us() const { return threshold_us_; }

@@ -2,10 +2,9 @@
 
 #include <cmath>
 
-#include "src/device/flash_card.h"
 #include "src/device/flash_disk.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/magnetic_disk.h"
-#include "src/device/nand_ssd.h"
 #include "src/util/check.h"
 
 namespace mobisim {
@@ -49,6 +48,11 @@ void ValidateDeviceSpec(const DeviceSpec& spec, const DeviceOptions& options) {
     MOBISIM_SPEC_FIELD(spec.erase_segment_bytes > 0, "erase_segment_bytes");
     MOBISIM_SPEC_FIELD(spec.endurance_cycles > 0, "endurance_cycles");
   }
+  if (spec.kind == DeviceKind::kFlashDisk && spec.pre_erased_write_kbps > 0.0) {
+    // Decoupled erasure runs the erase pass at its own rate.
+    MOBISIM_SPEC_FIELD(std::isfinite(spec.erase_kbps) && spec.erase_kbps > 0.0,
+                       "erase_kbps");
+  }
   if (spec.kind == DeviceKind::kFlashCard) {
     MOBISIM_SPEC_FIELD(std::isfinite(spec.erase_ms_per_segment) &&
                            spec.erase_ms_per_segment > 0.0,
@@ -88,9 +92,8 @@ std::unique_ptr<StorageDevice> CreateDevice(const DeviceSpec& spec,
     case DeviceKind::kFlashDisk:
       return std::make_unique<FlashDisk>(spec, options);
     case DeviceKind::kFlashCard:
-      return std::make_unique<FlashCard>(spec, options);
     case DeviceKind::kNandSsd:
-      return std::make_unique<NandSsd>(spec, options);
+      return std::make_unique<LogFlashDevice>(spec, options);
   }
   MOBISIM_CHECK(false && "unknown device kind");
   return nullptr;

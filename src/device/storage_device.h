@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 
 #include "src/device/device_spec.h"
 #include "src/fault/fault.h"
@@ -42,21 +44,29 @@ struct DeviceCounters {
   std::uint64_t transient_errors = 0;  // injected read/write attempt failures
   std::uint64_t remapped_blocks = 0;   // live blocks relocated off retiring segments
   std::uint64_t bad_segments = 0;      // erase blocks retired (factory bad + wear-out)
-  std::uint64_t usable_blocks = 0;     // flash card: physical slots still usable
-  std::uint64_t physical_blocks = 0;   // flash card: physical slots at full health
+  std::uint64_t usable_blocks = 0;     // log-structured flash: physical slots still usable
+  std::uint64_t physical_blocks = 0;   // log-structured flash: physical slots at full health
   // FTL policy activity (all zero under the log-structured default).
   std::uint64_t diff_writes = 0;       // page-diff: overwrites absorbed as diffs
   std::uint64_t diff_merges = 0;       // page-diff: chains folded on overwrite
   std::uint64_t diff_merge_reads = 0;  // page-diff: reads that folded a chain
   std::uint64_t remap_table_hits = 0;  // fat-remap: table lookups served
   std::uint64_t remap_table_wraps = 0; // fat-remap: table cursor wraparounds
-  // Endurance summary (flash card): per-segment erase-count distribution.
+  // Endurance summary (log-structured flash): per-segment erase-count
+  // distribution.
   RunningStats segment_erase_stats;
 };
 
 class StorageDevice {
  public:
   virtual ~StorageDevice() = default;
+
+  // Fills the device to `utilization` before the first I/O: the first
+  // `trace_blocks` LBAs (the workload's address space) plus never-accessed
+  // filler; `interleave` spreads the filler among the workload blocks.  A
+  // no-op for disks.
+  virtual void Preload(std::uint64_t /*trace_blocks*/, double /*utilization*/,
+                       bool /*interleave*/) {}
 
   // Progresses background activity (spin-down timers, asynchronous erasure)
   // and energy accounting up to `now` without performing I/O.
@@ -97,6 +107,15 @@ class StorageDevice {
   virtual const DeviceCounters& counters() const = 0;
   virtual const DeviceSpec& spec() const = 0;
   virtual SimTime busy_until() const = 0;
+
+  // True if the device would be powered down at `now` (no state change), so
+  // a write would wake it.  Only disks sleep.
+  virtual bool IsSleepingAt(SimTime /*now*/) const { return false; }
+
+  // Usable-capacity timeline: one (time, usable fraction of physical
+  // capacity) entry per capacity-losing event (factory bad blocks at time 0,
+  // wear-out retirements as they happen).  Empty on a healthy device.
+  virtual std::span<const std::pair<SimTime, double>> capacity_events() const { return {}; }
 };
 
 // Disk spin-down policies.  The paper fixes the threshold at 5 s; the
@@ -121,10 +140,11 @@ struct DeviceOptions {
   // Adaptive-policy bounds on the threshold.
   SimTime adaptive_min_us = kUsPerSec / 2;
   SimTime adaptive_max_us = 60 * kUsPerSec;
-  // Flash card: background cleaning keeps a segment erased ahead of writes;
-  // on-demand cleans only when a write finds no free slot (section 4.2).
+  // Log-structured flash: background cleaning keeps a segment erased ahead
+  // of writes; on-demand cleans only when a write finds no free slot
+  // (section 4.2).
   bool background_cleaning = true;
-  // Flash card victim selection (greedy lowest-utilization is what MFFS
+  // Log-structured flash victim selection (greedy lowest-utilization is what MFFS
   // uses; cost-benefit is the LFS/eNVy-style ablation).
   CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
   // Flash translation policy.  The log-structured default reproduces the
@@ -133,6 +153,9 @@ struct DeviceOptions {
   // Route cleaning copies into their own segment (eNVy-style hot/cold
   // separation) instead of mixing them with fresh writes.
   bool separate_cleaning_segment = false;
+  // Flash disk: erase invalidated sectors in the background on parts that
+  // support it (SDP5A); false is the synchronous baseline of section 5.3.
+  bool asynchronous_erasure = true;
   // Fault injection knobs (transient errors, wear-out budgets, factory bad
   // blocks).  Defaults model healthy hardware and cost nothing.
   FaultConfig fault;

@@ -31,7 +31,7 @@ FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
   flash_options.block_bytes = config.block_bytes;
   flash_options.capacity_bytes = std::max<std::uint64_t>(
       config.flash_bytes, 2ull * config.flash.erase_segment_bytes + config.block_bytes);
-  flash_ = std::make_unique<FlashCard>(config.flash, flash_options);
+  flash_ = std::make_unique<LogFlashDevice>(config.flash, flash_options);
 
   DeviceOptions disk_options;
   disk_options.block_bytes = config.block_bytes;

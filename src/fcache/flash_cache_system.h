@@ -11,7 +11,7 @@
 //   - writes complete in flash and are marked dirty; dirty data destages to
 //     disk in batches when the dirty fraction crosses a threshold, when an
 //     eviction needs a dirty victim's slot, and at shutdown;
-//   - the flash side is a real FlashCard model, so cache churn pays
+//   - the flash side is a real LogFlashDevice card model, so cache churn pays
 //     segment-cleaning costs and wears the card.
 #ifndef MOBISIM_SRC_FCACHE_FLASH_CACHE_SYSTEM_H_
 #define MOBISIM_SRC_FCACHE_FLASH_CACHE_SYSTEM_H_
@@ -23,7 +23,7 @@
 
 #include "src/cache/buffer_cache.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/magnetic_disk.h"
 #include "src/trace/trace_record.h"
 
@@ -102,7 +102,7 @@ class FlashCacheSystem {
 
   FlashCacheConfig config_;
   BufferCache dram_;
-  std::unique_ptr<FlashCard> flash_;
+  std::unique_ptr<LogFlashDevice> flash_;
   std::unique_ptr<MagneticDisk> disk_;
 
   std::uint64_t cache_capacity_blocks_;

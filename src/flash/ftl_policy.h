@@ -1,7 +1,7 @@
 // Flash translation layer policies.
 //
-// An FtlPolicy bundles every decision the flash card delegates to its
-// translation/cleaning scheme:
+// An FtlPolicy bundles every decision a log-structured flash device
+// delegates to its translation/cleaning scheme:
 //
 //   * victim selection  -- which sealed segment the cleaner erases next
 //                          (ScoreVictim, consulted by SegmentManager);
@@ -14,17 +14,19 @@
 //                          writes (RouteCleaningSeparately).
 //
 // Ownership and threading contract: a policy instance is owned by exactly one
-// device (FlashCard owns its policy via MakeFtlPolicy; a bare SegmentManager
-// without an injected policy owns a private log-structured one).  Instances
-// are stateful and NOT thread-safe; parallel sweeps are safe because every
-// simulation point builds its own device and therefore its own policy.
+// device (LogFlashDevice owns its policy via MakeFtlPolicy; a bare
+// SegmentManager without an injected policy owns a private log-structured
+// one).  Instances are stateful and NOT thread-safe; parallel sweeps are safe
+// because every simulation point builds its own device and therefore its own
+// policy.
 //
 // Cost-hook contract: PlanHostWrite/ExtraReadBytes describe *what* the device
 // should charge (log appends, programmed bytes, internal merge reads); the
-// FlashCard translates that into time and energy using its datasheet rates.
-// A plan with appends == {lba} and programmed_bytes == block_bytes is the
-// identity plan -- the classic log-structured write -- and devices take a
-// fast path that is byte-identical to the pre-FtlPolicy code.
+// device's timing model translates that into time and energy.  A plan with
+// appends == {lba} and programmed_bytes == block_bytes is the identity plan
+// -- the classic log-structured write -- which LogFlashDevice builds inline
+// for the log-structured policy instead of calling the hooks, byte-identical
+// to the pre-FtlPolicy code.
 //
 // Registering a new policy: add a FtlPolicyKind value, a name in the table in
 // ftl_policy.cc (FtlPolicyKindName/FtlPolicyKindFromName), a class deriving
@@ -127,7 +129,7 @@ class FtlPolicy {
   // Whether the victim scan must pre-compute VictimView::max_erase_count.
   virtual bool NeedsMaxEraseCount() const { return false; }
 
-  // -- Placement and cost hooks (FlashCard) --------------------------------
+  // -- Placement and cost hooks (LogFlashDevice) ---------------------------
   // Claims the never-accessed logical window [base, base + available) for
   // policy metadata pages (diff pages, map pages).  Policies clamp their
   // pools to a fraction of `available`; without an attached window they

@@ -1,8 +1,8 @@
-// Segment-level state of a flash memory card.
+// Segment-level state of a log-structured flash device.
 //
 // Pure state machine, no notion of time or energy: it tracks which logical
 // block lives in which erase segment, per-segment live counts, erase counts,
-// and free (erased) slots.  The FlashCard device model layers timing, energy,
+// and free (erased) slots.  The LogFlashDevice model layers timing, energy,
 // and the background-erase schedule on top.
 //
 // Semantics follow section 4.2 of the paper: writes are out-of-place into a
@@ -60,8 +60,8 @@ struct SegmentManagerConfig {
   // LogStructuredFtl for this cleaner).
   CleaningPolicy cleaning_policy = CleaningPolicy::kGreedy;
   // Externally owned FtlPolicy to score victims with; must outlive the
-  // manager.  FlashCard injects its own policy here so victim selection and
-  // placement hooks come from one object.
+  // manager.  LogFlashDevice injects its own policy here so victim selection
+  // and placement hooks come from one object.
   const FtlPolicy* policy = nullptr;
 };
 

@@ -36,7 +36,7 @@ HybridStore::HybridStore(const HybridConfig& config)
   flash_options.block_bytes = config.block_bytes;
   flash_options.capacity_bytes = std::max<std::uint64_t>(
       config.flash_bytes, 3ull * config.flash.erase_segment_bytes);
-  flash_ = std::make_unique<FlashCard>(config.flash, flash_options);
+  flash_ = std::make_unique<LogFlashDevice>(config.flash, flash_options);
 
   flash_capacity_blocks_ = static_cast<std::uint64_t>(
       config.flash_fill_fraction *

@@ -22,7 +22,7 @@
 
 #include "src/cache/buffer_cache.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/magnetic_disk.h"
 #include "src/trace/trace_record.h"
 
@@ -96,7 +96,7 @@ class HybridStore {
   HybridConfig config_;
   BufferCache dram_;
   std::unique_ptr<MagneticDisk> disk_;
-  std::unique_ptr<FlashCard> flash_;
+  std::unique_ptr<LogFlashDevice> flash_;
 
   // Flash logical-address allocator: first-fit over free ranges.
   std::uint64_t AllocateFlash(std::uint64_t count);  // returns lba or kNoLba

@@ -15,16 +15,6 @@ namespace mobisim {
 
 namespace {
 
-// The paper simulates the hp trace without a DRAM buffer cache (it was
-// captured below one); mirror RunNamedWorkload so engine and one-off runs
-// agree.
-ExperimentPoint AdjustForWorkload(ExperimentPoint point) {
-  if (point.workload == "hp") {
-    point.config.dram_bytes = 0;
-  }
-  return point;
-}
-
 struct TraceKey {
   std::string workload;
   double scale;
@@ -157,7 +147,8 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
   std::size_t next_emit = 0;
 
   auto run_point = [&](std::size_t i) {
-    const ExperimentPoint point = AdjustForWorkload(points[i]);
+    ExperimentPoint point = points[i];
+    ApplyWorkloadRules(point.workload, &point.config);
     const CachedTrace& cached =
         traces.at(TraceKey{point.workload, point.scale, point.seed});
 

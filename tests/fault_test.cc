@@ -1,9 +1,12 @@
 // Tests for the fault-injection and recovery subsystem: SimError-carrying
 // checks, the strict no-op contract when faults are disabled, acknowledged-
 // write durability under power loss, deterministic (idempotent) recovery,
-// wear-out capacity degradation, transient-error retries, and sweep-level
+// cleaning interrupted by power loss, wear-out capacity degradation (under
+// both the card and the NAND timing), transient-error retries, and sweep-level
 // fault tolerance (failed points become `_error` rows that benchdiff skips).
 #include <cstdint>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,11 +19,13 @@
 #include "src/core/result_io.h"
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
+#include "src/device/log_flash_device.h"
 #include "src/fault/fault.h"
 #include "src/runner/experiment_spec.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
 #include "src/util/check.h"
+#include "src/util/rng.h"
 
 namespace mobisim {
 namespace {
@@ -120,8 +125,38 @@ TEST(PowerLossTest, WithoutSramAckedWritesAreLost) {
   }
 }
 
-TEST(PowerLossTest, FlashCardPaysMountScanRecovery) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
+// ---------------------------------------------------------------------------
+// The shared log-structured fault paths (wear-out, factory bad blocks, the
+// capacity timeline, power-loss recovery) under both flash timings.  The
+// NAND preset has a tenth of the card's endurance, so each device gets its
+// own utilization and endurance scale that retire several segments without
+// wedging the device.
+
+struct FlashFaultCase {
+  const char* name;
+  DeviceSpec (*spec)();
+  double wear_utilization;
+  double endurance_scale;
+};
+
+void PrintTo(const FlashFaultCase& c, std::ostream* os) { *os << c.name; }
+
+class FlashFaultTest : public ::testing::TestWithParam<FlashFaultCase> {
+ protected:
+  static SimConfig Config() { return MakePaperConfig(GetParam().spec(), 512 * 1024); }
+
+  static SimConfig WearConfig() {
+    SimConfig config = Config();
+    config.flash_utilization = GetParam().wear_utilization;
+    config.fault.wear_out = true;
+    config.fault.endurance_scale = GetParam().endurance_scale;
+    config.fault.endurance_spread = 0.3;
+    return config;
+  }
+};
+
+TEST_P(FlashFaultTest, PowerLossPaysMountScanRecovery) {
+  SimConfig config = Config();
   config.fault.power_loss_interval_us = UsFromSec(1.0);
   const SimResult result = RunNamedWorkload("synth", config, 0.2);
   EXPECT_GT(result.power_losses, 0u);
@@ -131,8 +166,8 @@ TEST(PowerLossTest, FlashCardPaysMountScanRecovery) {
 
 // Recovery replay is deterministic: the same seed and schedule produce
 // byte-identical exported rows across repeated runs.
-TEST(PowerLossTest, RecoveryIsIdempotentAcrossRuns) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
+TEST_P(FlashFaultTest, PowerLossRecoveryIsIdempotentAcrossRuns) {
+  SimConfig config = Config();
   config.sram_bytes = 16 * 1024;
   config.fault.power_loss_interval_us = UsFromSec(0.5);
   config.fault.transient_error_rate = 0.001;
@@ -142,18 +177,71 @@ TEST(PowerLossTest, RecoveryIsIdempotentAcrossRuns) {
   EXPECT_GT(a.power_losses, 0u);
 }
 
-// ---------------------------------------------------------------------------
+// A power loss during background cleaning.  Interrupted mid-copy, the job
+// is dropped (the partial copies are superseded data the mount scan
+// ignores) and the victim is cleaned again later; interrupted mid-erase,
+// every copy is durable, so recovery re-issues the erase and commits.
+TEST_P(FlashFaultTest, PowerLossMidCleaningReplaysOrCommitsTheJob) {
+  DeviceOptions options;
+  options.block_bytes = 1024;
+  options.capacity_bytes = 2 * 1024 * 1024;  // 16 erase segments
+  // A same-instant burst of overwrites leaves a cleaning job running.
+  auto burst = [&options] {
+    auto device = std::make_unique<LogFlashDevice>(GetParam().spec(), options);
+    device->Preload(1024, 0.85, /*interleave=*/true);
+    Rng rng(3);
+    BlockRecord rec;
+    rec.op = OpType::kWrite;
+    rec.block_count = 1;
+    for (int i = 0; i < 300; ++i) {
+      rec.lba = static_cast<std::uint64_t>(rng.UniformInt(0, 1023));
+      device->Write(0, rec);
+    }
+    return device;
+  };
+  const std::unique_ptr<LogFlashDevice> probe = burst();
+  ASSERT_EQ(probe->counters().clean_jobs, probe->counters().segment_erases + 1);
+  const FlashCosts costs = probe->timing().costs();
+  const SimTime job_bound =
+      probe->segments().blocks_per_segment() * costs.block_copy_us + costs.erase_us;
+
+  bool saw_copy_loss = false;
+  bool saw_erase_loss = false;
+  for (int step = 0; step <= 64; ++step) {
+    const std::unique_ptr<LogFlashDevice> device = burst();
+    const SimTime loss = device->busy_until() + job_bound * step / 64;
+    device->AdvanceTo(loss);
+    const std::uint64_t live = device->segments().live_blocks();
+    const std::uint64_t erases = device->counters().segment_erases;
+    const std::uint64_t jobs = device->counters().clean_jobs;
+    const SimTime recovery = device->PowerLoss(loss);
+    EXPECT_EQ(device->segments().live_blocks(), live);
+    EXPECT_TRUE(device->segments().CheckInvariants());
+    if (recovery == costs.mount_scan_us + costs.erase_us) {
+      saw_erase_loss = true;
+      EXPECT_EQ(device->counters().segment_erases, erases + 1);
+      continue;
+    }
+    ASSERT_EQ(recovery, costs.mount_scan_us);
+    EXPECT_EQ(device->counters().segment_erases, erases);
+    if (jobs > erases) {
+      saw_copy_loss = true;
+      // The dropped victim is picked up again once idle time allows.
+      device->AdvanceTo(loss + recovery + 2 * job_bound);
+      EXPECT_GT(device->counters().clean_jobs, jobs);
+      EXPECT_GT(device->counters().segment_erases, erases);
+      EXPECT_TRUE(device->segments().CheckInvariants());
+    }
+  }
+  EXPECT_TRUE(saw_copy_loss);
+  EXPECT_TRUE(saw_erase_loss);
+}
+
 // Wear-out: segments retire as their endurance budgets run out, live data is
 // remapped, and usable capacity degrades monotonically over time.
-
-TEST(WearOutTest, SegmentsRetireAndCapacityDegrades) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  config.flash_utilization = 0.9;
-  config.fault.wear_out = true;
-  config.fault.endurance_scale = 0.0001;
-  config.fault.endurance_spread = 0.3;
-  const SimResult result = RunNamedWorkload("synth", config, 0.2);
-  EXPECT_GT(result.bad_segments, 0u);
+TEST_P(FlashFaultTest, WearOutRetiresSegmentsAndCapacityDegrades) {
+  const SimResult result = RunNamedWorkload("synth", WearConfig(), 0.2);
+  EXPECT_GT(result.bad_segments, 1u);
   EXPECT_GT(result.remapped_blocks, 0u);
   EXPECT_LT(result.usable_capacity_fraction, 1.0);
   ASSERT_FALSE(result.capacity_timeline.empty());
@@ -166,8 +254,23 @@ TEST(WearOutTest, SegmentsRetireAndCapacityDegrades) {
   EXPECT_DOUBLE_EQ(last_fraction, result.usable_capacity_fraction);
 }
 
-TEST(WearOutTest, FactoryBadBlocksShrinkCapacityUpFront) {
-  SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
+// The timeline reaches the exported row as "sec=fraction;..." pairs.
+TEST_P(FlashFaultTest, CapacityTimelineIsExported) {
+  const SimResult result = RunNamedWorkload("synth", WearConfig(), 0.2);
+  ASSERT_GT(result.capacity_timeline.size(), 1u);
+  std::istringstream entries(ResultToRow(result).Text("capacity_timeline"));
+  std::vector<std::pair<double, double>> parsed;
+  std::string entry;
+  while (std::getline(entries, entry, ';')) {
+    const std::size_t eq = entry.find('=');
+    ASSERT_NE(eq, std::string::npos) << entry;
+    parsed.emplace_back(std::stod(entry.substr(0, eq)), std::stod(entry.substr(eq + 1)));
+  }
+  EXPECT_EQ(parsed, result.capacity_timeline);
+}
+
+TEST_P(FlashFaultTest, FactoryBadBlocksShrinkCapacityUpFront) {
+  SimConfig config = Config();
   config.flash_utilization = 0.5;
   config.fault.bad_block_rate = 0.05;
   const SimResult result = RunNamedWorkload("synth", config, 0.05);
@@ -176,6 +279,12 @@ TEST(WearOutTest, FactoryBadBlocksShrinkCapacityUpFront) {
   ASSERT_FALSE(result.capacity_timeline.empty());
   EXPECT_DOUBLE_EQ(result.capacity_timeline.front().first, 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Devices, FlashFaultTest,
+    ::testing::Values(FlashFaultCase{"intel_datasheet", &IntelCardDatasheet, 0.9, 0.0001},
+                      FlashFaultCase{"nand_ssd_4ch", &NandSsd4ch, 0.8, 0.0005}),
+    [](const ::testing::TestParamInfo<FlashFaultCase>& info) { return info.param.name; });
 
 // ---------------------------------------------------------------------------
 // Transient errors: failed I/Os are retried with backoff; retries cost

@@ -1,10 +1,11 @@
-// Unit and property tests for the flash memory card: out-of-place writes,
-// background/on-demand cleaning, utilization effects, stalls, endurance.
+// Unit and property tests for the flash memory card (LogFlashDevice with
+// serial card timing): out-of-place writes, background/on-demand cleaning,
+// utilization effects, stalls, endurance.
 #include <gtest/gtest.h>
 
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
+#include "src/device/log_flash_device.h"
 #include "src/util/rng.h"
 
 namespace mobisim {
@@ -48,15 +49,15 @@ BlockRecord Rec(SimTime t, OpType op, std::uint64_t lba, std::uint32_t count,
 }
 
 TEST(FlashCardTest, ReadAndWriteTiming) {
-  FlashCard card(TestCard(), TestOptions());
+  LogFlashDevice card(TestCard(), TestOptions());
   EXPECT_EQ(card.Read(0, Rec(0, OpType::kRead, 0, 8)), TransferTimeUs(8192, 8192.0));
   const SimTime t2 = kUsPerSec;
   EXPECT_EQ(card.Write(t2, Rec(t2, OpType::kWrite, 0, 1)), TransferTimeUs(1024, 256.0));
 }
 
 TEST(FlashCardTest, PreloadReachesUtilization) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.5);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.5, /*interleave=*/true);
   EXPECT_NEAR(card.segments().utilization(), 0.5, 0.01);
   EXPECT_TRUE(card.segments().CheckInvariants());
   // All trace blocks mapped.
@@ -66,8 +67,8 @@ TEST(FlashCardTest, PreloadReachesUtilization) {
 }
 
 TEST(FlashCardTest, BackgroundCleaningKeepsReserveDuringIdle) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.75);  // 48 of 64 blocks live
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.75, /*interleave=*/true);  // 48 of 64 blocks live
   // Overwrite steadily with generous idle time: cleaning happens in the
   // background, so writes never stall.
   SimTime now = 0;
@@ -82,8 +83,8 @@ TEST(FlashCardTest, BackgroundCleaningKeepsReserveDuringIdle) {
 }
 
 TEST(FlashCardTest, BurstWritesStallForCleaning) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.75);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.75, /*interleave=*/true);
   // A dense burst with no idle time must eventually wait for erasure.
   SimTime now = 0;
   SimTime worst = 0;
@@ -98,8 +99,8 @@ TEST(FlashCardTest, BurstWritesStallForCleaning) {
 }
 
 TEST(FlashCardTest, OnDemandCleaningChargesWrites) {
-  FlashCard card(TestCard(), TestOptions(/*background=*/false));
-  card.Preload(16, 0.75);
+  LogFlashDevice card(TestCard(), TestOptions(/*background=*/false));
+  card.Preload(16, 0.75, /*interleave=*/true);
   SimTime now = 0;
   SimTime total_response = 0;
   for (int i = 0; i < 100; ++i) {
@@ -113,16 +114,16 @@ TEST(FlashCardTest, OnDemandCleaningChargesWrites) {
 }
 
 TEST(FlashCardTest, TrimReclaimsSpace) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.75);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.75, /*interleave=*/true);
   const std::uint64_t live_before = card.segments().live_blocks();
   card.Trim(0, Rec(0, OpType::kErase, 0, 8));
   EXPECT_EQ(card.segments().live_blocks(), live_before - 8);
 }
 
 TEST(FlashCardTest, EraseCountersTrackEndurance) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.75);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.75, /*interleave=*/true);
   SimTime now = 0;
   for (int i = 0; i < 300; ++i) {
     now += kUsPerSec;
@@ -141,8 +142,8 @@ TEST(FlashCardTest, HigherUtilizationCopiesMore) {
   auto run = [](double util) {
     DeviceOptions options = TestOptions();
     options.capacity_bytes = 256 * 1024;  // 64 segments
-    FlashCard card(TestCard(), options);
-    card.Preload(64, util);
+    LogFlashDevice card(TestCard(), options);
+    card.Preload(64, util, /*interleave=*/true);
     SimTime now = 0;
     Rng rng(7);
     for (int i = 0; i < 2000; ++i) {
@@ -162,7 +163,7 @@ TEST(FlashCardTest, InterleavedPrefillIsWorseThanSegregated) {
   auto run = [](bool interleave) {
     DeviceOptions options = TestOptions();
     options.capacity_bytes = 256 * 1024;
-    FlashCard card(TestCard(), options);
+    LogFlashDevice card(TestCard(), options);
     card.Preload(64, 0.90, interleave);
     SimTime now = 0;
     Rng rng(11);
@@ -177,16 +178,16 @@ TEST(FlashCardTest, InterleavedPrefillIsWorseThanSegregated) {
 }
 
 TEST(FlashCardTest, ReadsDoNotConsumeSlots) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.5);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.5, /*interleave=*/true);
   const std::uint64_t free_before = card.segments().free_slots();
   card.Read(0, Rec(0, OpType::kRead, 0, 8));
   EXPECT_EQ(card.segments().free_slots(), free_before);
 }
 
 TEST(FlashCardTest, EnergyIncludesCleaningWork) {
-  FlashCard card(TestCard(), TestOptions());
-  card.Preload(16, 0.75);
+  LogFlashDevice card(TestCard(), TestOptions());
+  card.Preload(16, 0.75, /*interleave=*/true);
   SimTime now = 0;
   for (int i = 0; i < 200; ++i) {
     now += kUsPerSec;
@@ -194,9 +195,8 @@ TEST(FlashCardTest, EnergyIncludesCleaningWork) {
   }
   card.Finish(now + kUsPerSec);
   const EnergyMeter& meter = card.energy();
-  // Mode 2 is erase, mode 3 is clean-copy (see FlashCard's meter layout).
-  EXPECT_GT(meter.mode_joules(2), 0.0);
-  EXPECT_GT(meter.mode_joules(3), 0.0);
+  EXPECT_GT(meter.mode_joules(kFlashErase), 0.0);
+  EXPECT_GT(meter.mode_joules(kFlashClean), 0.0);
 }
 
 }  // namespace

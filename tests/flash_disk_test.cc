@@ -69,7 +69,7 @@ TEST(FlashDiskTest, UtilizationDoesNotAffectWrites) {
   // disk writes exactly as fast as an empty one.
   FlashDisk empty(TestFlashDisk(), TestOptions());
   FlashDisk full(TestFlashDisk(), TestOptions());
-  full.Preload(60);
+  full.Preload(60, 0.5, /*interleave=*/false);
   const SimTime r_empty = empty.Write(0, Rec(0, OpType::kWrite, 0, 4));
   const SimTime r_full = full.Write(0, Rec(0, OpType::kWrite, 0, 4));
   EXPECT_EQ(r_empty, r_full);
@@ -87,7 +87,7 @@ TEST(FlashDiskTest, AsyncWritesFastWhenPoolCovers) {
 TEST(FlashDiskTest, AsyncFallsBackWhenPoolEmpty) {
   DeviceOptions options = TestOptions();
   FlashDisk disk(TestAsyncFlashDisk(), options);
-  disk.Preload(64);  // whole device live: zero pre-erased
+  disk.Preload(64, 0.5, /*interleave=*/false);  // whole device live: zero pre-erased
   EXPECT_EQ(disk.pre_erased_bytes(), 0u);
   const SimTime response = disk.Write(0, Rec(0, OpType::kWrite, 0, 1));
   const double coupled_kbps = 1.0 / (1.0 / 128.0 + 1.0 / 512.0);
@@ -97,7 +97,7 @@ TEST(FlashDiskTest, AsyncFallsBackWhenPoolEmpty) {
 
 TEST(FlashDiskTest, BackgroundErasureReplenishesPool) {
   FlashDisk disk(TestAsyncFlashDisk(), TestOptions());
-  disk.Preload(56);  // 8 blocks pre-erased
+  disk.Preload(56, 0.5, /*interleave=*/false);  // 8 blocks pre-erased
   // Overwrite 8 blocks: the new copies land in the pool, the old copies
   // become dirty.
   disk.Write(0, Rec(0, OpType::kWrite, 0, 8));
@@ -114,8 +114,10 @@ TEST(FlashDiskTest, BackgroundErasureReplenishesPool) {
 }
 
 TEST(FlashDiskTest, SyncModeOnDecoupledPartUsesCoupledRate) {
-  FlashDisk disk(TestAsyncFlashDisk(), TestOptions());
-  disk.set_asynchronous_erasure(false);
+  DeviceOptions options = TestOptions();
+  options.asynchronous_erasure = false;
+  FlashDisk disk(TestAsyncFlashDisk(), options);
+  ASSERT_FALSE(disk.asynchronous_erasure());
   const double coupled_kbps = 1.0 / (1.0 / 128.0 + 1.0 / 512.0);
   const SimTime response = disk.Write(0, Rec(0, OpType::kWrite, 0, 1));
   EXPECT_EQ(response, UsFromMs(1) + TransferTimeUs(1024, coupled_kbps));
@@ -123,7 +125,7 @@ TEST(FlashDiskTest, SyncModeOnDecoupledPartUsesCoupledRate) {
 
 TEST(FlashDiskTest, TrimFreesSpace) {
   FlashDisk disk(TestAsyncFlashDisk(), TestOptions());
-  disk.Preload(64);
+  disk.Preload(64, 0.5, /*interleave=*/false);
   disk.Trim(0, Rec(0, OpType::kErase, 0, 16));
   EXPECT_EQ(disk.dirty_bytes(), 16u * 1024);
   disk.AdvanceTo(10 * 60 * kUsPerSec);

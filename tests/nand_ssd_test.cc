@@ -1,5 +1,6 @@
 // The NAND/SSD device tier: striping arithmetic, the uFLIP response shapes
-// the timing model must reproduce, device-spec validation, name-normalized
+// the timing model must reproduce, the exact difference between the serial
+// card timing and a card-shaped NAND, device-spec validation, name-normalized
 // catalog lookups, and a mixed-traffic property sweep over the full catalog.
 #include <gtest/gtest.h>
 
@@ -11,9 +12,7 @@
 
 #include "src/core/config_text.h"
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
-#include "src/device/flash_disk.h"
-#include "src/device/nand_ssd.h"
+#include "src/device/log_flash_device.h"
 #include "src/device/uflip.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
@@ -23,13 +22,13 @@ namespace {
 
 constexpr std::uint64_t kCapacity = 4 * 1024 * 1024;  // 32 erase blocks
 
-std::unique_ptr<NandSsd> MakeNand(const DeviceSpec& spec,
-                                  std::uint64_t region_blocks,
-                                  double utilization) {
+std::unique_ptr<LogFlashDevice> MakeNand(const DeviceSpec& spec,
+                                         std::uint64_t region_blocks,
+                                         double utilization) {
   DeviceOptions options;
   options.block_bytes = 1024;
   options.capacity_bytes = kCapacity;
-  auto device = std::make_unique<NandSsd>(spec, options);
+  auto device = std::make_unique<LogFlashDevice>(spec, options);
   device->Preload(region_blocks, utilization, /*interleave=*/false);
   return device;
 }
@@ -50,42 +49,44 @@ UflipStats RunPattern(const DeviceSpec& spec, UflipPattern pattern,
 
 TEST(NandSsdTest, TopologyCounts) {
   auto chip = MakeNand(NandChip(), 1024, 0.5);
-  EXPECT_EQ(chip->channels(), 1u);
-  EXPECT_EQ(chip->units(), 1u);
+  EXPECT_EQ(chip->nand_timing().channels(), 1u);
+  EXPECT_EQ(chip->nand_timing().units(), 1u);
 
   auto ssd = MakeNand(NandSsd4ch(), 1024, 0.5);
-  EXPECT_EQ(ssd->channels(), 4u);
-  EXPECT_EQ(ssd->units(), 8u);  // 4 channels x 2 dies x 1 plane
+  EXPECT_EQ(ssd->nand_timing().channels(), 4u);
+  EXPECT_EQ(ssd->nand_timing().units(), 8u);  // 4 channels x 2 dies x 1 plane
 
   auto wide = MakeNand(NandSsd8ch(), 1024, 0.5);
-  EXPECT_EQ(wide->channels(), 8u);
-  EXPECT_EQ(wide->units(), 16u);
+  EXPECT_EQ(wide->nand_timing().channels(), 8u);
+  EXPECT_EQ(wide->nand_timing().units(), 16u);
 }
 
 TEST(NandSsdTest, PagesForBytesRoundsUpToWholePages) {
   auto ssd = MakeNand(NandSsd4ch(), 1024, 0.5);  // 2-KB pages
-  EXPECT_EQ(ssd->PagesForBytes(0), 0u);
-  EXPECT_EQ(ssd->PagesForBytes(1), 1u);
-  EXPECT_EQ(ssd->PagesForBytes(2048), 1u);
-  EXPECT_EQ(ssd->PagesForBytes(2049), 2u);
-  EXPECT_EQ(ssd->PagesForBytes(4096), 2u);
-  EXPECT_EQ(ssd->PagesForBytes(16384), 8u);
+  const StripedNandTiming& timing = ssd->nand_timing();
+  EXPECT_EQ(timing.PagesForBytes(0), 0u);
+  EXPECT_EQ(timing.PagesForBytes(1), 1u);
+  EXPECT_EQ(timing.PagesForBytes(2048), 1u);
+  EXPECT_EQ(timing.PagesForBytes(2049), 2u);
+  EXPECT_EQ(timing.PagesForBytes(4096), 2u);
+  EXPECT_EQ(timing.PagesForBytes(16384), 8u);
 }
 
 TEST(NandSsdTest, StripingIsRoundRobinAcrossDistinctChannels) {
   auto ssd = MakeNand(NandSsd4ch(), 1024, 0.5);
-  const std::vector<std::uint32_t> units = ssd->StripeUnits(8);
+  const StripedNandTiming& timing = ssd->nand_timing();
+  const std::vector<std::uint32_t> units = timing.StripeUnits(8);
   ASSERT_EQ(units.size(), 8u);
   for (std::uint32_t u = 0; u < 8; ++u) {
     EXPECT_EQ(units[u], u);
   }
   // Unit numbering is channel-major: consecutive pages land on distinct
   // channels until every channel is in flight.
-  EXPECT_EQ(ssd->ChannelOf(units[0]), 0u);
-  EXPECT_EQ(ssd->ChannelOf(units[1]), 1u);
-  EXPECT_EQ(ssd->ChannelOf(units[2]), 2u);
-  EXPECT_EQ(ssd->ChannelOf(units[3]), 3u);
-  EXPECT_EQ(ssd->ChannelOf(units[4]), 0u);
+  EXPECT_EQ(timing.ChannelOf(units[0]), 0u);
+  EXPECT_EQ(timing.ChannelOf(units[1]), 1u);
+  EXPECT_EQ(timing.ChannelOf(units[2]), 2u);
+  EXPECT_EQ(timing.ChannelOf(units[3]), 3u);
+  EXPECT_EQ(timing.ChannelOf(units[4]), 0u);
 
   // The cursor advances with issued pages and wraps modulo the unit count.
   BlockRecord rec;
@@ -95,7 +96,7 @@ TEST(NandSsdTest, StripingIsRoundRobinAcrossDistinctChannels) {
   rec.block_count = 6;  // 3 pages
   rec.file_id = 1;
   ssd->Write(0, rec);
-  const std::vector<std::uint32_t> next = ssd->StripeUnits(8);
+  const std::vector<std::uint32_t> next = timing.StripeUnits(8);
   EXPECT_EQ(next[0], 3u);
   EXPECT_EQ(next[7], (3u + 7u) % 8u);
 }
@@ -163,6 +164,130 @@ TEST(NandSsdTest, UflipPartitionsDegradeTowardRandom) {
   EXPECT_GT(p16, p1);
 }
 
+// ---- Serial card timing vs. a card-shaped NAND -----------------------------
+
+// A 1x1x1 NAND shaped like `card`: its page is the logical block, its erase
+// block is the card's erase segment, tR and tPROG move one block at the
+// card's read and write rates, tBERS is the card's segment erase, and the
+// bus is fast enough that a page transfer truncates to 0 us.  Cleaning
+// copies, erases and the mount scan then cost exactly what the card charges.
+DeviceSpec CardShapedNand(const DeviceSpec& card, std::uint32_t block_bytes) {
+  DeviceSpec s = card;
+  s.name = "card-shaped-nand";
+  s.kind = DeviceKind::kNandSsd;
+  s.nand.channels = 1;
+  s.nand.dies_per_channel = 1;
+  s.nand.planes_per_die = 1;
+  s.nand.page_bytes = block_bytes;
+  s.nand.pages_per_block = card.erase_segment_bytes / block_bytes;
+  s.nand.read_page_us = static_cast<double>(TransferTimeUs(block_bytes, card.read_kbps));
+  s.nand.program_page_us = static_cast<double>(TransferTimeUs(block_bytes, card.write_kbps));
+  s.nand.erase_block_ms = card.erase_ms_per_segment;
+  s.nand.channel_mbps = 1e9;
+  return s;
+}
+
+TEST(CardVsNandTimingTest, SameMappingAndPinnedTimingDifference) {
+  constexpr std::uint32_t kBlock = 1024;
+  DeviceOptions options;
+  options.block_bytes = kBlock;
+  options.capacity_bytes = 2 * 1024 * 1024;  // 16 erase segments
+  const DeviceSpec card_spec = IntelCardDatasheet();
+  LogFlashDevice card(card_spec, options);
+  LogFlashDevice nand(CardShapedNand(card_spec, kBlock), options);
+  for (LogFlashDevice* device : {&card, &nand}) {
+    device->Preload(1024, 0.85, /*interleave=*/true);
+  }
+  EXPECT_EQ(card.timing().costs().block_copy_us, nand.timing().costs().block_copy_us);
+  EXPECT_EQ(card.timing().costs().erase_us, nand.timing().costs().erase_us);
+  EXPECT_EQ(card.timing().costs().mount_scan_us, nand.timing().costs().mount_scan_us);
+
+  // Bursts of one-block requests arriving at one instant, 30 s apart: every
+  // cleaning job started in a burst finishes in the idle gap on both
+  // devices, so their mappings evolve in lockstep.
+  const SimTime read_us = TransferTimeUs(kBlock, card_spec.read_kbps);
+  const SimTime write_us = TransferTimeUs(kBlock, card_spec.write_kbps);
+  // The remaining difference, modelled exactly.  The card serializes a
+  // synchronous cleaning stall behind the work already queued on it.  The
+  // NAND charges the stall to its command track, which a write frees as
+  // soon as its payload is on the bus, so the track runs ahead of the one
+  // plane's queue and the stall overlaps programs still queued from earlier
+  // writes of the burst.
+  SimTime card_busy = 0;
+  SimTime nand_cmd = 0;
+  SimTime nand_bus = 0;
+  SimTime nand_busy = 0;
+  std::uint64_t differing = 0;
+  Rng rng(41);
+  SimTime now = 0;
+  for (int burst = 0; burst < 40; ++burst) {
+    now += 30 * kUsPerSec;
+    const std::int64_t ops = rng.UniformInt(1, 400);
+    for (std::int64_t i = 0; i < ops; ++i) {
+      BlockRecord rec;
+      rec.time_us = now;
+      rec.block_count = 1;
+      rec.lba = static_cast<std::uint64_t>(rng.UniformInt(0, 1023));
+      rec.file_id = static_cast<std::uint32_t>(rng.UniformInt(0, 20));
+      const double roll = rng.NextDouble();
+      if (roll >= 0.95) {
+        rec.op = OpType::kErase;
+        card.Trim(now, rec);
+        nand.Trim(now, rec);
+        continue;
+      }
+      rec.op = roll < 0.3 ? OpType::kRead : OpType::kWrite;
+      const SimTime stall_before = card.counters().stall_time_us;
+      const SimTime card_response =
+          rec.op == OpType::kRead ? card.Read(now, rec) : card.Write(now, rec);
+      const SimTime nand_response =
+          rec.op == OpType::kRead ? nand.Read(now, rec) : nand.Write(now, rec);
+      const SimTime stall = card.counters().stall_time_us - stall_before;
+      const SimTime service = rec.op == OpType::kRead ? read_us : write_us;
+
+      card_busy = std::max(now, card_busy) + stall + service;
+      const SimTime issue = std::max(now, nand_cmd) + stall;
+      if (rec.op == OpType::kRead) {
+        nand_cmd = issue;
+        nand_busy = std::max(issue, nand_busy) + service;
+        nand_bus = nand_busy;
+      } else {
+        nand_bus = std::max(issue, nand_bus);
+        nand_cmd = nand_bus;
+        nand_busy = std::max(nand_bus, nand_busy) + service;
+      }
+      ASSERT_EQ(card_response, card_busy - now);
+      ASSERT_EQ(nand_response, nand_busy - now);
+      differing += card_response != nand_response ? 1 : 0;
+    }
+  }
+  const DeviceCounters& c = card.counters();
+  const DeviceCounters& n = nand.counters();
+  EXPECT_GT(c.clean_jobs, 0u);
+  EXPECT_GT(c.write_stalls, 0u);
+  EXPECT_GT(differing, 0u);
+  EXPECT_EQ(c.segment_erases, n.segment_erases);
+  EXPECT_EQ(c.blocks_copied, n.blocks_copied);
+  EXPECT_EQ(c.clean_jobs, n.clean_jobs);
+  EXPECT_EQ(c.write_stalls, n.write_stalls);
+  EXPECT_EQ(c.stall_time_us, n.stall_time_us);
+
+  // Multi-block requests add per-page transfer granularity: the card moves
+  // the whole request at its byte rate, the NAND programs it page by page,
+  // each page's time truncated to whole microseconds.
+  now += 30 * kUsPerSec;
+  BlockRecord rec;
+  rec.time_us = now;
+  rec.op = OpType::kWrite;
+  rec.lba = 0;
+  rec.block_count = 8;
+  rec.file_id = 99;
+  ASSERT_LE(card.busy_until(), now);
+  ASSERT_LE(nand.busy_until(), now);
+  EXPECT_EQ(card.Write(now, rec), TransferTimeUs(8 * kBlock, card_spec.write_kbps));
+  EXPECT_EQ(nand.Write(now, rec), 8 * write_us);
+}
+
 // ---- Spec validation -------------------------------------------------------
 
 std::string ValidationError(const DeviceSpec& spec, const DeviceOptions& options) {
@@ -196,6 +321,11 @@ TEST(ValidateDeviceSpecTest, NamesTheOffendingField) {
   spec.erase_segment_bytes = 0;
   EXPECT_NE(ValidationError(spec, options).find("erase_segment_bytes"),
             std::string::npos);
+
+  // Decoupled erasure (SDP5A) needs an erase rate to run its erase pass.
+  spec = Sdp5aDatasheet();
+  spec.erase_kbps = 0.0;
+  EXPECT_NE(ValidationError(spec, options).find("erase_kbps"), std::string::npos);
 
   spec = Cu140Datasheet();
   spec.read_overhead_ms = std::nan("");
@@ -242,11 +372,11 @@ TEST(ValidateDeviceSpecTest, ConstructorsRejectMalformedSpecs) {
   options.capacity_bytes = kCapacity;
   DeviceSpec spec = NandSsd4ch();
   spec.nand.dies_per_channel = 0;
-  EXPECT_THROW(NandSsd(spec, options), SimError);
+  EXPECT_THROW(LogFlashDevice(spec, options), SimError);
 
   DeviceSpec card = IntelCardDatasheet();
   card.erase_ms_per_segment = 0.0;
-  EXPECT_THROW(FlashCard(card, options), SimError);
+  EXPECT_THROW(LogFlashDevice(card, options), SimError);
 }
 
 // ---- Name-normalized catalog lookups ---------------------------------------
@@ -278,13 +408,7 @@ std::unique_ptr<StorageDevice> MakeAnyDevice(const DeviceSpec& spec) {
   options.block_bytes = 1024;
   options.capacity_bytes = 8 * 1024 * 1024;
   std::unique_ptr<StorageDevice> device = CreateDevice(spec, options);
-  if (auto* card = dynamic_cast<FlashCard*>(device.get())) {
-    card->Preload(1024, 0.7);
-  } else if (auto* ssd = dynamic_cast<NandSsd*>(device.get())) {
-    ssd->Preload(1024, 0.7);
-  } else if (auto* disk = dynamic_cast<FlashDisk*>(device.get())) {
-    disk->Preload(1024);
-  }
+  device->Preload(1024, 0.7, /*interleave=*/true);
   return device;
 }
 

@@ -5,71 +5,60 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/device/device_catalog.h"
-#include "src/device/flash_card.h"
-#include "src/device/flash_disk.h"
 #include "src/device/geometric_disk.h"
-#include "src/device/magnetic_disk.h"
-#include "src/device/nand_ssd.h"
 #include "src/util/rng.h"
 
 namespace mobisim {
 namespace {
 
+// One catalog spec, built through CreateDevice and the virtual preload; the
+// geometry-based disk model (which StorageSystem builds directly) joins as
+// an extra maker.
 struct DeviceMaker {
-  const char* name;
-  std::unique_ptr<StorageDevice> (*make)();
-  // Single-queue devices complete requests in issue order.  The striped
-  // NAND SSD does not: a short read on a free plane may legitimately finish
-  // before an earlier multi-page write still programming on other planes.
-  bool fifo_completions = true;
+  std::string name;
+  DeviceSpec spec;
+  bool geometry = false;
 };
 
-std::unique_ptr<StorageDevice> MakeDisk() {
-  DeviceOptions options;
-  options.block_bytes = 1024;
-  return std::make_unique<MagneticDisk>(Cu140Datasheet(), options);
+void PrintTo(const DeviceMaker& maker, std::ostream* os) { *os << maker.name; }
+
+std::vector<DeviceMaker> AllMakers() {
+  std::vector<DeviceMaker> makers;
+  for (const DeviceSpec& spec : AllDeviceSpecs()) {
+    makers.push_back({spec.name, spec});
+  }
+  makers.push_back({"cu140-geometry", Cu140Datasheet(), /*geometry=*/true});
+  return makers;
 }
 
-std::unique_ptr<StorageDevice> MakeGeometricDisk() {
-  DeviceOptions options;
-  options.block_bytes = 1024;
-  return std::make_unique<GeometricDisk>(Cu140Datasheet(), Cu140Geometry(), options);
-}
-
-std::unique_ptr<StorageDevice> MakeFlashDisk() {
+std::unique_ptr<StorageDevice> Make(const DeviceMaker& maker) {
   DeviceOptions options;
   options.block_bytes = 1024;
   options.capacity_bytes = 4 * 1024 * 1024;
-  auto device = std::make_unique<FlashDisk>(Sdp5aDatasheet(), options);
-  device->Preload(1024);
+  if (maker.geometry) {
+    return std::make_unique<GeometricDisk>(maker.spec, Cu140Geometry(), options);
+  }
+  std::unique_ptr<StorageDevice> device = CreateDevice(maker.spec, options);
+  device->Preload(1024, 0.7, /*interleave=*/true);
   return device;
 }
 
-std::unique_ptr<StorageDevice> MakeFlashCard() {
-  DeviceOptions options;
-  options.block_bytes = 1024;
-  options.capacity_bytes = 4 * 1024 * 1024;
-  auto device = std::make_unique<FlashCard>(IntelCardDatasheet(), options);
-  device->Preload(1024, 0.7);
-  return device;
-}
-
-std::unique_ptr<StorageDevice> MakeNandSsd() {
-  DeviceOptions options;
-  options.block_bytes = 1024;
-  options.capacity_bytes = 4 * 1024 * 1024;
-  auto device = std::make_unique<NandSsd>(NandSsd4ch(), options);
-  device->Preload(1024, 0.7);
-  return device;
+// Single-queue devices complete requests in issue order.  The striped NAND
+// SSD does not: a short read on a free plane may legitimately finish before
+// an earlier multi-page write still programming on other planes.
+bool FifoCompletions(const DeviceMaker& maker) {
+  return maker.spec.kind != DeviceKind::kNandSsd;
 }
 
 class DeviceTimingPropertyTest : public ::testing::TestWithParam<DeviceMaker> {};
 
 TEST_P(DeviceTimingPropertyTest, RandomTrafficInvariants) {
-  auto device = GetParam().make();
+  auto device = Make(GetParam());
   Rng rng(17);
   SimTime now = 0;
   SimTime last_completion = 0;
@@ -92,7 +81,7 @@ TEST_P(DeviceTimingPropertyTest, RandomTrafficInvariants) {
     // Completions never go backwards (on in-order devices), and busy_until
     // covers this op.
     const SimTime completion = now + response;
-    if (GetParam().fifo_completions) {
+    if (FifoCompletions(GetParam())) {
       ASSERT_GE(completion, last_completion) << GetParam().name << " op " << i;
     }
     ASSERT_GE(device->busy_until(), completion - response) << GetParam().name;
@@ -119,7 +108,7 @@ TEST_P(DeviceTimingPropertyTest, RandomTrafficInvariants) {
 }
 
 TEST_P(DeviceTimingPropertyTest, BackToBackRequestsQueueFifo) {
-  auto device = GetParam().make();
+  auto device = Make(GetParam());
   BlockRecord rec;
   rec.block_count = 4;
   rec.lba = 0;
@@ -136,7 +125,7 @@ TEST_P(DeviceTimingPropertyTest, BackToBackRequestsQueueFifo) {
 }
 
 TEST_P(DeviceTimingPropertyTest, AdvanceToIsIdempotent) {
-  auto device = GetParam().make();
+  auto device = Make(GetParam());
   BlockRecord rec;
   rec.time_us = 0;
   rec.lba = 0;
@@ -154,7 +143,7 @@ TEST_P(DeviceTimingPropertyTest, AdvanceToIsIdempotent) {
 TEST_P(DeviceTimingPropertyTest, FinishBeforeBusyUntilStillAccountsInFlightWork) {
   // Finish(end) with end earlier than busy_until must account up to
   // busy_until, not truncate the in-flight operation's energy.
-  auto device = GetParam().make();
+  auto device = Make(GetParam());
   BlockRecord rec;
   rec.time_us = 1000;
   rec.lba = 0;
@@ -177,7 +166,7 @@ TEST_P(DeviceTimingPropertyTest, FinishBeforeBusyUntilStillAccountsInFlightWork)
 }
 
 TEST_P(DeviceTimingPropertyTest, PowerLossTruncatesPendingWorkOnEveryKind) {
-  auto device = GetParam().make();
+  auto device = Make(GetParam());
   BlockRecord rec;
   rec.time_us = 1000;
   rec.lba = 0;
@@ -206,14 +195,12 @@ TEST_P(DeviceTimingPropertyTest, PowerLossTruncatesPendingWorkOnEveryKind) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Devices, DeviceTimingPropertyTest,
-    ::testing::Values(DeviceMaker{"magnetic", &MakeDisk},
-                      DeviceMaker{"geometric", &MakeGeometricDisk},
-                      DeviceMaker{"flash_disk", &MakeFlashDisk},
-                      DeviceMaker{"flash_card", &MakeFlashCard},
-                      DeviceMaker{"nand_ssd", &MakeNandSsd,
-                                  /*fifo_completions=*/false}),
-    [](const ::testing::TestParamInfo<DeviceMaker>& info) { return info.param.name; });
+    Devices, DeviceTimingPropertyTest, ::testing::ValuesIn(AllMakers()),
+    [](const ::testing::TestParamInfo<DeviceMaker>& info) {
+      std::string name = info.param.name;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace mobisim
