@@ -35,8 +35,11 @@
 // policy-grid sweep farmed out over sweepd workers renders the same matrix
 // as a serial run.
 //
-// --list prints the enumerated grid without running it, then the registered
-// benches of the canned paper experiments (run those with `mobisim_bench`).
+// --list prints the enumerated grid without running it, marking each point
+// that shares another point's simulation (same trace, same effective config;
+// see SimulationLeaders) and ending with the count of distinct simulations,
+// then the registered benches of the canned paper experiments (run those
+// with `mobisim_bench`).
 //
 // --db lands the run in a bench_db result store as
 // <DIR>/<sha>/<NAME>.jsonl with a metadata header (spec fingerprint, date,
@@ -226,12 +229,23 @@ int RunMain(int argc, char** argv) {
                    shards, points.size());
     }
   }
+  const std::vector<std::size_t> leaders = SimulationLeaders(points);
+  std::size_t simulations = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    simulations += leaders[i] == i ? 1 : 0;
+  }
   if (list_only) {
-    for (const ExperimentPoint& point : points) {
-      std::printf("%4zu  %-5s seed=%llu  %s\n", point.index, point.workload.c_str(),
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const ExperimentPoint& point = points[i];
+      std::string shared;
+      if (leaders[i] != i) {
+        shared = "  (same simulation as point " + std::to_string(points[leaders[i]].index) + ")";
+      }
+      std::printf("%4zu  %-5s seed=%llu  %s%s\n", point.index, point.workload.c_str(),
                   static_cast<unsigned long long>(point.seed),
-                  DescribeConfig(point.config).c_str());
+                  DescribeConfig(point.config).c_str(), shared.c_str());
     }
+    std::printf("\n%zu points, %zu distinct simulations\n", points.size(), simulations);
     std::printf("\nregistered benches (run with `mobisim_bench run <name>`):\n");
     for (const BenchDef* def : AllBenches()) {
       std::printf("  %-24s %s\n", def->name.c_str(), def->description.c_str());
@@ -336,8 +350,8 @@ int RunMain(int argc, char** argv) {
       }
       table.Print(std::cout);
     }
-    std::fprintf(stderr, "mobisim_sweep: %zu points done (%zu threads)%s\n",
-                 outcomes.size(),
+    std::fprintf(stderr, "mobisim_sweep: %zu points, %zu simulations done (%zu threads)%s\n",
+                 outcomes.size(), simulations,
                  options.threads == 0 ? ThreadPool::DefaultThreadCount() : options.threads,
                  failed > 0 ? ", with failures" : "");
   }

@@ -84,6 +84,10 @@ struct SimConfig {
   // Fault injection and recovery (`fault.*` config keys).  All defaults
   // model healthy hardware; the layer is then a strict no-op.
   FaultConfig fault;
+
+  // Memberwise, so a field added later joins the comparison (and two configs
+  // that differ in it count as distinct simulations) without further edits.
+  bool operator==(const SimConfig&) const = default;
 };
 
 // Convenience constructors for the paper's standard configurations.

@@ -154,6 +154,29 @@ void ApplyWorkloadRules(const std::string& workload, SimConfig* config) {
   }
 }
 
+SimConfig EffectiveConfig(const SimConfig& config) {
+  const DeviceKind kind = config.device.kind;
+  if (kind == DeviceKind::kFlashCard || kind == DeviceKind::kNandSsd) {
+    return config;
+  }
+  const SimConfig defaults;
+  SimConfig effective = config;
+  if (effective.ftl_policy != defaults.ftl_policy) {
+    effective.export_ftl_metrics = true;
+  }
+  effective.ftl_policy = defaults.ftl_policy;
+  effective.cleaning_policy = defaults.cleaning_policy;
+  effective.background_cleaning = defaults.background_cleaning;
+  effective.separate_cleaning_segment = defaults.separate_cleaning_segment;
+  effective.interleave_prefill = defaults.interleave_prefill;
+  if (kind == DeviceKind::kMagneticDisk) {
+    effective.flash_utilization = defaults.flash_utilization;
+    effective.auto_capacity = defaults.auto_capacity;
+    effective.flash_async_erasure = defaults.flash_async_erasure;
+  }
+  return effective;
+}
+
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
   const Trace trace = GenerateNamedWorkload(workload, scale);
   const BlockTrace blocks = BlockMapper::Map(trace);

@@ -47,6 +47,20 @@ SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config);
 // the buffer cache.
 void ApplyWorkloadRules(const std::string& workload, SimConfig* config);
 
+// `config` with every field its device kind never reads reset to the
+// SimConfig default, so two configs that simulate identically compare equal.
+//   - Log-structured flash (kFlashCard, kNandSsd): unchanged; it reads all.
+//   - Flash and magnetic disks have no cleaner or FTL: ftl_policy,
+//     cleaning_policy, background_cleaning, separate_cleaning_segment and
+//     interleave_prefill reset.  Flash disks keep flash_utilization, which
+//     sizes their capacity and pre-erased pool.
+//   - Magnetic disks also reset flash_utilization, auto_capacity and
+//     flash_async_erasure.
+// Resetting a non-default ftl_policy sets export_ftl_metrics, so the result
+// keeps its ftl columns.  The fault block is never touched.  RunSimulation
+// of the result equals RunSimulation of `config` byte for byte.
+SimConfig EffectiveConfig(const SimConfig& config);
+
 // Convenience: generate the named workload ("mac", "dos", "hp", "synth"),
 // lower it to block level, apply ApplyWorkloadRules, and simulate.  `scale`
 // shrinks the workload for fast runs.

@@ -41,6 +41,8 @@ struct NandTopology {
     return channels * dies_per_channel * planes_per_die;
   }
   std::uint32_t block_bytes() const { return page_bytes * pages_per_block; }
+
+  bool operator==(const NandTopology&) const = default;
 };
 
 struct DeviceSpec {
@@ -93,6 +95,8 @@ struct DeviceSpec {
 
   // -- NAND topology (kNandSsd only; nand.channels == 0 otherwise) -----------
   NandTopology nand;
+
+  bool operator==(const DeviceSpec&) const = default;
 };
 
 // DRAM buffer cache or battery-backed SRAM write buffer chip family.
@@ -107,6 +111,8 @@ struct MemorySpec {
   // capacity; DRAM pays this continuously, which is why "more DRAM" is not
   // free energy-wise (section 5.4).
   double idle_w_per_mbyte = 0.0;
+
+  bool operator==(const MemorySpec&) const = default;
 };
 
 }  // namespace mobisim

@@ -38,6 +38,8 @@ struct DiskGeometry {
   std::uint64_t capacity_bytes() const { return total_sectors() * sector_bytes; }
   double revolution_ms() const { return 60000.0 / rpm; }
   double SeekMs(std::uint32_t distance_cylinders) const;
+
+  bool operator==(const DiskGeometry&) const = default;
 };
 
 // Geometry presets sized to the paper's drives.

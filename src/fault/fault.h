@@ -74,6 +74,8 @@ struct FaultConfig {
     return power_loss_interval_us > 0 || transient_error_rate > 0.0 ||
            bad_block_rate > 0.0 || wear_out;
   }
+
+  bool operator==(const FaultConfig&) const = default;
 };
 
 // Status of a single device I/O attempt.

@@ -1,5 +1,6 @@
 #include "src/runner/sweep_runner.h"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -68,7 +69,57 @@ std::map<TraceKey, CachedTrace> BuildTraceMap(const std::vector<ExperimentPoint>
   return cache;
 }
 
+// PointToRow(point) followed by the `result_row` fields it does not hold.
+ResultRow MergePointAndResultRow(const ExperimentPoint& point, const ResultRow& result_row) {
+  ResultRow row = PointToRow(point);
+  for (const ResultField& field : result_row.fields) {
+    if (row.Find(field.key) == nullptr) {
+      row.fields.push_back(field);
+    }
+  }
+  return row;
+}
+
+// Fills `outcome->row` from its point and either the flattened result of its
+// simulation or its error.
+void FillRow(SweepOutcome* outcome, const ResultRow& result_row) {
+  if (outcome->failed) {
+    outcome->row = PointToRow(outcome->point);
+    outcome->row.AddText("_error", outcome->error);
+  } else {
+    outcome->row = MergePointAndResultRow(outcome->point, result_row);
+  }
+}
+
 }  // namespace
+
+std::vector<std::size_t> SimulationLeaders(const std::vector<ExperimentPoint>& points) {
+  struct Leader {
+    std::size_t position;
+    SimConfig effective;
+  };
+  // Only points on the same trace can share a simulation; within a trace,
+  // effective configs compare memberwise.
+  std::map<TraceKey, std::vector<Leader>> buckets;
+  std::vector<std::size_t> leaders(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ExperimentPoint& point = points[i];
+    SimConfig config = point.config;
+    ApplyWorkloadRules(point.workload, &config);
+    config = EffectiveConfig(config);
+    std::vector<Leader>& bucket = buckets[TraceKey{point.workload, point.scale, point.seed}];
+    const auto same = std::find_if(bucket.begin(), bucket.end(), [&config](const Leader& l) {
+      return l.effective == config;
+    });
+    if (same == bucket.end()) {
+      leaders[i] = i;
+      bucket.push_back(Leader{i, std::move(config)});
+    } else {
+      leaders[i] = same->position;
+    }
+  }
+  return leaders;
+}
 
 ResultRow PointToRow(const ExperimentPoint& point) {
   ResultRow row;
@@ -101,14 +152,7 @@ ResultRow PointToRow(const ExperimentPoint& point) {
 }
 
 ResultRow MergePointAndResult(const ExperimentPoint& point, const SimResult& result) {
-  ResultRow row = PointToRow(point);
-  ResultRow result_row = ResultToRow(result);
-  for (ResultField& field : result_row.fields) {
-    if (row.Find(field.key) == nullptr) {
-      row.fields.push_back(std::move(field));
-    }
-  }
-  return row;
+  return MergePointAndResultRow(point, ResultToRow(result));
 }
 
 std::string SweepCsvHeader() {
@@ -140,39 +184,27 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
   const auto traces = BuildTraceMap(points, pool.get(), options.trace_cache);
   ProgressMeter meter("sweep", points.size(), options.progress);
 
+  // One simulation per group of points that share a trace and an effective
+  // config: the leader simulates into its own outcome, each follower copies
+  // the leader's result under its own labels.
+  const std::vector<std::size_t> leader_of = SimulationLeaders(points);
+  std::vector<std::size_t> leaders;
+  std::vector<std::vector<std::size_t>> followers(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (leader_of[i] == i) {
+      leaders.push_back(i);
+    } else {
+      followers[leader_of[i]].push_back(i);
+    }
+  }
+
   // Emission bookkeeping: rows leave in point order, streamed as soon as the
   // completed prefix grows.
   std::mutex emit_mu;
   std::vector<bool> ready(points.size(), false);
   std::size_t next_emit = 0;
 
-  auto run_point = [&](std::size_t i) {
-    ExperimentPoint point = points[i];
-    ApplyWorkloadRules(point.workload, &point.config);
-    const CachedTrace& cached =
-        traces.at(TraceKey{point.workload, point.scale, point.seed});
-
-    SweepOutcome& outcome = outcomes[i];
-    outcome.point = point;
-    // A failing point (trace generation or simulation) becomes an `_error`
-    // row instead of taking the whole sweep down with it.
-    if (cached.trace.empty()) {
-      outcome.failed = true;
-      outcome.error = cached.error;
-    } else {
-      try {
-        outcome.result = RunSimulation(cached.trace, point.config);
-        outcome.row = MergePointAndResult(point, outcome.result);
-      } catch (const std::exception& e) {
-        outcome.failed = true;
-        outcome.error = e.what();
-      }
-    }
-    if (outcome.failed) {
-      outcome.row = PointToRow(point);
-      outcome.row.AddText("_error", outcome.error);
-    }
-
+  auto publish = [&](std::size_t i) {
     meter.Advance();
     std::lock_guard<std::mutex> lock(emit_mu);
     ready[i] = true;
@@ -190,7 +222,54 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
     }
   };
 
-  ParallelFor(pool.get(), points.size(), run_point);
+  auto run_group = [&](std::size_t g) {
+    const std::size_t lead = leaders[g];
+    SweepOutcome& outcome = outcomes[lead];
+    outcome.point = points[lead];
+    ApplyWorkloadRules(outcome.point.workload, &outcome.point.config);
+    const ExperimentPoint& point = outcome.point;
+    const CachedTrace& cached =
+        traces.at(TraceKey{point.workload, point.scale, point.seed});
+
+    // A failing group (trace generation or simulation) becomes one `_error`
+    // row per member instead of taking the whole sweep down with it.
+    if (cached.trace.empty()) {
+      outcome.failed = true;
+      outcome.error = cached.error;
+    } else {
+      try {
+        outcome.result = RunSimulation(cached.trace, point.config);
+      } catch (const std::exception& e) {
+        outcome.failed = true;
+        outcome.error = e.what();
+      }
+    }
+    // The result is flattened once per group: ResultToRow sorts the
+    // percentile reservoirs, which would otherwise dominate a follower's cost.
+    ResultRow result_row;
+    if (!outcome.failed) {
+      result_row = ResultToRow(outcome.result);
+    }
+    FillRow(&outcome, result_row);
+    // Each row leaves as soon as it is built, so a follower's row costs its
+    // own emission slot rather than delaying the leader's.  Emitted outcomes
+    // stay untouched, so followers may still read the leader's.
+    publish(lead);
+    for (const std::size_t f : followers[lead]) {
+      SweepOutcome& follower = outcomes[f];
+      follower.point = points[f];
+      ApplyWorkloadRules(follower.point.workload, &follower.point.config);
+      follower.failed = outcome.failed;
+      follower.error = outcome.error;
+      if (!follower.failed) {
+        follower.result = outcome.result;
+      }
+      FillRow(&follower, result_row);
+      publish(f);
+    }
+  };
+
+  ParallelFor(pool.get(), leaders.size(), run_group);
   meter.Finish();
   for (ResultSink* sink : options.sinks) {
     sink->Finish();

@@ -9,6 +9,13 @@
 // run of the same points — scheduling order cannot leak into the numbers.
 // Rows reach the sinks strictly in enumeration order regardless of which
 // point finishes first.
+//
+// Each distinct effective configuration is simulated once; rows keep their
+// own labels.  Points on the same trace whose configs differ only in fields
+// their device never reads (EffectiveConfig in src/core/simulator.h: say a
+// magnetic disk crossed with utilizations or ftl policies) share one
+// simulation, and every point still gets its own row, byte-identical to the
+// row a run of that point alone would produce.
 #ifndef MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
 #define MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
 
@@ -71,6 +78,13 @@ ResultRow MergePointAndResult(const ExperimentPoint& point, const SimResult& res
 // depend on the data), so an empty sweep can still emit a valid header —
 // pass this as CsvResultSink's default header.
 std::string SweepCsvHeader();
+
+// For each point, the position in `points` of the point whose simulation it
+// shares: the lowest-positioned point with the same trace (workload, scale,
+// seed) and the same EffectiveConfig after ApplyWorkloadRules.  A point that
+// leads its own group maps to itself, so the number of simulations a sweep
+// runs is the number of i with result[i] == i.
+std::vector<std::size_t> SimulationLeaders(const std::vector<ExperimentPoint>& points);
 
 // Runs the points and returns outcomes indexed by point order.  Honours the
 // paper's hp methodology (the hp trace is simulated without a DRAM cache,

@@ -205,6 +205,124 @@ TEST(SweepRunnerTest, HpRunsWithoutDramLikeRunNamedWorkload) {
   EXPECT_EQ(outcomes[0].result.dram_hits + outcomes[0].result.dram_misses, 0u);
 }
 
+// A grid full of duplicate simulations: the disk reads neither utilization
+// nor ftl, the flash disks ignore ftl, the flash card reads both.
+ExperimentSpec DuplicateHeavySpec() {
+  std::string error;
+  const auto spec = ParseExperimentSpec(
+      "devices = cu140-datasheet, sdp5-datasheet, sdp5a-datasheet, intel-datasheet\n"
+      "workloads = synth\n"
+      "utilizations = 0.5, 0.9\n"
+      "ftl = greedy, page-diff\n"
+      "replicas = 2\n"
+      "scale = 0.02\n",
+      &error);
+  EXPECT_TRUE(spec.has_value()) << error;
+  return *spec;
+}
+
+std::size_t SimulationCount(const std::vector<ExperimentPoint>& points) {
+  const std::vector<std::size_t> leaders = SimulationLeaders(points);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < leaders.size(); ++i) {
+    count += leaders[i] == i ? 1 : 0;
+  }
+  return count;
+}
+
+// A sweep's JSONL rows, CSV data rows (header dropped), and its outcomes'
+// results flattened, one JSON line each.
+struct Exported {
+  std::string jsonl;
+  std::string csv;
+  std::string results;
+};
+
+Exported RunExported(const std::vector<ExperimentPoint>& points, std::size_t threads) {
+  std::ostringstream jsonl_out;
+  std::ostringstream csv_out;
+  JsonlResultSink jsonl(jsonl_out);
+  CsvResultSink csv(csv_out);
+  SweepOptions options;
+  options.threads = threads;
+  options.sinks = {&jsonl, &csv};
+  std::string results;
+  for (const SweepOutcome& outcome : RunSweep(points, options)) {
+    results += RowToJson(ResultToRow(outcome.result)) + "\n";
+  }
+  const std::string csv_text = csv_out.str();
+  const std::size_t eol = csv_text.find('\n');
+  return {jsonl_out.str(), eol == std::string::npos ? "" : csv_text.substr(eol + 1),
+          results};
+}
+
+// Each point in its own one-point sweep, rows concatenated: what a sweep
+// that shares simulations must reproduce byte for byte.
+Exported RunEachAlone(const std::vector<ExperimentPoint>& points) {
+  Exported all;
+  for (const ExperimentPoint& point : points) {
+    const Exported one = RunExported({point}, 1);
+    all.jsonl += one.jsonl;
+    all.csv += one.csv;
+    all.results += one.results;
+  }
+  return all;
+}
+
+TEST(SweepRunnerTest, SharedSimulationsMatchOnePointRuns) {
+  const std::vector<ExperimentPoint> points = EnumerateGrid(DuplicateHeavySpec());
+  ASSERT_EQ(points.size(), 32u);
+  // Per replica: cu140 one config, sdp5 and sdp5a one per utilization,
+  // intel one per utilization and ftl.
+  EXPECT_EQ(SimulationCount(points), 2u * (1 + 2 + 2 + 4));
+
+  const Exported alone = RunEachAlone(points);
+  ASSERT_FALSE(alone.csv.empty());
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const Exported shared = RunExported(points, threads);
+    EXPECT_EQ(shared.jsonl, alone.jsonl);
+    EXPECT_EQ(shared.csv, alone.csv);
+    EXPECT_EQ(shared.results, alone.results);
+  }
+}
+
+TEST(SweepRunnerTest, FailingSharedSimulationFailsEveryMemberWithItsOwnLabels) {
+  ExperimentSpec spec = DuplicateHeavySpec();
+  DeviceSpec broken = Cu140Datasheet();
+  broken.name = "broken-disk";
+  broken.read_kbps = 0.0;  // trips ValidateDeviceSpec
+  spec.devices = {broken, IntelCardDatasheet()};
+  const std::vector<ExperimentPoint> points = EnumerateGrid(spec);
+  ASSERT_EQ(points.size(), 16u);
+  EXPECT_EQ(SimulationCount(points), 2u * (1 + 4));
+
+  const Exported alone = RunEachAlone(points);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    std::ostringstream jsonl_out;
+    JsonlResultSink jsonl(jsonl_out);
+    SweepOptions options;
+    options.threads = threads;
+    options.sinks = {&jsonl};
+    const std::vector<SweepOutcome> outcomes = RunSweep(points, options);
+    EXPECT_EQ(jsonl_out.str(), alone.jsonl);
+    ASSERT_EQ(outcomes.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const ResultRow& row = outcomes[i].row;
+      const bool broken_point = points[i].config.device.name == "broken-disk";
+      EXPECT_EQ(outcomes[i].failed, broken_point) << i;
+      EXPECT_EQ(row.Find("_error") != nullptr, broken_point) << i;
+      if (broken_point) {
+        EXPECT_NE(row.Text("_error").find("read_kbps"), std::string::npos) << i;
+      }
+      EXPECT_EQ(static_cast<std::size_t>(row.Number("point", -1)), points[i].index);
+      EXPECT_EQ(row.Number("utilization"), points[i].config.flash_utilization) << i;
+      EXPECT_EQ(row.Text("ftl"), FtlPolicyKindName(points[i].config.ftl_policy)) << i;
+    }
+  }
+}
+
 SimResult MakeResult() {
   SimConfig config = MakePaperConfig(IntelCardDatasheet(), 256 * 1024);
   return RunNamedWorkload("synth", config, 0.02);

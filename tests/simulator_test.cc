@@ -1,9 +1,15 @@
 // Tests for the trace-driven simulator: warm-start handling, energy
-// attribution, determinism, and cross-device orderings the paper reports.
+// attribution, determinism, cross-device orderings the paper reports, and
+// the EffectiveConfig reset table sweeps rely on to share simulations.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/core/result_io.h"
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
+#include "src/device/geometric_disk.h"
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 
@@ -148,6 +154,111 @@ TEST(SimulatorOrderingTest, UtilizationRaisesFlashCardEnergy) {
   EXPECT_GT(high_result.total_energy_j(), low_result.total_energy_j());
   EXPECT_GT(high_result.counters.blocks_copied, low_result.counters.blocks_copied);
   EXPECT_GT(high_result.max_segment_erases, low_result.max_segment_erases);
+}
+
+// Every catalog device, plus the geometry backend of both disks.
+std::vector<SimConfig> EveryDeviceConfig() {
+  std::vector<SimConfig> configs;
+  for (const DeviceSpec& spec : AllDeviceSpecs()) {
+    configs.push_back(MakePaperConfig(spec, 2 * 1024 * 1024));
+  }
+  SimConfig cu140 = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
+  cu140.use_disk_geometry = true;
+  cu140.disk_geometry = Cu140Geometry();
+  configs.push_back(cu140);
+  SimConfig kittyhawk = MakePaperConfig(KittyhawkDatasheet(), 2 * 1024 * 1024);
+  kittyhawk.use_disk_geometry = true;
+  kittyhawk.disk_geometry = KittyhawkGeometry();
+  configs.push_back(kittyhawk);
+  return configs;
+}
+
+// Each moves one field EffectiveConfig resets for some device kind away
+// from its SimConfig default.
+using ConfigMove = void (*)(SimConfig*);
+constexpr ConfigMove kResettableFieldMoves[] = {
+    [](SimConfig* c) { c->ftl_policy = FtlPolicyKind::kPageDiff; },
+    [](SimConfig* c) { c->cleaning_policy = CleaningPolicy::kCostBenefit; },
+    [](SimConfig* c) { c->background_cleaning = false; },
+    [](SimConfig* c) { c->separate_cleaning_segment = true; },
+    [](SimConfig* c) { c->interleave_prefill = true; },
+    [](SimConfig* c) { c->flash_utilization = 0.5; },
+    [](SimConfig* c) { c->auto_capacity = false; },
+    [](SimConfig* c) { c->flash_async_erasure = false; },
+};
+
+void MoveResettableFields(SimConfig* config) {
+  for (const ConfigMove move : kResettableFieldMoves) {
+    move(config);
+  }
+}
+
+bool IsLogFlash(const SimConfig& config) {
+  return config.device.kind == DeviceKind::kFlashCard ||
+         config.device.kind == DeviceKind::kNandSsd;
+}
+
+// The guard on the hand-written reset table: whatever EffectiveConfig
+// resets, the simulation must never have read.  Fields move one at a time
+// and all together, since moves can mask each other (a flash disk's
+// utilization shows only through its capacity or its pre-erased pool).
+TEST(EffectiveConfigTest, ResetFieldsNeverChangeTheRow) {
+  for (const std::string workload : {"mac", "hp"}) {
+    const BlockTrace trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.05));
+    for (SimConfig base : EveryDeviceConfig()) {
+      ApplyWorkloadRules(workload, &base);
+      std::vector<SimConfig> variants;
+      for (const ConfigMove move : kResettableFieldMoves) {
+        variants.push_back(base);
+        move(&variants.back());
+      }
+      variants.push_back(base);
+      MoveResettableFields(&variants.back());
+      EXPECT_EQ(IsLogFlash(base), EffectiveConfig(variants.back()) == variants.back());
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE(workload + " on " + base.device.name +
+                     (base.use_disk_geometry ? " (geometry)" : "") + ", variant " +
+                     std::to_string(v));
+        EXPECT_EQ(RowToJson(ResultToRow(RunSimulation(trace, variants[v]))),
+                  RowToJson(ResultToRow(RunSimulation(trace, EffectiveConfig(variants[v])))));
+      }
+    }
+  }
+}
+
+TEST(EffectiveConfigTest, IdempotentAndIdentityOnLogFlash) {
+  for (SimConfig config : EveryDeviceConfig()) {
+    SCOPED_TRACE(config.device.name);
+    EXPECT_TRUE(EffectiveConfig(EffectiveConfig(config)) == EffectiveConfig(config));
+    MoveResettableFields(&config);
+    const SimConfig effective = EffectiveConfig(config);
+    EXPECT_TRUE(EffectiveConfig(effective) == effective);
+    if (IsLogFlash(config)) {
+      EXPECT_TRUE(effective == config);
+    }
+  }
+}
+
+TEST(EffectiveConfigTest, KeepsFlashDiskUtilizationAndFtlColumns) {
+  for (SimConfig config : EveryDeviceConfig()) {
+    SCOPED_TRACE(config.device.name);
+    MoveResettableFields(&config);
+    const SimConfig effective = EffectiveConfig(config);
+    const SimConfig defaults;
+    if (config.device.kind == DeviceKind::kFlashDisk) {
+      EXPECT_EQ(effective.flash_utilization, 0.5);
+      EXPECT_EQ(effective.flash_async_erasure, false);
+    } else if (config.device.kind == DeviceKind::kMagneticDisk) {
+      EXPECT_EQ(effective.flash_utilization, defaults.flash_utilization);
+    }
+    // A reset non-default FTL keeps the ftl columns in the row schema.
+    EXPECT_TRUE(effective.export_ftl_metrics ||
+                effective.ftl_policy != FtlPolicyKind::kLogStructured);
+  }
+  SimConfig plain = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
+  EXPECT_FALSE(EffectiveConfig(plain).export_ftl_metrics);
+  plain.cleaning_policy = CleaningPolicy::kCostBenefit;
+  EXPECT_FALSE(EffectiveConfig(plain).export_ftl_metrics);
 }
 
 }  // namespace
