@@ -1,6 +1,7 @@
 #include "src/runner/sweep_runner.h"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -32,41 +33,115 @@ struct TraceKey {
   }
 };
 
-// A cached trace, or the reason it could not be generated.  A generation
-// failure fails only the points that need this trace, never the whole sweep.
-struct CachedTrace {
-  TraceView trace;
+// A distinct trace of the sweep.  `acquired` is false when its up-front
+// acquisition failed (or produced no records): every point on it then fails
+// with `error`, never the whole sweep.
+struct SweepTrace {
+  TraceKey key;
+  // The residency the up-front acquisition belongs to.  It has no uses when
+  // the trace's first leader is far, and the acquired view is then dropped.
+  std::size_t acquisition = 0;
+  bool acquired = false;
   std::string error;
 };
 
-// Generates each distinct trace once, in parallel; afterwards the map is
-// read-only and safe to share across workers.  With a persistent cache,
-// each trace is an mmap-backed zero-copy view of the disk entry when a
-// valid one exists, and is generated + stored otherwise
-// (LoadOrGenerateTraceView is thread-safe, so the parallel fan-out needs no
-// extra locking).
-std::map<TraceKey, CachedTrace> BuildTraceMap(const std::vector<ExperimentPoint>& points,
-                                              ThreadPool* pool,
-                                              TraceCache* persistent) {
-  std::map<TraceKey, CachedTrace> cache;
-  for (const ExperimentPoint& point : points) {
-    cache.emplace(TraceKey{point.workload, point.scale, point.seed}, CachedTrace{});
+// One stretch of a trace's residency: a run of its uses, each at most
+// `threads` dispatch positions after the one before.  The first use to arrive
+// maps the view (or finds it filled by the up-front acquisition, when that
+// counts as the run's first use); the last use drops the stretch's hold, so
+// the view lives on only in the leaders still simulating on it.  Leaders in
+// flight together share the one view.
+struct Residency {
+  std::size_t trace = 0;
+  std::size_t uses_left = 0;
+  std::mutex mu;
+  TraceView view;
+};
+
+// Which trace each leader reads and in which residency.  Dispatch positions
+// are leader indices; the up-front acquisition counts as a use just before
+// position 0.  With a persistent cache a use further than `threads` positions
+// from the previous one starts a new residency, re-mapped from the cache;
+// without one a trace has a single residency, kept until its last leader.
+struct TraceSchedule {
+  std::vector<SweepTrace> traces;
+  std::deque<Residency> residencies;
+  // Per dispatch position.
+  std::vector<std::size_t> residency_of;
+};
+
+TraceSchedule PlanTraces(const std::vector<ExperimentPoint>& points,
+                         const std::vector<std::size_t>& leaders, std::size_t threads,
+                         bool remap) {
+  TraceSchedule schedule;
+  std::map<TraceKey, std::size_t> ids;
+  // Per trace: one past the dispatch position of its latest use (the
+  // acquisition is 0), and that use's residency.
+  struct Latest {
+    std::size_t use;
+    std::size_t residency;
+  };
+  std::vector<Latest> latest;
+  auto open_residency = [&schedule](std::size_t t) {
+    schedule.residencies.emplace_back().trace = t;
+    return schedule.residencies.size() - 1;
+  };
+  schedule.residency_of.reserve(leaders.size());
+  for (std::size_t g = 0; g < leaders.size(); ++g) {
+    const ExperimentPoint& point = points[leaders[g]];
+    const auto [it, inserted] = ids.emplace(
+        TraceKey{point.workload, point.scale, point.seed}, schedule.traces.size());
+    const std::size_t t = it->second;
+    if (inserted) {
+      schedule.traces.push_back(SweepTrace{it->first, open_residency(t), false, {}});
+      latest.push_back(Latest{0, schedule.traces.back().acquisition});
+    }
+    if (remap && g + 1 - latest[t].use > threads) {
+      latest[t].residency = open_residency(t);
+    }
+    latest[t].use = g + 1;
+    ++schedule.residencies[latest[t].residency].uses_left;
+    schedule.residency_of.push_back(latest[t].residency);
   }
-  std::vector<std::pair<const TraceKey, CachedTrace>*> entries;
-  entries.reserve(cache.size());
-  for (auto& entry : cache) {
-    entries.push_back(&entry);
-  }
-  ParallelFor(pool, entries.size(), [&entries, persistent](std::size_t i) {
-    const TraceKey& key = entries[i]->first;
+  return schedule;
+}
+
+// Acquires every distinct trace once, in parallel, and keeps the views whose
+// acquisition starts a residency.  With a persistent cache each trace is an
+// mmap-backed zero-copy view of the disk entry when a valid one exists, and
+// is generated + stored otherwise (LoadOrGenerateTraceView is thread-safe, so
+// the fan-out needs no extra locking).
+void AcquireTraces(TraceSchedule* schedule, ThreadPool* pool, TraceCache* persistent) {
+  ParallelFor(pool, schedule->traces.size(), [schedule, persistent](std::size_t t) {
+    SweepTrace& trace = schedule->traces[t];
     try {
-      entries[i]->second.trace =
-          LoadOrGenerateTraceView(persistent, key.workload, key.scale, key.seed);
+      TraceView view = LoadOrGenerateTraceView(persistent, trace.key.workload,
+                                               trace.key.scale, trace.key.seed);
+      trace.acquired = !view.empty();
+      Residency& residency = schedule->residencies[trace.acquisition];
+      if (residency.uses_left > 0) {
+        residency.view = std::move(view);
+      }
     } catch (const std::exception& e) {
-      entries[i]->second.error = e.what();
+      trace.error = e.what();
     }
   });
-  return cache;
+}
+
+// The view for one use of `residency`'s trace: the resident one, or a fresh
+// map through the cache (which verifies the entry, and regenerates it if it
+// has vanished).  The last use of the residency releases its hold.
+TraceView UseTrace(Residency* residency, const TraceKey& key, TraceCache* persistent) {
+  std::lock_guard<std::mutex> lock(residency->mu);
+  --residency->uses_left;
+  if (!residency->view) {
+    residency->view = LoadOrGenerateTraceView(persistent, key.workload, key.scale, key.seed);
+  }
+  TraceView view = residency->view;
+  if (residency->uses_left == 0) {
+    residency->view = TraceView();
+  }
+  return view;
 }
 
 // PointToRow(point) followed by the `result_row` fields it does not hold.
@@ -181,9 +256,6 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
     pool = std::make_unique<ThreadPool>(threads);
   }
 
-  const auto traces = BuildTraceMap(points, pool.get(), options.trace_cache);
-  ProgressMeter meter("sweep", points.size(), options.progress);
-
   // One simulation per group of points that share a trace and an effective
   // config: the leader simulates into its own outcome, each follower copies
   // the leader's result under its own labels.
@@ -197,6 +269,11 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
       followers[leader_of[i]].push_back(i);
     }
   }
+
+  TraceSchedule schedule =
+      PlanTraces(points, leaders, threads, options.trace_cache != nullptr);
+  AcquireTraces(&schedule, pool.get(), options.trace_cache);
+  ProgressMeter meter("sweep", points.size(), options.progress);
 
   // Emission bookkeeping: rows leave in point order, streamed as soon as the
   // completed prefix grows.
@@ -227,18 +304,18 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
     SweepOutcome& outcome = outcomes[lead];
     outcome.point = points[lead];
     ApplyWorkloadRules(outcome.point.workload, &outcome.point.config);
-    const ExperimentPoint& point = outcome.point;
-    const CachedTrace& cached =
-        traces.at(TraceKey{point.workload, point.scale, point.seed});
+    Residency& residency = schedule.residencies[schedule.residency_of[g]];
+    const SweepTrace& trace = schedule.traces[residency.trace];
 
     // A failing group (trace generation or simulation) becomes one `_error`
     // row per member instead of taking the whole sweep down with it.
-    if (cached.trace.empty()) {
+    if (!trace.acquired) {
       outcome.failed = true;
-      outcome.error = cached.error;
+      outcome.error = trace.error;
     } else {
       try {
-        outcome.result = RunSimulation(cached.trace, point.config);
+        outcome.result = RunSimulation(UseTrace(&residency, trace.key, options.trace_cache),
+                                       outcome.point.config);
       } catch (const std::exception& e) {
         outcome.failed = true;
         outcome.error = e.what();
@@ -246,9 +323,13 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
     }
     // The result is flattened once per group: ResultToRow sorts the
     // percentile reservoirs, which would otherwise dominate a follower's cost.
+    // The row then holds the percentiles, so the kept result (and every
+    // follower's copy) drops its samples.
     ResultRow result_row;
     if (!outcome.failed) {
       result_row = ResultToRow(outcome.result);
+      outcome.result.read_percentiles_ms.Release();
+      outcome.result.write_percentiles_ms.Release();
     }
     FillRow(&outcome, result_row);
     // Each row leaves as soon as it is built, so a follower's row costs its

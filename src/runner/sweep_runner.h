@@ -16,6 +16,16 @@
 // magnetic disk crossed with utilizations or ftl policies) share one
 // simulation, and every point still gets its own row, byte-identical to the
 // row a run of that point alone would produce.
+//
+// Memory follows the points in flight, not the grid.  Every distinct trace
+// is acquired up front, in parallel, and that acquisition counts as a use
+// just before the first dispatch; simulations are then dispatched in point
+// order.  A trace stays resident between two consecutive uses at most
+// `threads` dispatch positions apart (a serial sweep counts as 1).  With a
+// persistent trace cache it is dropped after any other use and re-mapped
+// from the cache at its next one (the cache is the spill tier); without one
+// it stays until its last simulation has run.  A kept result's percentile
+// samples are released once its row is built (DESIGN.md §13).
 #ifndef MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
 #define MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
 
@@ -54,6 +64,9 @@ struct SweepOptions {
 
 struct SweepOutcome {
   ExperimentPoint point;
+  // The simulation's result, with its percentile samples released
+  // (ReservoirSample::Release): the percentiles are in `row`, and reading
+  // them from the reservoirs fails a check.
   SimResult result;
   // Config metadata + flattened result, exactly what the sinks received.
   ResultRow row;

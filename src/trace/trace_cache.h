@@ -67,6 +67,10 @@ std::string SerializeBlockTrace(const BlockTrace& trace);
 std::optional<BlockTrace> DeserializeBlockTrace(const std::string& data,
                                                 std::string* error = nullptr);
 
+// Counts are per lookup.  A sweep (RunSweep) looks a trace up once per
+// residency, not once per distinct trace: up front, and again at each use
+// that re-maps it after it was dropped.  So a sweep whose reuses of a trace
+// lie further apart than its threads counts several hits and views for it.
 struct TraceCacheStats {
   std::uint64_t hits = 0;      // entries loaded from disk
   std::uint64_t misses = 0;    // lookups that required generation

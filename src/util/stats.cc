@@ -41,7 +41,11 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 ReservoirSample::ReservoirSample(std::size_t capacity, std::uint64_t seed)
     : capacity_(capacity), rng_state_(seed * 6364136223846793005ULL + 1442695040888963407ULL) {
   MOBISIM_CHECK(capacity > 0);
-  values_.reserve(std::min<std::size_t>(capacity, 4096));
+}
+
+void ReservoirSample::Release() {
+  std::vector<double>().swap(values_);
+  released_ = true;
 }
 
 namespace {
@@ -58,6 +62,7 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
 }  // namespace
 
 double ReservoirSample::Quantile(double q) const {
+  MOBISIM_CHECK(!released_);
   MOBISIM_CHECK(q >= 0.0 && q <= 1.0);
   if (values_.empty()) {
     return 0.0;
@@ -68,6 +73,7 @@ double ReservoirSample::Quantile(double q) const {
 }
 
 std::vector<double> ReservoirSample::Quantiles(const std::vector<double>& qs) const {
+  MOBISIM_CHECK(!released_);
   std::vector<double> out;
   if (values_.empty()) {
     out.assign(qs.size(), 0.0);

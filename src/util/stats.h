@@ -53,7 +53,8 @@ class RunningStats {
 // Bounded uniform reservoir sample for percentile estimation over streams of
 // unknown range (latencies span five orders of magnitude, so fixed histogram
 // buckets fit poorly).  Deterministic: the replacement choices come from a
-// seeded PCG32.
+// seeded PCG32.  The sample grows with the stream, so an empty reservoir
+// (say, in a default-constructed SimResult) holds no memory.
 class ReservoirSample {
  public:
   explicit ReservoirSample(std::size_t capacity = 65536, std::uint64_t seed = 0x5eed);
@@ -77,6 +78,10 @@ class ReservoirSample {
   }
   std::uint64_t count() const { return seen_; }
   std::size_t sample_size() const { return values_.size(); }
+  // Frees the sample once its quantiles have been read (the sweep runner
+  // keeps results whose percentiles already sit in the exported row).
+  // count() is kept; Quantile and Quantiles fail a check from then on.
+  void Release();
   // Quantile estimate, q in [0, 1]; 0 with no data.
   double Quantile(double q) const;
   // All of `qs` from ONE copy + sort of the reservoir.  Each element equals
@@ -90,6 +95,7 @@ class ReservoirSample {
   std::uint64_t seen_ = 0;
   std::vector<double> values_;
   std::uint64_t rng_state_;
+  bool released_ = false;
 };
 
 // Fixed-width linear histogram with overflow bucket; used by benches to

@@ -1,8 +1,12 @@
 // Tests for the src/runner sweep engine: grid enumeration, parallel-vs-serial
 // result equality, JSONL/CSV round-trips, and thread-pool behaviour under
-// exceptions.
+// exceptions, and sweep memory that does not grow with the grid.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -17,7 +21,23 @@
 #include "src/runner/experiment_spec.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
+#include "src/trace/trace_cache.h"
 #include "src/util/thread_pool.h"
+
+// Sanitizer allocators hold freed memory (quarantine, shadow), so resident
+// size says nothing there about what a sweep keeps.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MOBISIM_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MOBISIM_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+#ifdef MOBISIM_SANITIZER_ALLOCATOR
+constexpr bool kSanitizerAllocator = true;
+#else
+constexpr bool kSanitizerAllocator = false;
+#endif
 
 namespace mobisim {
 namespace {
@@ -231,7 +251,9 @@ std::size_t SimulationCount(const std::vector<ExperimentPoint>& points) {
 }
 
 // A sweep's JSONL rows, CSV data rows (header dropped), and its outcomes'
-// results flattened, one JSON line each.
+// results flattened, one JSON line each.  The sweep releases a kept result's
+// percentile samples (the row holds the percentiles), so the results are
+// flattened with empty reservoirs and their sample counts appended.
 struct Exported {
   std::string jsonl;
   std::string csv;
@@ -248,7 +270,14 @@ Exported RunExported(const std::vector<ExperimentPoint>& points, std::size_t thr
   options.sinks = {&jsonl, &csv};
   std::string results;
   for (const SweepOutcome& outcome : RunSweep(points, options)) {
-    results += RowToJson(ResultToRow(outcome.result)) + "\n";
+    SimResult result = outcome.result;
+    EXPECT_EQ(result.read_percentiles_ms.sample_size(), 0u);
+    EXPECT_EQ(result.write_percentiles_ms.sample_size(), 0u);
+    results += std::to_string(result.read_percentiles_ms.count()) + " " +
+               std::to_string(result.write_percentiles_ms.count()) + " ";
+    result.read_percentiles_ms = ReservoirSample();
+    result.write_percentiles_ms = ReservoirSample();
+    results += RowToJson(ResultToRow(result)) + "\n";
   }
   const std::string csv_text = csv_out.str();
   const std::size_t eol = csv_text.find('\n');
@@ -431,6 +460,80 @@ TEST(ThreadPoolTest, WaitRethrowsFirstExceptionAndPoolSurvives) {
   pool.Submit([&completed] { completed.fetch_add(1); });
   pool.Wait();  // must not throw or hang
   EXPECT_EQ(completed.load(), 13);
+}
+
+// A field of /proc/self/status in kB (VmRSS, VmHWM); 0 when unavailable.
+std::uint64_t ProcStatusKb(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::stoull(line.substr(field.size() + 1));
+    }
+  }
+  return 0;
+}
+
+// Resets VmHWM to the current resident size; false where the kernel refuses.
+bool ResetPeakRss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  clear.flush();
+  return static_cast<bool>(clear);
+}
+
+// Peak resident size, in kB, of a sweep shaped like the benchmark's
+// `replicas` workload (mac and hp on an Intel card and a cu140 disk at 80%
+// utilization, every replica a distinct trace, device outermost) on a fresh
+// trace cache and 4 threads.  The peak is VmHWM after a reset, or, where the
+// reset is refused, the largest VmRSS seen as the rows leave.
+std::uint64_t ReplicasSweepPeakKb(std::size_t replicas, const std::string& cache_dir) {
+  ExperimentSpec spec;
+  spec.base = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
+  spec.devices = {IntelCardDatasheet(), Cu140Datasheet()};
+  spec.workloads = {"mac", "hp"};
+  spec.utilizations = {0.80};
+  spec.replicas = replicas;
+  spec.scale = 0.3;
+  std::filesystem::remove_all(cache_dir);
+  TraceCache cache(cache_dir);
+  SweepOptions options;
+  options.threads = 4;
+  options.trace_cache = &cache;
+  std::uint64_t sampled = ProcStatusKb("VmRSS");
+  options.on_emit = [&sampled](const SweepOutcome& outcome) {
+    EXPECT_FALSE(outcome.failed) << outcome.error;
+    sampled = std::max(sampled, ProcStatusKb("VmRSS"));
+  };
+  const bool reset = ResetPeakRss();
+  const std::vector<SweepOutcome> outcomes = RunSweep(EnumerateGrid(spec), options);
+  EXPECT_EQ(outcomes.size(), 4 * replicas);
+  const std::uint64_t peak = reset ? std::max(sampled, ProcStatusKb("VmHWM")) : sampled;
+  std::filesystem::remove_all(cache_dir);
+  return peak;
+}
+
+// With a trace cache a sweep holds the traces of the points in flight and
+// the rows, not every trace and every percentile sample of the grid, so 16x
+// the points must not move its peak memory by 20%.  What still grows is the
+// returned outcomes, about 7 kB a point by size (a 59-field row is most of
+// it); at scale 0.3, as at the benchmark's full scale, the traces in flight
+// outweigh them.  Keeping every trace and every sample, 1,024 points here
+// peaked at 498 MB against 42 MB for 64.
+TEST(SweepRunnerTest, PeakMemoryDoesNotGrowWithTheGrid) {
+  if (kSanitizerAllocator) {
+    GTEST_SKIP() << "sanitizer allocators retain freed memory; RSS is not the sweep's";
+  }
+  if (ProcStatusKb("VmRSS") == 0) {
+    GTEST_SKIP() << "no /proc/self/status VmRSS on this system";
+  }
+  const std::string dir = ::testing::TempDir() + "mobisim_bounded_rss";
+  const std::uint64_t small = ReplicasSweepPeakKb(16, dir);    // 64 points
+  const std::uint64_t large = ReplicasSweepPeakKb(256, dir);   // 1,024 points
+  EXPECT_LT(static_cast<double>(large), 1.2 * static_cast<double>(small))
+      << "64 points: " << small << " kB, 1024 points: " << large << " kB";
+  EXPECT_LT(static_cast<double>(small), 1.2 * static_cast<double>(large))
+      << "64 points: " << small << " kB, 1024 points: " << large << " kB";
 }
 
 TEST(ThreadPoolTest, DestructionDrainsQueueWithoutWait) {

@@ -2,10 +2,12 @@
 // round-trips, fingerprint sensitivity, hit/miss/corruption accounting,
 // byte-identical results with the cache on/off/cold/warm (including under
 // parallel sweeps), and the maintenance surface (list + gc).
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -208,6 +210,108 @@ TEST(TraceCacheTest, ParallelSweepWithSharedCacheMatchesNoCache) {
     EXPECT_EQ(RowToJson(plain[i].row), RowToJson(cold_run[i].row)) << "point " << i;
     EXPECT_EQ(RowToJson(plain[i].row), RowToJson(warm_run[i].row)) << "point " << i;
   }
+}
+
+// Six synth traces, each read by an intel-card point and then, six dispatch
+// positions later, by a cu140 point: device is the outermost enumeration
+// loop, so every trace's second use lies further apart than the threads.
+std::vector<ExperimentPoint> DeviceOuterPoints() {
+  ExperimentSpec spec;
+  spec.base = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
+  spec.devices = {IntelCardDatasheet(), Cu140Datasheet()};
+  spec.workloads = {"synth"};
+  spec.utilizations = {0.80};
+  spec.seeds = {1, 2, 3, 4, 5, 6};
+  spec.scale = 0.02;
+  return EnumerateGrid(spec);
+}
+
+std::vector<std::string> RowsOf(const std::vector<SweepOutcome>& outcomes) {
+  std::vector<std::string> rows;
+  for (const SweepOutcome& outcome : outcomes) {
+    EXPECT_FALSE(outcome.failed) << outcome.error;
+    rows.push_back(RowToJson(outcome.row));
+  }
+  return rows;
+}
+
+TEST(TraceCacheTest, FarReusesReMapFromTheCacheWithIdenticalRows) {
+  const std::vector<ExperimentPoint> points = DeviceOuterPoints();
+  ASSERT_EQ(points.size(), 12u);
+  const std::vector<std::size_t> leaders = SimulationLeaders(points);
+  for (std::size_t i = 0; i < leaders.size(); ++i) {
+    ASSERT_EQ(leaders[i], i);  // every point is its own simulation
+  }
+  SweepOptions plain_options;
+  plain_options.threads = 1;
+  const std::vector<std::string> plain = RowsOf(RunSweep(points, plain_options));
+
+  const std::string dir = FreshDir("tc_remap");
+  TraceCache cold(dir);
+  SweepOptions cold_options;
+  cold_options.threads = 4;
+  cold_options.trace_cache = &cold;
+  EXPECT_EQ(RowsOf(RunSweep(points, cold_options)), plain);
+  EXPECT_EQ(cold.stats().misses, 6u);
+  EXPECT_EQ(cold.stats().stores, 6u);
+
+  // Seed k's uses sit at dispatch positions k-1 and k+5, after the up-front
+  // acquisition just before position 0.  A use more than `threads` positions
+  // after the previous one re-maps the entry.  Serially only seed 1's first
+  // use is near: 6 acquisitions + 5 first-use + 6 second-use re-maps.  With 4
+  // threads seeds 1-4 keep their acquired view: 6 + 2 + 6.  Each residency
+  // maps once whichever leader reaches it first, so both counts are exact.
+  for (const auto& [threads, views] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{{1, 17}, {4, 14}}) {
+    SCOPED_TRACE(threads);
+    TraceCache warm(dir);
+    SweepOptions warm_options;
+    warm_options.threads = threads;
+    warm_options.trace_cache = &warm;
+    EXPECT_EQ(RowsOf(RunSweep(points, warm_options)), plain);
+    EXPECT_EQ(warm.stats().misses, 0u);
+    EXPECT_EQ(warm.stats().stores, 0u);
+    EXPECT_EQ(warm.stats().copies, 0u);
+    EXPECT_EQ(warm.stats().views, views);
+    EXPECT_EQ(warm.stats().hits, views);
+  }
+}
+
+TEST(TraceCacheTest, ReMapOfAVanishedEntryRegenerates) {
+  const std::vector<ExperimentPoint> points = DeviceOuterPoints();
+  SweepOptions plain_options;
+  plain_options.threads = 1;
+  const std::vector<std::string> plain = RowsOf(RunSweep(points, plain_options));
+
+  const std::string dir = FreshDir("tc_vanish");
+  {
+    TraceCache fill(dir);
+    SweepOptions fill_options;
+    fill_options.threads = 1;
+    fill_options.trace_cache = &fill;
+    RunSweep(points, fill_options);
+  }
+  TraceCache cache(dir);
+  SweepOptions options;
+  options.threads = 1;
+  options.trace_cache = &cache;
+  // Once the first row is out, every entry disappears.  Seed 1 stays
+  // resident from its acquisition through its first use; every later use
+  // re-maps.  Seeds 2-6 regenerate (and re-store) at their first use, seed 1
+  // at its second; the other second uses find the re-stored entries.
+  options.on_emit = [&dir](const SweepOutcome& outcome) {
+    if (outcome.point.index == 0) {
+      for (const TraceCacheEntry& entry : ListTraceCache(dir)) {
+        std::filesystem::remove(entry.path);
+      }
+    }
+  };
+  EXPECT_EQ(RowsOf(RunSweep(points, options)), plain);
+  EXPECT_EQ(cache.stats().misses, 6u);
+  EXPECT_EQ(cache.stats().stores, 6u);
+  EXPECT_EQ(cache.stats().views, 6u + 5u);
+  EXPECT_EQ(cache.stats().corrupt, 0u);
+  EXPECT_EQ(ListTraceCache(dir).size(), 6u);
 }
 
 TEST(TraceCacheMaintenanceTest, ListReportsValidity) {

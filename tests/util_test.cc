@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/util/check.h"
 #include "src/util/energy_meter.h"
 #include "src/util/rng.h"
 #include "src/util/sim_time.h"
@@ -226,6 +227,35 @@ TEST(ReservoirSampleTest, Deterministic) {
     b.Add(rng_b.NextDouble());
   }
   EXPECT_DOUBLE_EQ(a.Quantile(0.5), b.Quantile(0.5));
+}
+
+TEST(ReservoirSampleTest, ReleaseKeepsCountAndFreesTheSample) {
+  ReservoirSample res(64);
+  EXPECT_EQ(res.sample_size(), 0u);
+  for (int i = 0; i < 1000; ++i) {
+    res.Add(static_cast<double>(i));
+  }
+  EXPECT_EQ(res.sample_size(), 64u);
+  res.Release();
+  EXPECT_EQ(res.count(), 1000u);
+  EXPECT_EQ(res.sample_size(), 0u);
+  // A copy of a released reservoir stays released.
+  const ReservoirSample copy = res;
+  EXPECT_EQ(copy.count(), 1000u);
+  EXPECT_EQ(copy.sample_size(), 0u);
+}
+
+// MOBISIM_CHECK throws SimError (src/util/check.h), so a quantile read after
+// Release fails loudly instead of returning the empty-reservoir 0.
+TEST(ReservoirSampleTest, QuantilesAfterReleaseFailTheCheck) {
+  ReservoirSample res(16);
+  res.Add(1.0);
+  res.Release();
+  EXPECT_THROW(res.Quantiles({0.5}), SimError);
+  EXPECT_THROW(res.Quantile(0.5), SimError);
+  ReservoirSample empty(16);
+  empty.Release();
+  EXPECT_THROW(empty.Quantiles({0.5, 0.99}), SimError);
 }
 
 TEST(HistogramTest, BucketsAndQuantiles) {
