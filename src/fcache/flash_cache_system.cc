@@ -67,43 +67,31 @@ void FlashCacheSystem::Touch(std::uint64_t lba) {
 }
 
 SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
-  // Collect dirty disk blocks in LBA (elevator) order, up to the budget.
-  std::vector<std::uint64_t> dirty;
-  dirty.reserve(std::min<std::uint64_t>(dirty_count_, max_blocks));
-  for (const auto& [lba, entry] : entries_) {
-    if (entry.dirty) {
-      dirty.push_back(lba);
-    }
-  }
-  if (dirty.empty()) {
+  MOBISIM_DCHECK(max_blocks > 0);
+  if (dirty_.empty()) {
     return now;
   }
-  std::sort(dirty.begin(), dirty.end());
-  if (dirty.size() > max_blocks) {
-    dirty.resize(max_blocks);
-  }
-  for (const std::uint64_t lba : dirty) {
-    entries_[lba].dirty = false;
-    --dirty_count_;
-  }
   ++destages_;
-
+  // Coalesce the lowest dirty LBAs, up to the budget, into sequential runs.
   SimTime completion = now;
-  std::uint64_t run_start = dirty.front();
+  auto it = dirty_.begin();
+  std::uint64_t run_start = *it;
   std::uint32_t run_len = 1;
   auto flush_run = [&]() {
     completion = now + disk_->Write(now, MakeRecord(now, OpType::kWrite, run_start, run_len));
   };
-  for (std::size_t i = 1; i < dirty.size(); ++i) {
-    if (dirty[i] == run_start + run_len) {
+  std::uint64_t taken = 1;
+  for (++it; it != dirty_.end() && taken < max_blocks; ++it, ++taken) {
+    if (*it == run_start + run_len) {
       ++run_len;
     } else {
       flush_run();
-      run_start = dirty[i];
+      run_start = *it;
       run_len = 1;
     }
   }
   flush_run();
+  dirty_.erase(dirty_.begin(), it);
   return completion;
 }
 
@@ -117,7 +105,7 @@ std::uint64_t FlashCacheSystem::AcquireSlot(SimTime now) {
   const std::uint64_t victim_lba = lru_.back();
   const auto it = entries_.find(victim_lba);
   MOBISIM_DCHECK(it != entries_.end());
-  if (it->second.dirty) {
+  if (dirty_.contains(victim_lba)) {
     // The cache is full of dirty data: destage everything in one disk
     // session rather than dribbling single blocks.
     DestageAll(now);
@@ -138,22 +126,17 @@ SimTime FlashCacheSystem::InstallRange(SimTime now, std::uint64_t lba, std::uint
     std::uint64_t slot;
     if (it != entries_.end()) {
       slot = it->second.slot;
-      if (dirty && !it->second.dirty) {
-        it->second.dirty = true;
-        ++dirty_count_;
-      }
       Touch(block);
     } else {
       slot = AcquireSlot(now);
       lru_.push_front(block);
       CacheEntry entry;
       entry.slot = slot;
-      entry.dirty = dirty;
       entry.lru_it = lru_.begin();
       entries_.emplace(block, entry);
-      if (dirty) {
-        ++dirty_count_;
-      }
+    }
+    if (dirty) {
+      dirty_.insert(block);
     }
     response = flash_->Write(now, MakeRecord(now, OpType::kWrite, slot, 1)) ;
   }
@@ -192,7 +175,7 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   // Piggyback: the miss spun the disk up anyway; use the session to destage
   // a bounded chunk of dirty data instead of paying dedicated spin-ups
   // later.
-  if (dirty_count_ > 0) {
+  if (!dirty_.empty()) {
     Destage(now + response, config_.destage_chunk_blocks);
   }
   return response;
@@ -207,7 +190,7 @@ SimTime FlashCacheSystem::HandleWrite(const BlockRecord& rec) {
   // Flash is non-volatile: the write is durable once it lands there.
   const SimTime response = InstallRange(now, rec.lba, rec.block_count, /*dirty=*/true);
 
-  if (static_cast<double>(dirty_count_) >
+  if (static_cast<double>(dirty_.size()) >
       config_.destage_threshold * static_cast<double>(cache_capacity_blocks_)) {
     // Background destage; not charged to this write.
     DestageAll(now + response);
@@ -222,9 +205,7 @@ void FlashCacheSystem::HandleErase(const BlockRecord& rec) {
     if (it == entries_.end()) {
       continue;
     }
-    if (it->second.dirty) {
-      --dirty_count_;
-    }
+    dirty_.erase(it->first);
     flash_->Trim(rec.time_us, MakeRecord(rec.time_us, OpType::kErase, it->second.slot, 1));
     free_slots_.push_back(it->second.slot);
     lru_.erase(it->second.lru_it);
@@ -251,7 +232,7 @@ SimTime FlashCacheSystem::Handle(const BlockRecord& rec) {
 }
 
 void FlashCacheSystem::Finish(SimTime end) {
-  if (dirty_count_ > 0) {
+  if (!dirty_.empty()) {
     end = std::max(end, DestageAll(std::max(end, disk_->busy_until())));
   }
   end = std::max({end, disk_->busy_until(), flash_->busy_until()});

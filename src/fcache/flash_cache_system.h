@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <set>
 #include <unordered_map>
 
 #include "src/cache/buffer_cache.h"
@@ -73,12 +74,12 @@ class FlashCacheSystem {
   const DeviceCounters& disk_counters() const { return disk_->counters(); }
   const DeviceCounters& flash_counters() const { return flash_->counters(); }
   std::uint64_t cached_blocks() const { return lru_.size(); }
-  std::uint64_t dirty_blocks() const { return dirty_count_; }
+  // Cached blocks newer than their disk copy.
+  std::uint64_t dirty_blocks() const { return dirty_.size(); }
 
  private:
   struct CacheEntry {
     std::uint64_t slot = 0;  // flash-side block address
-    bool dirty = false;
     std::list<std::uint64_t>::iterator lru_it;
   };
 
@@ -94,8 +95,9 @@ class FlashCacheSystem {
   // Installs blocks into the flash cache (paying flash writes); `dirty`
   // marks them as newer than the disk copy.
   SimTime InstallRange(SimTime now, std::uint64_t lba, std::uint32_t count, bool dirty);
-  // Writes up to `max_blocks` dirty cached blocks to the disk in LBA
-  // (elevator) order; they stay cached clean.  Returns the completion time.
+  // Writes the `max_blocks` lowest dirty cached blocks (the front of
+  // `dirty_`) to the disk in LBA (elevator) order; they stay cached clean.
+  // Returns the completion time.
   SimTime Destage(SimTime now, std::uint64_t max_blocks);
   SimTime DestageAll(SimTime now) { return Destage(now, ~std::uint64_t{0}); }
   void Touch(std::uint64_t lba);
@@ -109,7 +111,9 @@ class FlashCacheSystem {
   std::unordered_map<std::uint64_t, CacheEntry> entries_;  // disk lba -> entry
   std::list<std::uint64_t> lru_;                           // front = most recent
   std::vector<std::uint64_t> free_slots_;
-  std::uint64_t dirty_count_ = 0;
+  // Disk LBAs of the dirty cached blocks, in LBA order: the one record of
+  // which entries are dirty.
+  std::set<std::uint64_t> dirty_;
   std::uint64_t flash_hits_ = 0;
   std::uint64_t flash_misses_ = 0;
   std::uint64_t destages_ = 0;

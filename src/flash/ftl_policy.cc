@@ -113,12 +113,20 @@ double LogCleanerScore(CleaningPolicy policy, const VictimCandidate& seg,
   return 0.0;
 }
 
+// Greedy scores the invalid-slot count alone; cost-benefit and wear-aware
+// also weigh age and erase counts, so only greedy can be bucketed.
+VictimOrder LogCleanerOrder(CleaningPolicy policy) {
+  return policy == CleaningPolicy::kGreedy ? VictimOrder::kFewestLive : VictimOrder::kScan;
+}
+
 }  // namespace
 
 double LogStructuredFtl::ScoreVictim(const VictimCandidate& candidate,
                                      const VictimView& view) const {
   return LogCleanerScore(cleaner_, candidate, view);
 }
+
+VictimOrder LogStructuredFtl::victim_order() const { return LogCleanerOrder(cleaner_); }
 
 // -- PageDiffFtl -----------------------------------------------------------
 
@@ -134,6 +142,8 @@ double PageDiffFtl::ScoreVictim(const VictimCandidate& candidate,
                                 const VictimView& view) const {
   return LogCleanerScore(cleaner_, candidate, view);
 }
+
+VictimOrder PageDiffFtl::victim_order() const { return LogCleanerOrder(cleaner_); }
 
 void PageDiffFtl::AttachMetaWindow(std::uint64_t base, std::uint64_t available,
                                    std::uint32_t block_bytes) {

@@ -101,6 +101,16 @@ struct VictimView {
   std::uint32_t max_erase_count = 0;
 };
 
+// How SegmentManager::PickVictim finds the best-scoring candidate.
+enum class VictimOrder : std::uint8_t {
+  // Score every candidate; works for any ScoreVictim.
+  kScan = 0,
+  // ScoreVictim depends on nothing but blocks_per_segment - live, and rises
+  // with it: the winner is the lowest-index candidate with the fewest live
+  // blocks, which SegmentManager reads off per-live-count buckets.
+  kFewestLive = 1,
+};
+
 // What servicing a one-block host write physically does to the card.
 struct HostWritePlan {
   // Log appends to perform, in order (the block itself, and possibly a
@@ -123,11 +133,16 @@ class FtlPolicy {
 
   // -- Victim selection (SegmentManager::PickVictim) -----------------------
   // Higher score wins; the first candidate (lowest index) wins ties.  Called
-  // only for sealed segments with at least one invalid slot.
+  // only for sealed segments with at least one invalid slot, and only when
+  // victim_order() is kScan: a kFewestLive policy is never scored, so its
+  // ScoreVictim must order candidates exactly as the fewest-live rule does.
   virtual double ScoreVictim(const VictimCandidate& candidate,
                              const VictimView& view) const = 0;
   // Whether the victim scan must pre-compute VictimView::max_erase_count.
   virtual bool NeedsMaxEraseCount() const { return false; }
+  // kFewestLive only when ScoreVictim is a rising function of
+  // blocks_per_segment - live alone.  Fixed for the policy's lifetime.
+  virtual VictimOrder victim_order() const { return VictimOrder::kScan; }
 
   // -- Placement and cost hooks (LogFlashDevice) ---------------------------
   // Claims the never-accessed logical window [base, base + available) for
@@ -176,6 +191,7 @@ class LogStructuredFtl : public FtlPolicy {
   bool NeedsMaxEraseCount() const override {
     return cleaner_ == CleaningPolicy::kWearAware;
   }
+  VictimOrder victim_order() const override;
   CleaningPolicy cleaner() const { return cleaner_; }
 
  private:
@@ -210,6 +226,7 @@ class PageDiffFtl : public FtlPolicy {
   bool NeedsMaxEraseCount() const override {
     return cleaner_ == CleaningPolicy::kWearAware;
   }
+  VictimOrder victim_order() const override;
   void AttachMetaWindow(std::uint64_t base, std::uint64_t available,
                         std::uint32_t block_bytes) override;
   HostWritePlan PlanHostWrite(std::uint64_t lba, bool mapped,

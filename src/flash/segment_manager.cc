@@ -1,6 +1,7 @@
 #include "src/flash/segment_manager.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/flash/ftl_policy.h"
 #include "src/util/check.h"
@@ -9,6 +10,37 @@ namespace mobisim {
 
 // CleaningPolicyName lives in ftl_policy.cc, next to its strict inverse, so
 // there is exactly one policy-name table.
+
+namespace {
+
+constexpr std::size_t kWordBits = 64;
+
+std::size_t WordsFor(std::size_t bits) { return (bits + kWordBits - 1) / kWordBits; }
+
+void SetBit(std::uint64_t* words, std::uint32_t i) {
+  words[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+}
+
+void ClearBit(std::uint64_t* words, std::uint32_t i) {
+  words[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
+}
+
+bool TestBit(const std::uint64_t* words, std::uint32_t i) {
+  return ((words[i / kWordBits] >> (i % kWordBits)) & 1u) != 0;
+}
+
+// Lowest set bit among `count` words, or SegmentManager::kNoSegment.
+std::uint32_t FirstSetBit(const std::uint64_t* words, std::size_t count) {
+  for (std::size_t w = 0; w < count; ++w) {
+    if (words[w] != 0) {
+      return static_cast<std::uint32_t>(w * kWordBits +
+                                        static_cast<std::size_t>(std::countr_zero(words[w])));
+    }
+  }
+  return SegmentManager::kNoSegment;
+}
+
+}  // namespace
 
 SegmentManager::SegmentManager(const SegmentManagerConfig& config) : config_(config) {
   MOBISIM_CHECK(config.block_bytes > 0);
@@ -28,11 +60,21 @@ SegmentManager::SegmentManager(const SegmentManagerConfig& config) : config_(con
   block_segment_.assign(logical, kNoSegment);
   free_slots_ = total_blocks();
   erased_segments_ = segment_count;
+  erased_bits_.assign(WordsFor(segment_count), 0);
+  for (std::uint32_t i = 0; i < segment_count; ++i) {
+    SetBit(erased_bits_.data(), i);
+  }
   if (config.policy != nullptr) {
     policy_ = config.policy;
   } else {
     owned_policy_ = std::make_unique<LogStructuredFtl>(config.cleaning_policy);
     policy_ = owned_policy_.get();
+  }
+  keep_buckets_ = policy_->victim_order() == VictimOrder::kFewestLive;
+  if (keep_buckets_) {
+    bucket_words_ = WordsFor(segment_count);
+    bucket_bits_.assign(bucket_words_ * blocks_per_segment_, 0);
+    bucket_sizes_.assign(blocks_per_segment_, 0);
   }
 }
 
@@ -74,20 +116,30 @@ std::uint32_t SegmentManager::segment_erase_count(std::uint32_t segment) const {
 }
 
 void SegmentManager::OpenNewActiveSegment(std::uint32_t& slot) {
-  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i].slots_used == 0 && !segments_[i].bad && i != active_segment_ &&
-        i != cleaning_segment_) {
-      slot = i;
-      MOBISIM_CHECK(erased_segments_ > 0);
-      --erased_segments_;
-      // The segment will fill completely before it closes; one allocation
-      // up front instead of push_back growth (CleanSegment moves the vector
-      // away, so capacity does not survive an erase cycle).
-      segments_[i].residents.reserve(blocks_per_segment_);
-      return;
-    }
+  const std::uint32_t i = FirstSetBit(erased_bits_.data(), erased_bits_.size());
+  MOBISIM_CHECK(i != kNoSegment && "no erased segment available for the active role");
+  MOBISIM_CHECK(erased_segments_ > 0);
+  ClearBit(erased_bits_.data(), i);
+  --erased_segments_;
+  slot = i;
+  // The segment will fill completely before it closes; one allocation up
+  // front instead of push_back growth (CleanSegment moves the vector away, so
+  // capacity does not survive an erase cycle).
+  segments_[i].residents.reserve(blocks_per_segment_);
+}
+
+void SegmentManager::BucketInsert(std::uint32_t segment, std::uint32_t live) {
+  if (keep_buckets_ && live < blocks_per_segment_) {
+    SetBit(bucket_bits_.data() + live * bucket_words_, segment);
+    ++bucket_sizes_[live];
   }
-  MOBISIM_CHECK(false && "no erased segment available for the active role");
+}
+
+void SegmentManager::BucketErase(std::uint32_t segment, std::uint32_t live) {
+  if (keep_buckets_ && live < blocks_per_segment_) {
+    ClearBit(bucket_bits_.data() + live * bucket_words_, segment);
+    --bucket_sizes_[live];
+  }
 }
 
 void SegmentManager::AppendBlock(std::uint64_t lba, bool cleaning) {
@@ -108,6 +160,7 @@ void SegmentManager::AppendBlock(std::uint64_t lba, bool cleaning) {
     // cleaning candidate like any other.
     seg.sequence = ++fill_sequence_;
     role = kNoSegment;
+    BucketInsert(target, seg.live);
   }
   --free_slots_;
   ++live_blocks_;
@@ -122,6 +175,10 @@ void SegmentManager::InvalidateBlock(std::uint64_t lba) {
   ++mutation_epoch_;
   Segment& seg = segments_[seg_idx];
   MOBISIM_DCHECK(seg.live > 0);
+  if (seg.slots_used == blocks_per_segment_) {
+    BucketErase(seg_idx, seg.live);
+    BucketInsert(seg_idx, seg.live - 1);
+  }
   --seg.live;
   --live_blocks_;
   block_segment_[lba] = kNoSegment;
@@ -157,6 +214,14 @@ std::uint32_t SegmentManager::BlockSegment(std::uint64_t lba) const {
 }
 
 std::uint32_t SegmentManager::PickVictim() const {
+  if (keep_buckets_) {
+    for (std::uint32_t live = 0; live < blocks_per_segment_; ++live) {
+      if (bucket_sizes_[live] > 0) {
+        return FirstSetBit(bucket_bits_.data() + live * bucket_words_, bucket_words_);
+      }
+    }
+    return kNoSegment;
+  }
   if (victim_epoch_ == mutation_epoch_) {
     return victim_cache_;
   }
@@ -222,6 +287,7 @@ std::uint32_t SegmentManager::CleanSegment(std::uint32_t segment) {
   }
   MOBISIM_CHECK(victim.live == 0);
 
+  BucketErase(segment, 0);
   victim.slots_used = 0;
   victim.sequence = 0;
   ++victim.erase_count;
@@ -234,6 +300,7 @@ std::uint32_t SegmentManager::CleanSegment(std::uint32_t segment) {
     victim.bad = true;
     ++bad_segments_;
   } else {
+    SetBit(erased_bits_.data(), segment);
     ++erased_segments_;
     free_slots_ += blocks_per_segment_;
   }
@@ -255,6 +322,7 @@ void SegmentManager::RetireSegment(std::uint32_t segment) {
   MOBISIM_CHECK(free_slots_ >= blocks_per_segment_);
   ++mutation_epoch_;
   seg.bad = true;
+  ClearBit(erased_bits_.data(), segment);
   --erased_segments_;
   free_slots_ -= blocks_per_segment_;
   ++bad_segments_;
@@ -263,6 +331,11 @@ void SegmentManager::RetireSegment(std::uint32_t segment) {
 bool SegmentManager::segment_is_bad(std::uint32_t segment) const {
   MOBISIM_CHECK(segment < segments_.size());
   return segments_[segment].bad;
+}
+
+bool SegmentManager::segment_is_erased(std::uint32_t segment) const {
+  MOBISIM_CHECK(segment < segments_.size());
+  return TestBit(erased_bits_.data(), segment);
 }
 
 RunningStats SegmentManager::EraseCountStats() const {
@@ -292,6 +365,7 @@ bool SegmentManager::CheckInvariants() const {
   }
   std::uint64_t used = 0;
   std::uint32_t erased = 0;
+  std::vector<std::uint32_t> bucket_sizes(bucket_sizes_.size(), 0);
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = segments_[i];
     if (seg.live != live_per_segment[i]) {
@@ -301,11 +375,26 @@ bool SegmentManager::CheckInvariants() const {
       return false;
     }
     used += seg.slots_used;
-    if (seg.slots_used == 0 && !seg.bad && i != active_segment_ && i != cleaning_segment_) {
+    const bool is_erased =
+        seg.slots_used == 0 && !seg.bad && i != active_segment_ && i != cleaning_segment_;
+    if (is_erased) {
       ++erased;
     }
+    if (TestBit(erased_bits_.data(), i) != is_erased) {
+      return false;
+    }
+    if (keep_buckets_) {
+      const bool candidate = seg.slots_used == blocks_per_segment_ && seg.live < blocks_per_segment_;
+      for (std::uint32_t live = 0; live < blocks_per_segment_; ++live) {
+        const bool in_bucket = TestBit(bucket_bits_.data() + live * bucket_words_, i);
+        if (in_bucket != (candidate && live == seg.live)) {
+          return false;
+        }
+        bucket_sizes[live] += in_bucket ? 1 : 0;
+      }
+    }
   }
-  if (erased != erased_segments_) {
+  if (erased != erased_segments_ || bucket_sizes != bucket_sizes_) {
     return false;
   }
   const std::uint64_t bad_capacity =

@@ -93,7 +93,8 @@ class SegmentManager {
 
   // Chooses a cleaning victim among full segments that contain at least one
   // invalid slot; kNoSegment if none qualifies.  Scoring delegates to the
-  // policy fixed at construction time.
+  // policy fixed at construction time: a kFewestLive policy's winner comes
+  // from the live-count buckets, any other policy's from a scan.
   std::uint32_t PickVictim() const;
 
   // Number of live blocks cleaning this victim would copy.
@@ -124,6 +125,8 @@ class SegmentManager {
   // Segments retired by the endurance limit.
   std::uint32_t bad_segment_count() const { return bad_segments_; }
   bool segment_is_bad(std::uint32_t segment) const;
+  // Erased, good and not open: a segment RetireSegment accepts.
+  bool segment_is_erased(std::uint32_t segment) const;
   // Physical slots not lost to retired segments.
   std::uint64_t usable_blocks() const {
     return total_blocks() -
@@ -143,7 +146,7 @@ class SegmentManager {
 
   // Internal-consistency check used by tests and MOBISIM_DCHECK call sites:
   // live + free + invalid slots == total slots, per-segment counts match the
-  // mapping, etc.
+  // mapping, the erased set and live-count buckets match a recount, etc.
   bool CheckInvariants() const;
 
  private:
@@ -160,10 +163,16 @@ class SegmentManager {
     std::vector<std::uint64_t> residents;
   };
 
-  // Opens an erased segment into `slot` (the host or cleaning active role).
+  // Opens the lowest-index erased segment into `slot` (the host or cleaning
+  // active role).
   void OpenNewActiveSegment(std::uint32_t& slot);
   void AppendBlock(std::uint64_t lba, bool cleaning = false);
   void InvalidateBlock(std::uint64_t lba);
+  // Adds/removes a sealed segment holding `live` live blocks to/from the
+  // live-count buckets; no-ops unless the buckets are kept and live <
+  // blocks_per_segment_ (a segment with no invalid slot is no candidate).
+  void BucketInsert(std::uint32_t segment, std::uint32_t live);
+  void BucketErase(std::uint32_t segment, std::uint32_t live);
 
   SegmentManagerConfig config_;
   // Private log-structured policy backing config_.cleaning_policy when no
@@ -184,10 +193,28 @@ class SegmentManager {
   std::uint64_t total_erases_ = 0;
   std::uint64_t fill_sequence_ = 0;
 
-  // PickVictim is a full scan over segments, and the device model re-asks it
-  // after nearly every record while the erased reserve is low.  Every input
-  // to the scoring (live counts, fill order, erase counts, the active
-  // segment) changes only through the mutating methods, which bump
+  // Erased, good segments (slots_used == 0 and not bad), one bit per
+  // segment, so OpenNewActiveSegment finds the lowest with a find-first-set.
+  // A segment leaves the set when it opens and holds a slot from then on, so
+  // the active and cleaning segments are never in it.
+  std::vector<std::uint64_t> erased_bits_;
+
+  // Victim buckets, kept only when the policy's victim_order() is
+  // kFewestLive: row L (bucket_words_ words) has the bit of every sealed
+  // segment with exactly L < blocks_per_segment_ live blocks, and
+  // bucket_sizes_[L] counts them.  The victim is the lowest set bit of the
+  // lowest non-empty row -- the lowest index among the fewest-live
+  // candidates, as the strict `>` scan picks on a tie.  One bit per physical
+  // block, plus O(blocks_per_segment_).
+  bool keep_buckets_ = false;
+  std::size_t bucket_words_ = 0;
+  std::vector<std::uint64_t> bucket_bits_;
+  std::vector<std::uint32_t> bucket_sizes_;
+
+  // The kScan path of PickVictim scores every segment, and the device model
+  // re-asks it after nearly every record while the erased reserve is low.
+  // Every input to the scoring (live counts, fill order, erase counts, the
+  // active segment) changes only through the mutating methods, which bump
   // mutation_epoch_; the last answer is cached and reused until then.  The
   // policy is fixed at construction, so the epoch alone keys the cache.
   std::uint64_t mutation_epoch_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -76,28 +77,9 @@ bool Rng::Chance(double probability) { return NextDouble() < probability; }
 
 Rng Rng::Fork() { return Rng(NextU64(), NextU64() >> 1); }
 
-ZipfDistribution::ZipfDistribution(std::size_t n, double s) {
-  MOBISIM_CHECK(n > 0);
-  cdf_.resize(n);
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[i] = total;
-  }
-  for (double& v : cdf_) {
-    v /= total;
-  }
-  cdf_.back() = 1.0;
-}
-
-std::size_t ZipfDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
 DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
   MOBISIM_CHECK(!weights.empty());
+  MOBISIM_CHECK(weights.size() <= std::numeric_limits<std::uint32_t>::max());
   cdf_ = std::move(weights);
   double total = 0.0;
   for (double& w : cdf_) {
@@ -110,12 +92,44 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
     w /= total;
   }
   cdf_.back() = 1.0;
+
+  while (guide_bits_ < 16 && (std::size_t{1} << guide_bits_) < cdf_.size()) {
+    ++guide_bits_;
+  }
+  const std::size_t buckets = std::size_t{1} << guide_bits_;
+  guide_.resize(buckets + 1);
+  std::size_t i = 0;
+  for (std::size_t g = 0; g <= buckets; ++g) {
+    const double edge = std::ldexp(static_cast<double>(g), -guide_bits_);
+    while (cdf_[i] < edge) {
+      ++i;  // stops at the last index at the latest: cdf_.back() == 1.0
+    }
+    guide_[g] = static_cast<std::uint32_t>(i);
+  }
 }
 
-std::size_t DiscreteDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t DiscreteDistribution::IndexOf(double u) const {
+  MOBISIM_DCHECK(u >= 0.0 && u < 1.0);
+  // Scaling by a power of two is exact, so g is floor(u * 2^b) exactly.
+  const auto g = static_cast<std::size_t>(std::ldexp(u, guide_bits_));
+  const auto first = cdf_.begin() + guide_[g];
+  const auto last = cdf_.begin() + guide_[g + 1];
+  return static_cast<std::size_t>(std::lower_bound(first, last, u) - cdf_.begin());
 }
+
+namespace {
+
+std::vector<double> ZipfWeights(std::size_t n, double s) {
+  std::vector<double> weights(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+  }
+  return weights;
+}
+
+}  // namespace
+
+ZipfDistribution::ZipfDistribution(std::size_t n, double s)
+    : DiscreteDistribution(ZipfWeights(n, s)) {}
 
 }  // namespace mobisim

@@ -46,29 +46,36 @@ class Rng {
   std::uint64_t inc_;
 };
 
-// Zipf(s) sampler over {0, ..., n-1} using a precomputed CDF and binary
-// search.  s = 0 degenerates to uniform; larger s skews toward low ranks.
-class ZipfDistribution {
- public:
-  ZipfDistribution(std::size_t n, double s);
-
-  std::size_t Sample(Rng& rng) const;
-  std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
-};
-
-// Weighted discrete choice over a fixed set of weights.
+// Weighted discrete choice over a fixed set of weights: a precomputed CDF
+// searched by binary search, narrowed first by a guide table.
+//
+// The guide table has 2^b + 1 entries, b = min(16, ceil(log2 n)) >= 1, and
+// guide_[g] is the first CDF index whose value is >= g / 2^b.  For u in
+// [0, 1) with g = floor(u * 2^b), the first index whose CDF value is >= u
+// lies in [guide_[g], guide_[g + 1]]: every index below guide_[g] has a CDF
+// value < g / 2^b <= u, and cdf_[guide_[g + 1]] >= (g + 1) / 2^b > u.  The
+// narrowed search therefore returns exactly what a search over the whole
+// CDF returns.
 class DiscreteDistribution {
  public:
   explicit DiscreteDistribution(std::vector<double> weights);
 
-  std::size_t Sample(Rng& rng) const;
+  std::size_t Sample(Rng& rng) const { return IndexOf(rng.NextDouble()); }
+  // The first index whose CDF value is >= u, for u in [0, 1).
+  std::size_t IndexOf(double u) const;
   std::size_t size() const { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;
+  int guide_bits_ = 1;
+  std::vector<std::uint32_t> guide_;
+};
+
+// Zipf(s) over {0, ..., n-1}: weight 1/(i+1)^s for rank i.  s = 0
+// degenerates to uniform; larger s skews toward low ranks.
+class ZipfDistribution : public DiscreteDistribution {
+ public:
+  ZipfDistribution(std::size_t n, double s);
 };
 
 }  // namespace mobisim

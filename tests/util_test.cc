@@ -2,8 +2,10 @@
 // streaming statistics, histograms, energy metering, table printing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/energy_meter.h"
@@ -147,6 +149,98 @@ TEST(DiscreteTest, RespectsWeights) {
     ones += dist.Sample(rng) == 1 ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.01);
+}
+
+// The CDF DiscreteDistribution builds, recomputed independently: running
+// sums divided by the total, the last entry pinned to 1.
+std::vector<double> ReferenceCdf(const std::vector<double>& weights) {
+  std::vector<double> cdf(weights.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    total += weights[i];
+    cdf[i] = total;
+  }
+  for (double& v : cdf) {
+    v /= total;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+// IndexOf must agree with a lower_bound over the whole CDF at u = 0, at
+// every guide-table edge g / 2^b and just below each edge.
+void ExpectIndexOfMatchesFullSearch(const DiscreteDistribution& dist,
+                                    const std::vector<double>& weights) {
+  const std::vector<double> cdf = ReferenceCdf(weights);
+  auto reference = [&](double u) {
+    return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  };
+  int bits = 1;
+  while (bits < 16 && (std::size_t{1} << bits) < weights.size()) {
+    ++bits;
+  }
+  ASSERT_EQ(dist.IndexOf(0.0), reference(0.0));
+  for (std::size_t g = 1; g < (std::size_t{1} << bits); ++g) {
+    const double edge = std::ldexp(static_cast<double>(g), -bits);
+    ASSERT_EQ(dist.IndexOf(edge), reference(edge)) << "n=" << weights.size() << " g=" << g;
+    const double below = std::nextafter(edge, 0.0);
+    ASSERT_EQ(dist.IndexOf(below), reference(below)) << "n=" << weights.size() << " g=" << g;
+  }
+  const double top = std::nextafter(1.0, 0.0);
+  ASSERT_EQ(dist.IndexOf(top), reference(top));
+}
+
+TEST(DiscreteTest, GuideTableMatchesFullSearchForZipf) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{1} << 16, (std::size_t{1} << 16) + 1,
+                              std::size_t{1000000}}) {
+    for (const double s : {0.0, 0.5, 1.0, 3.0, 40.0}) {
+      std::vector<double> weights(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+      }
+      const ZipfDistribution zipf(n, s);
+      ASSERT_EQ(zipf.size(), n);
+      ExpectIndexOfMatchesFullSearch(zipf, weights);
+    }
+  }
+}
+
+TEST(DiscreteTest, GuideTableMatchesFullSearchWithZeroWeights) {
+  const std::vector<std::vector<double>> cases = {
+      {0.0, 1.0},
+      {1.0, 0.0},
+      {0.0, 0.0, 3.0, 0.0, 1.0, 0.0, 0.0},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0},
+  };
+  for (const std::vector<double>& weights : cases) {
+    ExpectIndexOfMatchesFullSearch(DiscreteDistribution(weights), weights);
+  }
+  // Sparse mass over many entries: most guide buckets straddle long runs of
+  // equal CDF values.
+  Rng rng(41);
+  std::vector<double> sparse(100000, 0.0);
+  for (double& w : sparse) {
+    if (rng.Chance(0.01)) {
+      w = rng.Uniform(0.0, 5.0);
+    }
+  }
+  ExpectIndexOfMatchesFullSearch(DiscreteDistribution(sparse), sparse);
+}
+
+TEST(DiscreteTest, SampleIsIndexOfNextDouble) {
+  const ZipfDistribution zipf(5000, 0.9);
+  Rng a(43);
+  Rng b(43);
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(zipf.Sample(a), zipf.IndexOf(b.NextDouble()));
+  }
+}
+
+TEST(DiscreteTest, NanZipfSkewFailsCheck) {
+  EXPECT_THROW(ZipfDistribution(10, std::nan("")), SimError);
+  EXPECT_THROW(DiscreteDistribution({1.0, -1.0}), SimError);
+  EXPECT_THROW(DiscreteDistribution({0.0, 0.0}), SimError);
 }
 
 TEST(RunningStatsTest, BasicMoments) {
