@@ -7,10 +7,14 @@
 //                         [--http-bind-any]
 //                         [common flags: --jobs --seed --replicas --jsonl
 //                          --csv --db/--name/--sha --trace-cache --quiet]
-//   mobisim_sweepd work   --spool DIR [--jobs N] [--trace-cache DIR] [--quiet]
-//   mobisim_sweepd work   --connect HOST:PORT [--jobs N] [--chunk-rows N]
-//                         [--heartbeat-sec S] [--poll-sec S] [--retries N]
-//                         [--net-fault SPEC] [--worker-name NAME]
+//   mobisim_sweepd work   --spool DIR | --connect HOST:PORT
+//                         both:      [--heartbeat-sec S] [--worker-name NAME]
+//                                    [--throttle-ms N] [--kill-after-rows N]
+//                                    [--jobs N] [--trace-cache DIR] [--quiet]
+//                         --connect: [--chunk-rows N] [--poll-sec S]
+//                                    [--connect-timeout S] [--io-timeout S]
+//                                    [--retries N] [--backoff-base-sec S]
+//                                    [--net-fault SPEC]
 //   mobisim_sweepd status --spool DIR | --connect HOST:PORT
 //   mobisim_sweepd merge  DIR [--jsonl F] [--csv F] [--db DIR --name N] [--quiet]
 //
@@ -26,11 +30,15 @@
 //
 // `work` is the subordinate mode `serve` spawns; it also works standalone
 // (point any number of shells at the same spool for extra throughput).
-// With `--connect` it needs no shared filesystem at all: it speaks the
-// dispatcher's HTTP lease protocol (POST /lease, /heartbeat, /results,
-// /done) with connect/read deadlines, bounded exponential backoff with
-// jitter, and idempotent chunked uploads, so machines anywhere the
-// dispatcher's port is reachable can serve the sweep.  `--net-fault
+// Either way it speaks the lease protocol (POST /lease, /heartbeat,
+// /results, /done).  With `--spool` it drives a lease service of its own
+// over the spool, in-process, uploading each row as it is emitted and
+// exiting once the queue is empty.  With `--connect` it needs no shared
+// filesystem at all: the same requests go to the dispatcher over HTTP with
+// connect/read deadlines, bounded exponential backoff with jitter, and
+// idempotent chunked uploads, so machines anywhere the dispatcher's port is
+// reachable can serve the sweep.  The transport flags apply to `--connect`
+// only, and `work --spool` refuses them.  `--net-fault
 // seed=7,drop=0.2,dup=0.2,delay=0.5,delay-ms=40` injects deterministic
 // request drops/duplicates/delays for partition testing.  The dispatcher
 // binds loopback unless `serve --http-bind-any` opts into the network.
@@ -76,9 +84,12 @@ int Usage() {
       "                             [--lease-sec S] [--poll-sec S] [--http PORT]\n"
       "                             [--http-bind-any]\n"
       "       mobisim_sweepd work   --spool DIR | --connect HOST:PORT\n"
-      "                             [--chunk-rows N] [--heartbeat-sec S]\n"
-      "                             [--poll-sec S] [--retries N]\n"
-      "                             [--net-fault seed=S,drop=R,dup=R,delay=R,delay-ms=M]\n"
+      "                             both:      [--heartbeat-sec S] [--worker-name NAME]\n"
+      "                                        [--throttle-ms N] [--kill-after-rows N]\n"
+      "                             --connect: [--chunk-rows N] [--poll-sec S]\n"
+      "                                        [--connect-timeout S] [--io-timeout S]\n"
+      "                                        [--retries N] [--backoff-base-sec S]\n"
+      "                                        [--net-fault seed=S,drop=R,dup=R,delay=R,delay-ms=M]\n"
       "       mobisim_sweepd status --spool DIR | --connect HOST:PORT\n"
       "       mobisim_sweepd merge  DIR\n"
       "%s",
@@ -319,82 +330,104 @@ int RunServe(std::vector<std::string> args, const CliOptions& common) {
 
 int RunWork(std::vector<std::string> args, const CliOptions& common) {
   WorkerOptions options;
-  RemoteWorkerOptions remote;
   std::string connect;
+  std::string http_only_flag;  // the first flag that needs --connect
   options.jobs = common.jobs == 0 ? 1 : common.jobs;
   options.trace_cache_dir = common.trace_cache_dir;
   if (!common.quiet) {
     options.log = &std::cerr;
-    remote.log = &std::cerr;
   }
   for (std::size_t i = 0; i < args.size(); ++i) {
-    auto seconds = [&](const char* flag) -> std::optional<double> {
+    const std::string& flag = args[i];
+    auto value = [&]() -> std::optional<std::string> {
       if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "error: %s requires an argument\n", flag);
+        std::fprintf(stderr, "error: %s requires an argument\n", flag.c_str());
         return std::nullopt;
       }
-      const auto parsed = ParseFiniteDouble(args[++i]);
+      return args[++i];
+    };
+    auto count = [&]() -> std::optional<std::uint64_t> {
+      const auto text = value();
+      return text ? ParseUint64(*text) : std::nullopt;
+    };
+    auto seconds = [&]() -> std::optional<double> {
+      const auto text = value();
+      const auto parsed = text ? ParseFiniteDouble(*text) : std::nullopt;
       if (!parsed || *parsed <= 0.0) {
-        std::fprintf(stderr, "error: %s wants a positive number of seconds\n", flag);
+        std::fprintf(stderr, "error: %s wants a positive number of seconds\n",
+                     flag.c_str());
         return std::nullopt;
       }
       return parsed;
     };
-    if (args[i] == "--spool" && i + 1 < args.size()) {
-      options.spool_root = args[++i];
-    } else if (args[i] == "--connect" && i + 1 < args.size()) {
-      connect = args[++i];
-    } else if (args[i] == "--chunk-rows" && i + 1 < args.size()) {
-      const auto v = ParseUint64(args[++i]);
-      if (!v || *v == 0) return Usage();
-      remote.chunk_rows = *v;
-    } else if (args[i] == "--heartbeat-sec") {
-      const auto v = seconds("--heartbeat-sec");
+    if (flag == "--spool") {
+      const auto v = value();
       if (!v) return Usage();
-      remote.heartbeat_sec = *v;
-    } else if (args[i] == "--poll-sec") {
-      const auto v = seconds("--poll-sec");
+      options.spool_root = *v;
+    } else if (flag == "--connect") {
+      const auto v = value();
       if (!v) return Usage();
-      remote.poll_sec = *v;
-    } else if (args[i] == "--connect-timeout") {
-      const auto v = seconds("--connect-timeout");
+      connect = *v;
+    } else if (flag == "--worker-name") {
+      const auto v = value();
       if (!v) return Usage();
-      remote.http.connect_timeout_sec = *v;
-    } else if (args[i] == "--io-timeout") {
-      const auto v = seconds("--io-timeout");
+      options.worker_name = *v;
+    } else if (flag == "--heartbeat-sec") {
+      const auto v = seconds();
       if (!v) return Usage();
-      remote.http.io_timeout_sec = *v;
-    } else if (args[i] == "--retries" && i + 1 < args.size()) {
-      const auto v = ParseUint64(args[++i]);
-      if (!v) return Usage();
-      remote.http.max_retries = *v;
-    } else if (args[i] == "--backoff-base-sec") {
-      const auto v = seconds("--backoff-base-sec");
-      if (!v) return Usage();
-      remote.http.backoff_base_sec = *v;
-    } else if (args[i] == "--net-fault" && i + 1 < args.size()) {
-      std::string fault_error;
-      const auto config = ParseNetFaultSpec(args[++i], &fault_error);
-      if (!config) {
-        std::fprintf(stderr, "error: %s\n", fault_error.c_str());
-        return Usage();
-      }
-      remote.net_fault = *config;
-    } else if (args[i] == "--worker-name" && i + 1 < args.size()) {
-      remote.worker_name = args[++i];
-    } else if (args[i] == "--throttle-ms" && i + 1 < args.size()) {
-      const auto v = ParseUint64(args[++i]);
+      options.heartbeat_sec = *v;
+    } else if (flag == "--throttle-ms") {
+      const auto v = count();
       if (!v) return Usage();
       options.throttle_ms = *v;
-      remote.throttle_ms = *v;
-    } else if (args[i] == "--kill-after-rows" && i + 1 < args.size()) {
-      const auto v = ParseUint64(args[++i]);
+    } else if (flag == "--kill-after-rows") {
+      const auto v = count();
       if (!v) return Usage();
       options.kill_after_rows = *v;
-      remote.kill_after_rows = *v;
     } else {
-      std::fprintf(stderr, "error: unrecognised argument '%s'\n", args[i].c_str());
-      return Usage();
+      // Every flag from here on configures the HTTP transport only.
+      if (http_only_flag.empty()) {
+        http_only_flag = flag;
+      }
+      if (flag == "--chunk-rows") {
+        const auto v = count();
+        if (!v || *v == 0) return Usage();
+        options.chunk_rows = *v;
+      } else if (flag == "--poll-sec") {
+        const auto v = seconds();
+        if (!v) return Usage();
+        options.poll_sec = *v;
+      } else if (flag == "--connect-timeout") {
+        const auto v = seconds();
+        if (!v) return Usage();
+        options.http.connect_timeout_sec = *v;
+      } else if (flag == "--io-timeout") {
+        const auto v = seconds();
+        if (!v) return Usage();
+        options.http.io_timeout_sec = *v;
+      } else if (flag == "--retries") {
+        const auto v = count();
+        if (!v) return Usage();
+        options.http.max_retries = *v;
+      } else if (flag == "--backoff-base-sec") {
+        const auto v = seconds();
+        if (!v) return Usage();
+        options.http.backoff_base_sec = *v;
+      } else if (flag == "--net-fault") {
+        const auto v = value();
+        if (!v) return Usage();
+        std::string fault_error;
+        const auto config = ParseNetFaultSpec(*v, &fault_error);
+        if (!config) {
+          std::fprintf(stderr, "error: %s\n", fault_error.c_str());
+          return Usage();
+        }
+        options.net_fault = *config;
+      } else {
+        std::fprintf(stderr, "error: unrecognised argument '%s'\n",
+                     flag.c_str());
+        return Usage();
+      }
     }
   }
   if (options.spool_root.empty() == connect.empty()) {
@@ -402,37 +435,28 @@ int RunWork(std::vector<std::string> args, const CliOptions& common) {
                          "--connect HOST:PORT\n");
     return Usage();
   }
-
-  if (!connect.empty()) {
-    if (!ParseHostPort(connect, &remote.host, &remote.port)) {
-      return Usage();
-    }
-    remote.jobs = options.jobs;
-    remote.trace_cache_dir = options.trace_cache_dir;
-    const RemoteWorkerSummary summary = RunRemoteWorkerLoop(remote);
-    if (!common.quiet) {
-      std::fprintf(stderr,
-                   "mobisim_sweepd: remote worker done: %zu items, %zu rows "
-                   "(%zu inherited, %zu errors, %zu lost leases, "
-                   "%llu transport failures)%s\n",
-                   summary.items, summary.rows, summary.inherited,
-                   summary.error_rows, summary.lost_leases,
-                   static_cast<unsigned long long>(summary.transport_failures),
-                   summary.drained ? "; sweep drained" : "");
-    }
-    if (summary.unreachable) {
-      return RemoteWorkerOptions::kExitUnreachable;
-    }
-    return summary.error_rows > 0 ? RemoteWorkerOptions::kExitPoisoned
-                                  : RemoteWorkerOptions::kExitClean;
+  if (!options.spool_root.empty() && !http_only_flag.empty()) {
+    std::fprintf(stderr, "error: %s applies to work --connect only, not --spool\n",
+                 http_only_flag.c_str());
+    return Usage();
+  }
+  if (!connect.empty() && !ParseHostPort(connect, &options.host, &options.port)) {
+    return Usage();
   }
 
   const WorkerSummary summary = RunWorkerLoop(options);
   if (!common.quiet) {
     std::fprintf(stderr,
                  "mobisim_sweepd: worker done: %zu items, %zu rows "
-                 "(%zu resumed, %zu errors)\n",
-                 summary.items, summary.rows, summary.resumed, summary.error_rows);
+                 "(%zu inherited, %zu errors, %zu lost leases, "
+                 "%llu transport failures)%s\n",
+                 summary.items, summary.rows, summary.inherited,
+                 summary.error_rows, summary.lost_leases,
+                 static_cast<unsigned long long>(summary.transport_failures),
+                 summary.drained ? "; sweep drained" : "");
+  }
+  if (summary.unreachable) {
+    return WorkerOptions::kExitUnreachable;
   }
   return summary.error_rows > 0 ? WorkerOptions::kExitPoisoned
                                 : WorkerOptions::kExitClean;

@@ -62,7 +62,13 @@ std::optional<StoredRun> LoadRunFile(const std::string& path, std::string* error
                             ": metadata line not at start of file");
         return std::nullopt;
       }
-      run.meta = *MetaFromRow(*row);
+      const auto meta = MetaFromRow(*row);
+      if (!meta) {
+        SetError(error, path + ":1: metadata 'points' is not a "
+                               "non-negative integer");
+        return std::nullopt;
+      }
+      run.meta = *meta;
       run.has_meta = true;
       continue;
     }
@@ -128,20 +134,6 @@ std::optional<std::string> BenchDb::StoreRun(RunMeta meta,
 
 namespace {
 
-// Global point index of a data row, or nullopt for rows without one (those
-// cannot be merged incrementally and are rejected by MergeRun).
-std::optional<std::uint64_t> RowPointIndex(const ResultRow& row) {
-  const ResultField* field = row.Find("point");
-  if (field == nullptr || field->quoted) {
-    return std::nullopt;
-  }
-  const double value = row.Number("point", -1.0);
-  if (value < 0.0) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
 
 }  // namespace
@@ -171,7 +163,7 @@ std::optional<std::string> BenchDb::MergeRun(RunMeta meta,
   // Union by global point index; point order in the merged file.
   std::map<std::uint64_t, ResultRow> merged;
   for (ResultRow& row : existing->rows) {
-    const auto index = RowPointIndex(row);
+    const auto index = row.Uint("point");
     if (!index) {
       SetError(error, path + ": stored data row without a point index");
       return std::nullopt;
@@ -180,7 +172,7 @@ std::optional<std::string> BenchDb::MergeRun(RunMeta meta,
   }
   bool changed = false;
   for (const ResultRow& row : rows) {
-    const auto index = RowPointIndex(row);
+    const auto index = row.Uint("point");
     if (!index) {
       SetError(error, "incoming row without a point index cannot be merged");
       return std::nullopt;
@@ -271,13 +263,14 @@ std::vector<RunMeta> BenchDb::ReadIndex(std::string* error) const {
     }
     std::string parse_error;
     const auto row = RowFromJson(line, &parse_error);
-    if (!row || !IsMetaRow(*row)) {
+    const auto meta = row ? MetaFromRow(*row) : std::nullopt;
+    if (!meta) {
       SetError(error, root_ + "/index.jsonl:" + std::to_string(line_no) +
                           ": not a metadata line" +
                           (parse_error.empty() ? "" : " (" + parse_error + ")"));
       continue;
     }
-    entries.push_back(*MetaFromRow(*row));
+    entries.push_back(*meta);
   }
   return entries;
 }

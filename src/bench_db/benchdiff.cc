@@ -127,13 +127,23 @@ DiffReport DiffRuns(const StoredRun& base, const StoredRun& cand,
   }
 
   // Join by stable point index.
-  std::map<std::size_t, const ResultRow*> base_by_point;
-  std::map<std::size_t, const ResultRow*> cand_by_point;
-  for (const ResultRow& row : base.rows) {
-    base_by_point[static_cast<std::size_t>(row.Number("point", -1))] = &row;
-  }
-  for (const ResultRow& row : cand.rows) {
-    cand_by_point[static_cast<std::size_t>(row.Number("point", -1))] = &row;
+  std::map<std::uint64_t, const ResultRow*> base_by_point;
+  std::map<std::uint64_t, const ResultRow*> cand_by_point;
+  const auto index_rows = [](const StoredRun& run,
+                             std::map<std::uint64_t, const ResultRow*>* by_point) {
+    for (const ResultRow& row : run.rows) {
+      const auto point = row.Uint("point");
+      if (!point) {
+        return false;
+      }
+      (*by_point)[*point] = &row;
+    }
+    return true;
+  };
+  if (!index_rows(base, &base_by_point) || !index_rows(cand, &cand_by_point)) {
+    report.comparable = false;
+    report.incomparable_reason = "a row without a non-negative integer point index";
+    return report;
   }
   if (base_by_point.size() != base.rows.size() ||
       cand_by_point.size() != cand.rows.size()) {

@@ -1,8 +1,11 @@
 #include "src/core/result_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "src/util/parse.h"
 
 namespace mobisim {
 
@@ -338,6 +341,24 @@ double ResultRow::Number(const std::string& key, double fallback) const {
   return value;
 }
 
+std::optional<std::uint64_t> ResultRow::Uint(const std::string& key) const {
+  const ResultField* field = Find(key);
+  if (field == nullptr || field->quoted) {
+    return std::nullopt;
+  }
+  if (const auto exact = ParseUint64(field->value)) {
+    return exact;  // digits only: exact even past 2^53
+  }
+  // Integral spellings such as 1e3 or 4.0; 2^64 is the first double that no
+  // longer fits.
+  const auto value = ParseFiniteDouble(field->value);
+  if (!value || *value < 0.0 || *value >= 18446744073709551616.0 ||
+      std::trunc(*value) != *value) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(*value);
+}
+
 std::string ResultRow::Text(const std::string& key, const std::string& fallback) const {
   const ResultField* field = Find(key);
   return field == nullptr ? fallback : field->value;
@@ -464,7 +485,13 @@ std::optional<RunMeta> MetaFromRow(const ResultRow& row) {
   meta.git_sha = row.Text("git_sha");
   meta.created = row.Text("created");
   meta.host = row.Text("host");
-  meta.points = static_cast<std::uint64_t>(row.Number("points", 0));
+  if (row.Find("points") != nullptr) {
+    const auto points = row.Uint("points");
+    if (!points) {
+      return std::nullopt;
+    }
+    meta.points = *points;
+  }
   return meta;
 }
 

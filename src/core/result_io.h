@@ -35,6 +35,11 @@ struct ResultRow {
   const ResultField* Find(const std::string& key) const;
   // Value lookup helpers; `fallback` when the key is missing or non-numeric.
   double Number(const std::string& key, double fallback = 0.0) const;
+  // A non-negative integer field (a point index, a shard number, a count):
+  // nullopt when the key is missing, text, negative, fractional or beyond
+  // 64 bits.  Fields that arrive from outside the program go through this
+  // instead of casting Number(), which is undefined for such values.
+  std::optional<std::uint64_t> Uint(const std::string& key) const;
   std::string Text(const std::string& key, const std::string& fallback = "") const;
 };
 
@@ -62,7 +67,8 @@ struct RunMeta {
 // True when the row is a metadata header (first field is "_meta").
 bool IsMetaRow(const ResultRow& row);
 ResultRow MetaToRow(const RunMeta& meta);
-// Returns nullopt when `row` is not a metadata header.
+// Returns nullopt when `row` is not a metadata header, or when its `points`
+// is present but not a non-negative integer.
 std::optional<RunMeta> MetaFromRow(const ResultRow& row);
 
 // --- JSON (one flat object per row) ---

@@ -381,7 +381,7 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
       }
       std::vector<std::size_t> error_points;
       for (const ResultRow& row : LoadPartialRows(spool.RowsPath(id))) {
-        const auto index = PointIndexOf(row);
+        const auto index = row.Uint("point");
         if (index && IsErrorRow(row)) {
           error_points.push_back(static_cast<std::size_t>(*index));
         }

@@ -1,5 +1,6 @@
 #include "src/sweepd/lease.h"
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -73,6 +74,17 @@ LeaseService::LeaseService(const Spool* spool, SpoolMeta meta,
   // wall clock and pid, then sequential.
   next_owner_ = (Fnv1a64(NowUtc() + "/" + std::to_string(::getpid())) |
                  (1ull << 63));
+}
+
+std::unique_ptr<LeaseService> LeaseService::InProcess(const Spool* spool,
+                                                     SpoolMeta meta,
+                                                     std::string spec_text) {
+  auto service = std::make_unique<LeaseService>(spool, std::move(meta),
+                                                std::move(spec_text),
+                                                LeaseServiceOptions{});
+  service->pid_owner_ = static_cast<std::uint64_t>(::getpid());
+  service->set_drained(true);
+  return service;
 }
 
 std::optional<HttpResponse> LeaseService::Handle(const HttpRequest& request) {
@@ -149,7 +161,7 @@ HttpResponse LeaseService::HandleLease(const HttpRequest& request) {
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t owner = next_owner_++;
+  const std::uint64_t owner = pid_owner_ != 0 ? pid_owner_ : next_owner_++;
   std::string error;
   const auto item = spool_->Claim(owner, &error);
   if (!item) {
@@ -166,12 +178,13 @@ HttpResponse LeaseService::HandleLease(const HttpRequest& request) {
   lease.item = *item;
   lease.owner = owner;
   lease.worker = worker;
+  lease.last_beat = std::chrono::steady_clock::now();  // Claim wrote one
   // Rows streamed by previous attempts are the resume set: the worker skips
   // those points, and /results treats their fingerprints as already seen.
   std::vector<std::uint64_t> done_points;
   for (const std::string& part : spool_->PartPaths(item->id)) {
     for (const ResultRow& row : LoadPartialRows(part)) {
-      const auto index = PointIndexOf(row);
+      const auto index = row.Uint("point");
       if (index) {
         done_points.push_back(*index);
         lease.fingerprints.insert(PointFingerprint(row));
@@ -221,9 +234,16 @@ HttpResponse LeaseService::HandleHeartbeat(const HttpRequest& request) {
   if (lease == nullptr) {
     return HttpError(410, why);
   }
-  const std::uint64_t rows =
-      static_cast<std::uint64_t>(body->Number("rows", 0.0));
+  std::uint64_t rows = 0;
+  if (body->Find("rows") != nullptr) {
+    const auto value = body->Uint("rows");
+    if (!value) {
+      return HttpError(400, "heartbeat 'rows' is not a non-negative integer");
+    }
+    rows = *value;
+  }
   WriteHeartbeat(spool_->HeartbeatPath(lease->item.id), {rows, lease->owner});
+  lease->last_beat = std::chrono::steady_clock::now();
   ResultRow row;
   row.AddText("state", "ok");
   row.AddNumber("lease_sec", options_.lease_sec);
@@ -262,7 +282,7 @@ HttpResponse LeaseService::HandleResults(const HttpRequest& request) {
     }
     std::string error;
     const auto row = RowFromJson(line, &error);
-    if (!row || !PointIndexOf(*row)) {
+    if (!row || !row->Uint("point")) {
       ++malformed;  // retried chunks re-send whole; a torn line heals itself
       continue;
     }
@@ -287,9 +307,17 @@ HttpResponse LeaseService::HandleResults(const HttpRequest& request) {
       return HttpError(500, "short write to part file");
     }
     lease->uploaded += accepted;
-    // An upload is proof of life as good as a heartbeat.
-    WriteHeartbeat(spool_->HeartbeatPath(lease->item.id),
-                   {lease->uploaded, lease->owner});
+    // An upload is proof of life as good as a heartbeat, but the heartbeat
+    // file is rewritten (fsync + rename) at most every lease_sec/10: a
+    // fresher beat buys the lease nothing, and a worker uploading row by row
+    // would otherwise pay a sync per point.
+    const auto now = std::chrono::steady_clock::now();
+    if (now - lease->last_beat >=
+        std::chrono::duration<double>(options_.lease_sec / 10)) {
+      WriteHeartbeat(spool_->HeartbeatPath(lease->item.id),
+                     {lease->uploaded, lease->owner});
+      lease->last_beat = now;
+    }
   }
 
   ResultRow row;
@@ -315,8 +343,8 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   const WorkItem item = lease->item;
   const std::uint64_t owner = lease->owner;
 
-  // Finalize exactly as a local worker would: every attempt's part rows,
-  // merged under the shared conflict rule, in global point-index order.
+  // Finalize: every attempt's part rows, merged under the shared conflict
+  // rule, in global point-index order.
   std::map<std::uint64_t, ResultRow> merged;
   MergeStats stats;
   for (const std::string& part : spool_->PartPaths(item.id)) {
@@ -384,7 +412,7 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   event.AddInt("owner", owner);
   spool_->AppendEvent(std::move(event));
   if (options_.log != nullptr) {
-    *options_.log << "sweepd: " << item.id << " done remotely (" << merged.size()
+    *options_.log << "sweepd: " << item.id << " done (" << merged.size()
                   << " rows, " << error_rows << " errors)\n";
   }
 

@@ -1,27 +1,33 @@
-// HTTP lease protocol: how remote workers serve a spool they cannot mount.
+// The lease protocol: the one way a worker takes, feeds and finishes work.
 //
-// A shared-filesystem worker talks to the spool directly — rename() is its
-// claim, a heartbeat file its liveness, a part file its streamed rows.  A
-// remote worker has only the dispatcher's HTTP endpoint, so this service
-// translates four POSTs into exactly those spool operations:
+// Every worker speaks four POSTs, and this service translates each into
+// the spool operation it stands for — rename() as the claim, a heartbeat
+// file as liveness, a part file for streamed rows:
 //
 //   POST /lease      claim one queued item.  The response carries the work
-//                    item, the canonical spec text *verbatim* (remote and
-//                    local workers parse identical bytes), a lease token,
-//                    and the point indices already streamed by previous
-//                    attempts (the resume set).
+//                    item, the canonical spec text *verbatim* (every worker
+//                    parses identical bytes), a lease token, and the point
+//                    indices already streamed by previous attempts (the
+//                    resume set).
 //   POST /heartbeat  rewrite the item's heartbeat file.  The dispatcher's
-//                    existing lease-expiry loop needs no remote awareness:
-//                    a partitioned worker simply stops beating and the item
-//                    requeues through the normal spool lifecycle.
-//   POST /results    append a chunk of result rows to the attempt's part
-//                    file.  Idempotent by point fingerprint: a duplicated
-//                    or replayed chunk (retries, injected network faults)
+//                    lease-expiry loop reads only the spool: a worker that
+//                    stops beating (killed, partitioned) simply lets the
+//                    item requeue through the normal spool lifecycle.
+//   POST /results    append result rows to the attempt's part file.
+//                    Idempotent by point fingerprint: a duplicated or
+//                    replayed chunk (retries, injected network faults)
 //                    changes nothing, so clients may retry blindly.
 //   POST /done       finalize: merge part rows, publish done/<id>.jsonl
-//                    atomically, move the task — the same sequence a local
-//                    worker performs, validated against the expected point
-//                    count so a torn upload can never finalize short.
+//                    atomically, move the task, log shard_done — validated
+//                    against the expected point count so a torn upload can
+//                    never finalize short.
+//
+// Two transports reach it.  The dispatcher serves it over HTTP for `work
+// --connect` workers (Handle plugs into its HttpServer).  A `work --spool`
+// worker builds its own service over the spool it mounts (InProcess) and
+// calls Handle directly; that service is drained from the start and stamps
+// the worker's pid as every lease's heartbeat owner, so the dispatcher's
+// dead-owner check requeues a killed spawned worker's item at once.
 //
 // Failure ordering is resolved by the token table plus the spool itself: a
 // token is valid only while its item sits in running/ with the granted
@@ -30,7 +36,9 @@
 // upload from a partitioned worker gets 410 Gone and cannot corrupt the
 // merged output; the rows it streamed before the partition stay in the old
 // part file, where the next claimant inherits them (deterministic points
-// make any overlap collapse as exact duplicates at merge time).
+// make any overlap collapse as exact duplicates at merge time).  An
+// in-process service never hears of the requeue, but the same spool checks
+// answer 410 all the same.
 //
 // Tokens are capabilities against *accidental* misuse (a worker replaying a
 // stale lease), not authentication: the endpoint binds to loopback unless
@@ -39,8 +47,10 @@
 #define MOBISIM_SRC_SWEEPD_LEASE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -66,6 +76,13 @@ class LeaseService {
   LeaseService(const Spool* spool, SpoolMeta meta, std::string spec_text,
                LeaseServiceOptions options);
 
+  // The service a `work --spool` worker drives directly: drained from the
+  // start (an empty queue answers "drained", ending the worker's loop), and
+  // every lease owned by this process's pid.
+  static std::unique_ptr<LeaseService> InProcess(const Spool* spool,
+                                                 SpoolMeta meta,
+                                                 std::string spec_text);
+
   // Serves the four lease endpoints; nullopt when `request.path` is not one
   // of them (the caller falls through to its own routes).  Thread-safe.
   std::optional<HttpResponse> Handle(const HttpRequest& request);
@@ -76,8 +93,9 @@ class LeaseService {
   void InvalidateItem(const std::string& id);
 
   // Once true, /lease answers "drained" instead of "empty" when the queue is
-  // dry: the dispatcher has confirmed (post retry-enqueue) that no further
-  // work will ever appear, so pollers may exit instead of spinning.
+  // dry, so pollers may exit instead of spinning.  The dispatcher sets it
+  // once it has confirmed (post retry-enqueue) that no further work will
+  // ever appear; an in-process service starts drained.
   void set_drained(bool drained) { drained_.store(drained); }
 
   bool ever_leased() const { return ever_leased_.load(); }
@@ -92,6 +110,7 @@ class LeaseService {
     // grant time, grown per upload): the idempotency filter for /results.
     std::set<std::string> fingerprints;
     std::uint64_t uploaded = 0;  // rows accepted, mirrored into the heartbeat
+    std::chrono::steady_clock::time_point last_beat;  // last heartbeat write
   };
 
   HttpResponse HandleLease(const HttpRequest& request);
@@ -112,6 +131,7 @@ class LeaseService {
   mutable std::mutex mu_;
   std::map<std::string, Lease> leases_;  // token -> lease
   std::uint64_t next_owner_ = 0;
+  std::uint64_t pid_owner_ = 0;  // nonzero: the one owner of every lease
   std::atomic<bool> drained_{false};
   std::atomic<bool> ever_leased_{false};
 };

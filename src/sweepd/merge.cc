@@ -48,7 +48,7 @@ MergedRun Finalize(std::map<std::uint64_t, ResultRow> merged, MergeStats stats,
 
 bool MergeRowInto(std::map<std::uint64_t, ResultRow>* merged, ResultRow row,
                   MergeStats* stats, std::string* error) {
-  const auto index = PointIndexOf(row);
+  const auto index = row.Uint("point");
   if (!index) {
     SetError(error, "data row without a global point index cannot be merged");
     return false;
@@ -85,18 +85,6 @@ bool MergeRowInto(std::map<std::uint64_t, ResultRow>* merged, ResultRow row,
   return false;
 }
 
-std::optional<std::uint64_t> PointIndexOf(const ResultRow& row) {
-  const ResultField* field = row.Find("point");
-  if (field == nullptr || field->quoted) {
-    return std::nullopt;
-  }
-  const double value = row.Number("point", -1.0);
-  if (value < 0.0) {
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
 
 std::string PointFingerprint(const ResultRow& row) {
@@ -116,7 +104,7 @@ std::vector<ResultRow> LoadPartialRows(const std::string& path) {
     }
     std::string parse_error;
     auto row = RowFromJson(line, &parse_error);
-    if (!row || IsMetaRow(*row) || !PointIndexOf(*row)) {
+    if (!row || IsMetaRow(*row) || !row->Uint("point")) {
       continue;  // torn tail of a crashed writer, or a header: not data
     }
     rows.push_back(std::move(*row));

@@ -28,10 +28,6 @@ namespace mobisim {
 
 class Spool;
 
-// Global point index of a data row; nullopt when the row has none (such
-// rows cannot take part in an index-ordered merge).
-std::optional<std::uint64_t> PointIndexOf(const ResultRow& row);
-
 // True when the row records a failed point (`_error` column present) —
 // the fault subsystem's classification of a poisoned sweep point.
 bool IsErrorRow(const ResultRow& row);

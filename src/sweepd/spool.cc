@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <utility>
 
 #include "src/runner/cli_options.h"
 #include "src/util/atomic_file.h"
@@ -57,6 +59,28 @@ bool SplitIndices(const std::string& text, std::vector<std::size_t>* points,
   return true;
 }
 
+// Task files, /lease grants and spool metadata come from outside this
+// process: an absent field keeps its default, a present one must be a
+// non-negative integer, or the read fails naming it.
+bool ReadCounts(
+    const ResultRow& row,
+    std::initializer_list<std::pair<const char*, std::size_t*>> fields,
+    const std::string& what, std::string* error) {
+  for (const auto& [key, field] : fields) {
+    if (row.Find(key) == nullptr) {
+      continue;
+    }
+    const auto value = row.Uint(key);
+    if (!value) {
+      SetError(error, what + ": field '" + key +
+                          "' is not a non-negative integer");
+      return false;
+    }
+    *field = static_cast<std::size_t>(*value);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string WorkItemToJson(const WorkItem& item) {
@@ -81,10 +105,11 @@ std::optional<WorkItem> WorkItemFromJson(const std::string& text,
     SetError(error, "work item without an id");
     return std::nullopt;
   }
-  item.shard = static_cast<std::size_t>(row->Number("shard", 0));
-  item.shards = static_cast<std::size_t>(row->Number("shards", 1));
-  item.attempt = static_cast<std::size_t>(row->Number("attempt", 0));
-  if (!SplitIndices(row->Text("points"), &item.points, error)) {
+  if (!ReadCounts(*row, {{"shard", &item.shard},
+                         {"shards", &item.shards},
+                         {"attempt", &item.attempt}},
+                  "work item", error) ||
+      !SplitIndices(row->Text("points"), &item.points, error)) {
     return std::nullopt;
   }
   return item;
@@ -171,8 +196,10 @@ std::optional<SpoolMeta> Spool::ReadMeta(std::string* error) const {
   SpoolMeta meta;
   meta.name = row->Text("name");
   meta.spec_hash = row->Text("spec_hash");
-  meta.shards = static_cast<std::size_t>(row->Number("shards", 0));
-  meta.points = static_cast<std::size_t>(row->Number("points", 0));
+  if (!ReadCounts(*row, {{"shards", &meta.shards}, {"points", &meta.points}},
+                  MetaPath(), error)) {
+    return std::nullopt;
+  }
   meta.created = row->Text("created");
   meta.host = row->Text("host");
   if (meta.name.empty() || meta.spec_hash.empty() || meta.shards == 0) {

@@ -1,10 +1,14 @@
-// Persistent spool directory: the shared state of a local sweep service.
+// Persistent spool directory: the one source of truth of a sweep service.
 //
 // A sweep is split into shard work items that live as small JSON files and
 // move between four state directories by atomic rename — the classic
 // maildir-style queue, chosen so that a dispatcher, N worker processes, and
 // a human with `ls` all see exactly one consistent state per item, and a
-// crash at any instant leaves the spool recoverable:
+// crash at any instant leaves the spool recoverable.  Workers change it
+// only through the lease protocol (src/sweepd/lease.h): a LeaseService
+// performs each claim, heartbeat, row append and finish below, whether the
+// worker calls it in-process or over HTTP.  The dispatcher reads it
+// directly to expire leases, requeue and retry.
 //
 //   <root>/spec.spec              canonical ExperimentSpec text (the truth)
 //   <root>/spool.json             run name, spec fingerprint, shards, points

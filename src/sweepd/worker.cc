@@ -4,201 +4,24 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "src/runner/cli_options.h"
-#include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
+#include "src/sweepd/lease.h"
 #include "src/sweepd/merge.h"
 #include "src/sweepd/spool.h"
 #include "src/trace/trace_cache.h"
-#include "src/util/atomic_file.h"
-#include "src/util/heartbeat.h"
+#include "src/util/parse.h"
 
 namespace mobisim {
-
-namespace {
-
-// One claimed item, end to end: resume, simulate, finalize.
-void RunOneItem(const Spool& spool, const SpoolMeta& meta,
-                const ExperimentSpec& spec, const WorkItem& item,
-                const WorkerOptions& options, TraceCache* trace_cache,
-                std::atomic<std::uint64_t>* total_rows, WorkerSummary* summary) {
-  // Resolve the item to its concrete points (global indices throughout).
-  std::vector<ExperimentPoint> points = EnumerateGrid(spec);
-  points = item.points.empty() ? FilterShard(std::move(points), item.shard, item.shards)
-                               : FilterPoints(std::move(points), item.points);
-
-  // Resume: rows a dead predecessor already streamed are inherited, not
-  // re-simulated.  Every attempt's part file is read (two part files can
-  // coexist after a spurious requeue); exact duplicates merge away later.
-  std::map<std::uint64_t, ResultRow> inherited;
-  for (const std::string& part : spool.PartPaths(item.id)) {
-    for (ResultRow& row : LoadPartialRows(part)) {
-      const auto index = PointIndexOf(row);
-      if (index) {
-        inherited.emplace(*index, std::move(row));
-      }
-    }
-  }
-  if (!inherited.empty()) {
-    std::vector<ExperimentPoint> remaining;
-    for (ExperimentPoint& point : points) {
-      if (inherited.find(point.index) == inherited.end()) {
-        remaining.push_back(std::move(point));
-      }
-    }
-    points = std::move(remaining);
-    summary->resumed += inherited.size();
-  }
-
-  // Stream this attempt's rows to its own part file, flushed per row so a
-  // kill loses at most the in-flight row.
-  const std::string part_path = spool.PartPath(item.id, item.attempt);
-  std::ofstream part(part_path, std::ios::app);
-  JsonlResultSink part_sink(part);
-
-  std::atomic<std::uint64_t> item_rows{0};
-  HeartbeatThread heartbeat;
-  heartbeat.Start(spool.HeartbeatPath(item.id), options.heartbeat_sec,
-                  options.owner, [&item_rows] { return item_rows.load(); });
-
-  SweepOptions sweep_options;
-  sweep_options.threads = options.jobs;
-  sweep_options.sinks = {&part_sink};
-  sweep_options.trace_cache = trace_cache;
-  sweep_options.on_emit = [&](const SweepOutcome& outcome) {
-    (void)outcome;
-    part.flush();
-    item_rows.fetch_add(1);
-    const std::uint64_t total = total_rows->fetch_add(1) + 1;
-    if (options.throttle_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_ms));
-    }
-    if (options.kill_after_rows > 0 && total >= options.kill_after_rows) {
-      // Injected death: no destructors, no finalization, lease left behind —
-      // exactly what SIGKILL mid-shard looks like to the spool.
-      std::_Exit(137);
-    }
-  };
-
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, sweep_options);
-  heartbeat.Stop();
-
-  // Finalize: inherited + fresh rows in global index order, published
-  // atomically to done/ before the task file moves there.
-  std::map<std::uint64_t, ResultRow> rows = std::move(inherited);
-  for (const SweepOutcome& outcome : outcomes) {
-    rows[outcome.point.index] = outcome.row;
-  }
-  std::size_t error_rows = 0;
-  for (const auto& [index, row] : rows) {
-    (void)index;
-    if (IsErrorRow(row)) {
-      ++error_rows;
-    }
-  }
-
-  RunMeta run_meta;
-  run_meta.spec_name = meta.name;
-  run_meta.spec_hash = meta.spec_hash;
-  run_meta.git_sha = DefaultGitSha();
-  run_meta.created = NowUtc();
-  run_meta.host = HostName();
-  run_meta.points = rows.size();
-  std::ostringstream out;
-  out << RowToJson(MetaToRow(run_meta)) << "\n";
-  for (const auto& [index, row] : rows) {
-    (void)index;
-    out << RowToJson(row) << "\n";
-  }
-  std::string error;
-  if (!WriteFileAtomic(spool.RowsPath(item.id), out.str(), &error)) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << item.id << ": " << error << "\n";
-    }
-    return;  // leave the lease; the dispatcher will requeue after expiry
-  }
-  part.close();
-  if (!spool.FinishItem(item, &error)) {
-    // Lease lost to a requeue while we were finishing.  The rows file is in
-    // place and deterministic, so the re-run converges to the same bytes.
-    ++summary->lost_leases;
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << error << "\n";
-    }
-    return;
-  }
-
-  summary->rows += outcomes.size();
-  summary->error_rows += error_rows;
-  ResultRow event;
-  event.AddText("event", error_rows > 0 ? "shard_poisoned" : "shard_done");
-  event.AddText("item", item.id);
-  event.AddInt("attempt", item.attempt);
-  event.AddInt("rows", rows.size());
-  event.AddInt("error_rows", error_rows);
-  event.AddInt("owner", options.owner);
-  spool.AppendEvent(std::move(event));
-  if (options.log != nullptr) {
-    *options.log << "sweepd-worker: " << item.id << " done (" << rows.size()
-                 << " rows, " << error_rows << " errors)\n";
-  }
-}
-
-}  // namespace
-
-WorkerSummary RunWorkerLoop(const WorkerOptions& options) {
-  WorkerSummary summary;
-  Spool spool(options.spool_root);
-  std::string error;
-  const auto meta = spool.ReadMeta(&error);
-  if (!meta) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: " << error << "\n";
-    }
-    return summary;
-  }
-  const auto spec = spool.LoadSpec(&error);
-  if (!spec) {
-    if (options.log != nullptr) {
-      *options.log << "sweepd-worker: spec: " << error << "\n";
-    }
-    return summary;
-  }
-  WorkerOptions resolved = options;
-  if (resolved.owner == 0) {
-    resolved.owner = static_cast<std::uint64_t>(::getpid());
-  }
-  std::unique_ptr<TraceCache> trace_cache;
-  if (!resolved.trace_cache_dir.empty()) {
-    trace_cache = std::make_unique<TraceCache>(resolved.trace_cache_dir);
-  }
-
-  std::atomic<std::uint64_t> total_rows{0};
-  while (true) {
-    auto item = spool.Claim(resolved.owner, &error);
-    if (!item) {
-      if (!error.empty() && options.log != nullptr) {
-        *options.log << "sweepd-worker: claim: " << error << "\n";
-      }
-      break;  // queue drained (or unreadable): this worker is finished
-    }
-    ++summary.items;
-    RunOneItem(spool, *meta, *spec, *item, resolved, trace_cache.get(),
-               &total_rows, &summary);
-  }
-  return summary;
-}
 
 namespace {
 
@@ -222,12 +45,10 @@ std::set<std::uint64_t> ParseIndexSet(const std::string& text) {
     if (comma == std::string::npos) {
       comma = text.size();
     }
-    const std::string token = text.substr(start, comma - start);
+    const auto value = ParseUint64(text.substr(start, comma - start));
     start = comma + 1;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-    if (end != token.c_str() && *end == '\0') {
-      indices.insert(static_cast<std::uint64_t>(value));
+    if (value) {
+      indices.insert(*value);
     }
   }
   return indices;
@@ -239,25 +60,92 @@ std::string TokenLine(const std::string& token) {
   return RowToJson(row) + "\n";
 }
 
-// Background /heartbeat POSTs for one leased item.  Owns its own HttpClient
-// (HttpClient is not thread-safe) and never sees injected faults — on a real
-// deployment heartbeats share the network's fate, but in fault-injection
-// tests a dropped heartbeat would only add nondeterministic lease churn on
-// top of the request-path faults under test.
-class RemoteHeartbeat {
+// Where the four lease POSTs go: a LeaseService this process runs over the
+// spool it mounts, or a dispatcher's HTTP endpoint.
+class LeaseTransport {
  public:
-  RemoteHeartbeat(const RemoteWorkerOptions& options, std::string token,
-                  const std::atomic<std::uint64_t>* rows,
-                  std::atomic<bool>* lease_lost)
-      : token_(std::move(token)), rows_(rows), lease_lost_(lease_lost) {
+  // False with `error` when the spool's metadata or spec cannot be read.
+  bool Open(const WorkerOptions& options, std::string* error) {
+    if (!options.spool_root.empty()) {
+      spool_.emplace(options.spool_root);
+      auto meta = spool_->ReadMeta(error);
+      if (!meta) {
+        return false;
+      }
+      auto spec_text = spool_->ReadSpecText(error);
+      if (!spec_text) {
+        return false;
+      }
+      service_ = LeaseService::InProcess(&*spool_, std::move(*meta),
+                                         std::move(*spec_text));
+      return true;
+    }
     HttpClientOptions http = options.http;
-    http.max_retries = 0;  // a missed beat is fine; the next one is soon
+    // Distinct default jitter seeds keep a fleet's retry backoffs
+    // unsynchronized even when every worker launched with the same command.
+    if (http.jitter_seed == HttpClientOptions{}.jitter_seed) {
+      http.jitter_seed = static_cast<std::uint64_t>(::getpid());
+    }
     client_ = std::make_unique<HttpClient>(options.host, options.port, http);
-    interval_sec_ = options.heartbeat_sec;
+    if (options.net_fault.enabled()) {
+      injector_ = std::make_unique<NetFaultInjector>(options.net_fault);
+      client_->set_fault_injector(injector_.get());
+    }
+    http.max_retries = 0;  // a missed beat is fine; the next one is soon
+    beat_client_ = std::make_unique<HttpClient>(options.host, options.port, http);
+    return true;
+  }
+
+  bool in_process() const { return service_ != nullptr; }
+
+  // The one request function; false on a transport failure (no answer at
+  // all).  Heartbeats travel a channel of their own: over HTTP a second
+  // client (HttpClient is not thread-safe) that never retries and never
+  // sees injected faults — on a real deployment heartbeats share the
+  // network's fate, but in fault-injection tests a dropped heartbeat would
+  // only add nondeterministic lease churn on top of the faults under test.
+  bool Post(const std::string& path, const std::string& body,
+            HttpResponse* response, std::string* error, bool heartbeat = false) {
+    if (service_) {
+      HttpRequest request;
+      request.method = "POST";
+      request.path = path;
+      request.body = body;
+      *response = *service_->Handle(request);  // a lease path always answers
+      return true;
+    }
+    return heartbeat ? beat_client_->Fetch("POST", path, body, response, error)
+                     : client_->FetchWithRetry("POST", path, body, response, error);
+  }
+
+  std::uint64_t transport_failures() const {
+    return client_ ? client_->transport_failures() : 0;
+  }
+
+ private:
+  std::optional<Spool> spool_;
+  std::unique_ptr<LeaseService> service_;
+  std::unique_ptr<NetFaultInjector> injector_;
+  std::unique_ptr<HttpClient> client_;
+  std::unique_ptr<HttpClient> beat_client_;
+};
+
+// Background /heartbeat POSTs for one leased item, carrying the rows
+// simulated so far; a 410 answer marks the lease lost.
+class Heartbeat {
+ public:
+  Heartbeat(LeaseTransport* transport, double interval_sec, std::string token,
+            const std::atomic<std::uint64_t>* rows,
+            std::atomic<bool>* lease_lost)
+      : transport_(transport),
+        interval_sec_(interval_sec),
+        token_(std::move(token)),
+        rows_(rows),
+        lease_lost_(lease_lost) {
     thread_ = std::thread([this] { Loop(); });
   }
 
-  ~RemoteHeartbeat() { Stop(); }
+  ~Heartbeat() { Stop(); }
 
   void Stop() {
     {
@@ -292,8 +180,8 @@ class RemoteHeartbeat {
     body.AddInt("rows", rows_->load());
     HttpResponse response;
     std::string error;
-    if (!client_->Fetch("POST", "/heartbeat", RowToJson(body) + "\n",
-                        &response, &error)) {
+    if (!transport_->Post("/heartbeat", RowToJson(body) + "\n", &response,
+                          &error, /*heartbeat=*/true)) {
       return;  // transport failure: the lease survives until lease_sec
     }
     if (response.status == 410) {
@@ -301,30 +189,30 @@ class RemoteHeartbeat {
     }
   }
 
+  LeaseTransport* transport_;
+  double interval_sec_;
   std::string token_;
   const std::atomic<std::uint64_t>* rows_;
   std::atomic<bool>* lease_lost_;
-  std::unique_ptr<HttpClient> client_;
-  double interval_sec_ = 1.0;
   std::mutex mu_;
   std::condition_variable wake_;
   bool stopping_ = false;
   std::thread thread_;
 };
 
-// One granted lease, end to end: simulate the remaining points, stream row
-// chunks, finalize with /done.
-void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options,
-                      HttpClient* client, TraceCache* trace_cache,
-                      std::atomic<std::uint64_t>* total_rows,
-                      RemoteWorkerSummary* summary) {
+// One granted lease, end to end: skip the resume set, simulate the
+// remaining points, upload their rows, finalize with /done.
+void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
+                   LeaseTransport* transport, TraceCache* trace_cache,
+                   std::atomic<std::uint64_t>* total_rows,
+                   WorkerSummary* summary) {
   const std::string token = grant.Text("token");
   std::string item_error;
   const auto item = WorkItemFromJson(grant.Text("item"), &item_error);
   std::string spec_error;
   const auto spec = ParseExperimentSpec(grant.Text("spec"), &spec_error);
   if (!item || !spec) {
-    // A dispatcher handing out unparseable work is not retryable from here;
+    // A service handing out unparseable work is not retryable from here;
     // drop the lease (it expires server-side) and report it lost.
     ++summary->lost_leases;
     if (options.log != nullptr) {
@@ -352,9 +240,17 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
 
   std::atomic<std::uint64_t> item_rows{0};
   std::atomic<bool> lease_lost{false};
-  RemoteHeartbeat heartbeat(options, token, &item_rows, &lease_lost);
+  Heartbeat heartbeat(transport, options.heartbeat_sec, token, &item_rows,
+                      &lease_lost);
 
-  // Upload state, touched only from on_emit (RunSweep serializes emits).
+  // In-process every row reaches the part file as it is emitted, so a kill
+  // loses at most the in-flight row; a request there costs a part-file
+  // append and the lease's spool check (the service rewrites the heartbeat
+  // file at most every lease_sec/10, not per row).  Over HTTP rows travel
+  // in chunks, amortizing the round trip.
+  const std::size_t chunk_rows =
+      transport->in_process() ? 1 : options.chunk_rows;
+  // Upload state, touched only from on_emit (the sweep serializes emits).
   std::string pending;
   std::size_t pending_rows = 0;
   bool upload_failed = false;
@@ -364,8 +260,8 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
     }
     HttpResponse response;
     std::string error;
-    if (!client->FetchWithRetry("POST", "/results", TokenLine(token) + pending,
-                                &response, &error)) {
+    if (!transport->Post("/results", TokenLine(token) + pending, &response,
+                         &error)) {
       upload_failed = true;  // keep simulating; the lease expires server-side
       if (options.log != nullptr) {
         *options.log << "sweepd-worker: upload: " << error << "\n";
@@ -395,25 +291,21 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
     ++pending_rows;
     item_rows.fetch_add(1);
     const std::uint64_t total = total_rows->fetch_add(1) + 1;
-    if (pending_rows >= options.chunk_rows) {
+    if (pending_rows >= chunk_rows) {
       flush_chunk();
     }
     if (options.throttle_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_ms));
     }
     if (options.kill_after_rows > 0 && total >= options.kill_after_rows) {
-      // Injected death mid-upload-stream: no /done, no heartbeat stop —
-      // SIGKILL as far as the dispatcher can tell.
+      // Injected death mid-stream: no /done, no heartbeat stop, no
+      // destructors — SIGKILL as far as the spool can tell.
       std::_Exit(137);
     }
   };
 
   const std::vector<SweepOutcome> outcomes = RunSweep(points, sweep_options);
   heartbeat.Stop();
-  if (lease_lost.load()) {
-    ++summary->lost_leases;
-    return;
-  }
   if (!upload_failed) {
     flush_chunk();
   }
@@ -423,15 +315,15 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
   }
 
   // Finalize.  One 409 ("incomplete upload") repair pass: re-send every row
-  // this worker simulated — the server's fingerprint dedup makes the full
+  // this worker simulated — the service's fingerprint dedup makes the full
   // replay cheap and harmless — then try /done once more.
   for (int round = 0;; ++round) {
     HttpResponse response;
     std::string error;
     ResultRow done_body;
     done_body.AddText("token", token);
-    if (!client->FetchWithRetry("POST", "/done", RowToJson(done_body) + "\n",
-                                &response, &error)) {
+    if (!transport->Post("/done", RowToJson(done_body) + "\n", &response,
+                         &error)) {
       ++summary->lost_leases;
       if (options.log != nullptr) {
         *options.log << "sweepd-worker: done: " << error << "\n";
@@ -448,8 +340,8 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
       }
       HttpResponse replay_response;
       if (!replay.empty() &&
-          client->FetchWithRetry("POST", "/results", TokenLine(token) + replay,
-                                 &replay_response, &error) &&
+          transport->Post("/results", TokenLine(token) + replay,
+                          &replay_response, &error) &&
           replay_response.status == 200) {
         continue;
       }
@@ -477,25 +369,21 @@ void RunOneRemoteItem(const ResultRow& grant, const RemoteWorkerOptions& options
 
 }  // namespace
 
-RemoteWorkerSummary RunRemoteWorkerLoop(const RemoteWorkerOptions& options) {
-  RemoteWorkerSummary summary;
-  RemoteWorkerOptions resolved = options;
+WorkerSummary RunWorkerLoop(const WorkerOptions& options) {
+  WorkerSummary summary;
+  WorkerOptions resolved = options;
   if (resolved.worker_name.empty()) {
     resolved.worker_name =
         HostName() + ":" + std::to_string(static_cast<long>(::getpid()));
   }
-  // Distinct default jitter seeds keep a fleet's retry backoffs unsynchronized
-  // even when every worker launched with the same command line.
-  if (resolved.http.jitter_seed == HttpClientOptions{}.jitter_seed) {
-    resolved.http.jitter_seed = static_cast<std::uint64_t>(::getpid());
+  LeaseTransport transport;
+  std::string error;
+  if (!transport.Open(resolved, &error)) {
+    if (resolved.log != nullptr) {
+      *resolved.log << "sweepd-worker: " << error << "\n";
+    }
+    return summary;
   }
-
-  NetFaultInjector injector(resolved.net_fault);
-  HttpClient client(resolved.host, resolved.port, resolved.http);
-  if (resolved.net_fault.enabled()) {
-    client.set_fault_injector(&injector);
-  }
-
   std::unique_ptr<TraceCache> trace_cache;
   if (!resolved.trace_cache_dir.empty()) {
     trace_cache = std::make_unique<TraceCache>(resolved.trace_cache_dir);
@@ -506,9 +394,8 @@ RemoteWorkerSummary RunRemoteWorkerLoop(const RemoteWorkerOptions& options) {
     ResultRow request;
     request.AddText("worker", resolved.worker_name);
     HttpResponse response;
-    std::string error;
-    if (!client.FetchWithRetry("POST", "/lease", RowToJson(request) + "\n",
-                               &response, &error)) {
+    if (!transport.Post("/lease", RowToJson(request) + "\n", &response,
+                        &error)) {
       summary.unreachable = true;
       if (resolved.log != nullptr) {
         *resolved.log << "sweepd-worker: dispatcher unreachable: " << error
@@ -516,35 +403,32 @@ RemoteWorkerSummary RunRemoteWorkerLoop(const RemoteWorkerOptions& options) {
       }
       break;
     }
-    if (response.status != 200) {
-      if (resolved.log != nullptr) {
-        *resolved.log << "sweepd-worker: lease rejected (" << response.status
-                      << "): " << response.body;
+    if (response.status != 200 && resolved.log != nullptr) {
+      *resolved.log << "sweepd-worker: lease rejected (" << response.status
+                    << "): " << response.body;
+    }
+    const auto grant = response.status == 200 ? ParseResponseRow(response.body)
+                                              : std::nullopt;
+    const std::string state = grant ? grant->Text("state") : "";
+    if (state == "drained") {
+      summary.drained = true;
+      break;
+    }
+    if (state != "lease") {
+      // An in-process service is drained from the start, so this is a claim
+      // error on our own spool, and polling would only repeat it.  Over
+      // HTTP, "empty" means work is running elsewhere: poll again.
+      if (transport.in_process()) {
+        break;
       }
       std::this_thread::sleep_for(
           std::chrono::duration<double>(resolved.poll_sec));
       continue;
     }
-    const auto grant = ParseResponseRow(response.body);
-    if (!grant) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(resolved.poll_sec));
-      continue;
-    }
-    const std::string state = grant->Text("state");
-    if (state == "drained") {
-      summary.drained = true;
-      break;
-    }
-    if (state != "lease") {  // "empty": work is running elsewhere, poll again
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(resolved.poll_sec));
-      continue;
-    }
-    RunOneRemoteItem(*grant, resolved, &client, trace_cache.get(), &total_rows,
-                     &summary);
+    RunLeasedItem(*grant, resolved, &transport, trace_cache.get(), &total_rows,
+                  &summary);
   }
-  summary.transport_failures = client.transport_failures();
+  summary.transport_failures = transport.transport_failures();
   return summary;
 }
 

@@ -1,6 +1,5 @@
 #include "src/util/heartbeat.h"
 
-#include <chrono>
 #include <sstream>
 
 #include <sys/stat.h>
@@ -51,42 +50,6 @@ std::optional<double> SecondsSinceModified(const std::string& path) {
   // A file touched "in the future" (clock skew on a shared filesystem) reads
   // as freshly modified rather than as negative staleness.
   return current > modified ? current - modified : 0.0;
-}
-
-void HeartbeatThread::Start(std::string path, double interval_sec,
-                            std::uint64_t owner,
-                            std::function<std::uint64_t()> counter_fn) {
-  Stop();
-  path_ = std::move(path);
-  owner_ = owner;
-  counter_fn_ = std::move(counter_fn);
-  stopping_ = false;
-  WriteHeartbeat(path_, {counter_fn_ ? counter_fn_() : 0, owner_});
-  const auto interval = std::chrono::duration<double>(interval_sec);
-  thread_ = std::thread([this, interval] {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stopping_) {
-      if (wake_.wait_for(lock, interval, [this] { return stopping_; })) {
-        break;
-      }
-      lock.unlock();
-      WriteHeartbeat(path_, {counter_fn_ ? counter_fn_() : 0, owner_});
-      lock.lock();
-    }
-  });
-}
-
-void HeartbeatThread::Stop() {
-  if (!thread_.joinable()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  thread_.join();
-  WriteHeartbeat(path_, {counter_fn_ ? counter_fn_() : 0, owner_});
 }
 
 }  // namespace mobisim

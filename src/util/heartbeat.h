@@ -1,9 +1,10 @@
 // Heartbeat files: how a worker process proves it is still alive.
 //
 // A lease-based dispatcher cannot ask a dead process anything, so liveness
-// is written to the shared filesystem instead: the worker rewrites a small
-// file every interval, and the dispatcher compares the file's mtime against
-// the lease deadline.  The file body carries a progress counter and an owner
+// is written to the shared filesystem instead: every interval the worker's
+// POST /heartbeat has the lease service (src/sweepd/lease.h) rewrite a small
+// file, and the dispatcher compares the file's mtime against the lease
+// deadline.  The file body carries a progress counter and an owner
 // id, so the dispatcher can also detect "my spawned worker with pid P died"
 // without waiting out the full lease.
 //
@@ -12,14 +13,9 @@
 #ifndef MOBISIM_SRC_UTIL_HEARTBEAT_H_
 #define MOBISIM_SRC_UTIL_HEARTBEAT_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
 namespace mobisim {
 
@@ -38,31 +34,6 @@ std::optional<HeartbeatRecord> ReadHeartbeat(const std::string& path);
 // Seconds since `path` was last modified; nullopt when the file is missing.
 // This is the dispatcher's staleness test for lease expiry.
 std::optional<double> SecondsSinceModified(const std::string& path);
-
-// Background thread that rewrites a heartbeat file every `interval_sec`,
-// reading the live counter through `counter_fn` each beat.  One beat is
-// written immediately on Start (claiming a lease and proving liveness are
-// the same write).  Stop() (or destruction) writes a final beat and joins.
-class HeartbeatThread {
- public:
-  HeartbeatThread() = default;
-  ~HeartbeatThread() { Stop(); }
-  HeartbeatThread(const HeartbeatThread&) = delete;
-  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
-
-  void Start(std::string path, double interval_sec, std::uint64_t owner,
-             std::function<std::uint64_t()> counter_fn);
-  void Stop();
-
- private:
-  std::string path_;
-  std::uint64_t owner_ = 0;
-  std::function<std::uint64_t()> counter_fn_;
-  std::mutex mu_;
-  std::condition_variable wake_;
-  bool stopping_ = false;
-  std::thread thread_;
-};
 
 }  // namespace mobisim
 

@@ -115,6 +115,17 @@ TEST(ResultIoMetaTest, MetaRowRoundTripsThroughJson) {
   // Data rows are not mistaken for metadata.
   EXPECT_FALSE(IsMetaRow(MakeRow(0, 0.4, 1, 0, 1.0, 1.0)));
   EXPECT_FALSE(MetaFromRow(MakeRow(0, 0.4, 1, 0, 1.0, 1.0)).has_value());
+
+  // A point count that is not a non-negative integer is not a header.
+  for (const char* bad : {"-1", "1.5", "1e30"}) {
+    ResultRow bad_row = row;
+    for (ResultField& field : bad_row.fields) {
+      if (field.key == "points") {
+        field.value = bad;
+      }
+    }
+    EXPECT_FALSE(MetaFromRow(bad_row).has_value()) << bad;
+  }
 }
 
 TEST(BenchDbTest, StoreLoadIndexRoundTrip) {
@@ -399,6 +410,42 @@ TEST(BenchdiffTest, RefusesMismatchedSpecsUnlessForced) {
   const DiffReport mismatched = DiffRuns(base, truncated, options);
   EXPECT_FALSE(mismatched.comparable);
   EXPECT_NE(mismatched.incomparable_reason.find("point counts"), std::string::npos);
+}
+
+TEST(BenchdiffTest, RefusesRowsWithoutAnIntegerPointIndex) {
+  const StoredRun base = MakeRun("sha1", MakeReplicatedRows());
+  DiffOptions options;
+  options.metrics = {"total_energy_j"};
+  // Negative, fractional and out-of-range indices cannot join: the run is
+  // incomparable, whichever side carries them.
+  for (const char* bad : {"-1", "1.5", "1e30"}) {
+    StoredRun cand = MakeRun("sha2", MakeReplicatedRows());
+    cand.rows[1].fields.front().value = bad;
+    ASSERT_EQ(cand.rows[1].fields.front().key, "point");
+    const DiffReport report = DiffRuns(base, cand, options);
+    EXPECT_FALSE(report.comparable) << bad;
+    EXPECT_NE(report.incomparable_reason.find("point index"), std::string::npos)
+        << report.incomparable_reason;
+    EXPECT_FALSE(DiffRuns(cand, base, options).comparable) << bad;
+  }
+}
+
+TEST(ResultIoUintTest, AcceptsOnlyNonNegativeIntegers) {
+  ResultRow row;
+  row.AddInt("plain", 42);
+  row.AddNumber("spelled", 1e3);
+  row.AddNumber("big", 18446744073709551615.0);  // rounds up to 2^64
+  row.fields.push_back({"exact", "18446744073709551615", false});
+  row.AddNumber("negative", -1);
+  row.AddNumber("fraction", 1.5);
+  row.AddNumber("huge", 1e30);
+  row.AddText("quoted", "7");
+  EXPECT_EQ(row.Uint("plain"), 42u);
+  EXPECT_EQ(row.Uint("spelled"), 1000u);
+  EXPECT_EQ(row.Uint("exact"), 18446744073709551615u);
+  for (const char* key : {"big", "negative", "fraction", "huge", "quoted", "absent"}) {
+    EXPECT_FALSE(row.Uint(key).has_value()) << key;
+  }
 }
 
 TEST(BenchdiffTest, AbsentMetricsAreSkippedNotMisread) {

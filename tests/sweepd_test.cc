@@ -2,12 +2,16 @@
 // shard-spec validation, merge conflict rules, worker resume after an
 // injected mid-shard death (byte-identical merged output vs a serial run),
 // dispatcher retry/exhaustion of poisoned points, the incremental bench_db
-// merge, and the heartbeat + HTTP status plumbing.
+// merge, and the heartbeat + HTTP status plumbing.  The worker, poisoned-
+// point and late-upload tests run over both worker transports.
 #include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -102,6 +106,13 @@ std::vector<std::string> MergedRowsJson(const std::string& dir) {
   return rows;
 }
 
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
 // --- ParseShardSpec ------------------------------------------------------
 
 TEST(ShardSpecTest, AcceptsValidDesignators) {
@@ -152,7 +163,49 @@ TEST(WorkItemTest, JsonRoundTrip) {
   EXPECT_EQ(back->attempt, item.attempt);
 }
 
+TEST(WorkItemTest, RejectsCountsThatAreNotNonNegativeIntegers) {
+  std::string error;
+  for (const char* field : {"shard", "shards", "attempt"}) {
+    for (const char* bad : {"-1", "1.5", "1e30"}) {
+      const std::string json = std::string("{\"id\":\"shard-0000\",\"") +
+                               field + "\":" + bad + "}";
+      EXPECT_FALSE(WorkItemFromJson(json, &error).has_value()) << json;
+      EXPECT_NE(error.find(std::string("'") + field + "'"), std::string::npos)
+          << error;
+    }
+  }
+  // Absent fields keep their defaults.
+  const auto item = WorkItemFromJson("{\"id\":\"shard-0000\"}", &error);
+  ASSERT_TRUE(item.has_value()) << error;
+  EXPECT_EQ(item->shards, 1u);
+  EXPECT_EQ(item->attempt, 0u);
+}
+
 // --- Spool lifecycle -----------------------------------------------------
+
+TEST(SpoolTest, ReadMetaRejectsCountsThatAreNotNonNegativeIntegers) {
+  const std::string root = FreshDir("badmeta");
+  std::filesystem::remove_all(root);
+  std::string error;
+  const auto spool = Spool::Create(root, kTinySpec, "tiny", 2, &error);
+  ASSERT_TRUE(spool.has_value()) << error;
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(spool->MetaPath(), &good, &error)) << error;
+  for (const char* field : {"shards", "points"}) {
+    const std::string key = std::string("\"") + field + "\":";
+    const std::size_t at = good.find(key);
+    ASSERT_NE(at, std::string::npos) << good;
+    const std::size_t end = good.find_first_of(",}", at);
+    for (const char* bad : {"-1", "1.5", "1e30"}) {
+      std::string text = good;
+      text.replace(at + key.size(), end - at - key.size(), bad);
+      ASSERT_TRUE(WriteFileAtomic(spool->MetaPath(), text, &error)) << error;
+      EXPECT_FALSE(spool->ReadMeta(&error).has_value()) << text;
+      EXPECT_NE(error.find(std::string("'") + field + "'"), std::string::npos)
+          << error;
+    }
+  }
+}
 
 TEST(SpoolTest, CreateClaimFinishLifecycle) {
   const std::string root = FreshDir("lifecycle");
@@ -305,6 +358,28 @@ TEST(MergeTest, ConflictingCleanRowsAndSpecMismatchAreHardErrors) {
   EXPECT_NE(error.find("different experiments"), std::string::npos) << error;
 }
 
+TEST(MergeTest, PointIndexMustBeANonNegativeInteger) {
+  const std::string dir = FreshDir("badpoint");
+  const std::string path = dir + "/part.jsonl";
+  std::ofstream out(path);
+  out << RowToJson(DataRow(3, "ok")) << "\n";
+  for (const char* bad : {"-1", "1.5", "1e30"}) {
+    ResultRow row = DataRow(0, "x");
+    row.fields.front().value = bad;
+    out << RowToJson(row) << "\n";
+    std::map<std::uint64_t, ResultRow> merged;
+    MergeStats stats;
+    std::string error;
+    EXPECT_FALSE(MergeRowInto(&merged, row, &stats, &error)) << bad;
+    EXPECT_NE(error.find("point index"), std::string::npos) << error;
+  }
+  out.close();
+  // Part files hold rows from outside the process: bad indices are not data.
+  const auto rows = LoadPartialRows(path);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].Text("payload"), "ok");
+}
+
 TEST(MergeTest, LoadPartialRowsSkipsTornTailAndHeader) {
   const std::string dir = FreshDir("torn");
   const std::string path = dir + "/part.jsonl";
@@ -319,28 +394,164 @@ TEST(MergeTest, LoadPartialRowsSkipsTornTailAndHeader) {
   EXPECT_EQ(rows[0].Text("payload"), "ok");
 }
 
+// --- Both worker transports ----------------------------------------------
+//
+// The worker, dispatcher and lease-service tests run once per transport:
+// `--spool` (the worker drives a LeaseService in-process) and `--connect`
+// (the same requests over loopback HTTP).
+
+enum class Transport { kSpool, kConnect };
+
+std::string TransportName(const ::testing::TestParamInfo<Transport>& info) {
+  return info.param == Transport::kSpool ? "Spool" : "Connect";
+}
+
+HttpRequest PostRequest(const std::string& path, const std::string& body) {
+  HttpRequest request;
+  request.method = "POST";
+  request.path = path;
+  request.body = body;
+  return request;
+}
+
+ResultRow ResponseRow(const HttpResponse& response) {
+  std::string text = response.body;
+  while (!text.empty() && text.back() == '\n') {
+    text.pop_back();
+  }
+  std::string error;
+  const auto row = RowFromJson(text, &error);
+  EXPECT_TRUE(row.has_value()) << error << ": " << response.body;
+  return row.value_or(ResultRow{});
+}
+
+// The dispatcher publishes its (ephemeral) port to <root>/http.port once the
+// endpoint is listening.
+std::uint16_t WaitForPortFile(const std::string& root) {
+  for (int i = 0; i < 1000; ++i) {
+    std::ifstream in(root + "/http.port");
+    int port = 0;
+    if (in >> port && port > 0 && port <= 65535) {
+      return static_cast<std::uint16_t>(port);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ADD_FAILURE() << "dispatcher never published its port";
+  return 0;
+}
+
+// The dispatcher's lease endpoint without its recovery loop: a LeaseService
+// over `root` on loopback HTTP, drained from the start so a worker leaves
+// once the queue is empty, and the test alone decides when a lease is
+// recovered.  It runs in a child process because the kill test forks a
+// worker, and under TSan a fork must not happen while threads run here.
+class LeaseServerProcess {
+ public:
+  explicit LeaseServerProcess(const std::string& root) {
+    pid_ = fork();
+    if (pid_ == 0) {
+      Spool spool(root);
+      std::string error;
+      const auto meta = spool.ReadMeta(&error);
+      const auto spec_text = spool.ReadSpecText(&error);
+      if (!meta || !spec_text) {
+        _exit(1);
+      }
+      LeaseService service(&spool, *meta, *spec_text, {});
+      service.set_drained(true);
+      HttpServer server;
+      if (!server.Start(0,
+                        [&service](const HttpRequest& request) {
+                          return service.Handle(request).value_or(HttpNotFound());
+                        },
+                        &error)) {
+        _exit(1);
+      }
+      WriteFileAtomic(spool.PortPath(), std::to_string(server.port()) + "\n");
+      while (true) {
+        pause();  // until the destructor's SIGKILL
+      }
+    }
+    port_ = WaitForPortFile(root);
+  }
+  ~LeaseServerProcess() {
+    if (pid_ > 0) {
+      kill(pid_, SIGKILL);
+      waitpid(pid_, nullptr, 0);
+    }
+  }
+  std::uint16_t port() const { return port_; }
+
+ private:
+  pid_t pid_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+// Worker options for `transport` over the spool at `root`; with --connect,
+// `port` is the lease endpoint.
+WorkerOptions WorkerFor(Transport transport, const std::string& root,
+                        std::uint16_t port) {
+  WorkerOptions options;
+  if (transport == Transport::kSpool) {
+    options.spool_root = root;
+    return options;
+  }
+  options.port = port;
+  options.poll_sec = 0.02;
+  options.heartbeat_sec = 0.05;
+  options.http.backoff_base_sec = 0.01;
+  options.http.backoff_max_sec = 0.05;
+  return options;
+}
+
 // --- Worker: clean run matches serial, kill mid-shard resumes ------------
 
-TEST(WorkerTest, DrainsSpoolAndMatchesSerialRun) {
+class WorkerTest : public ::testing::TestWithParam<Transport> {
+ protected:
+  // Options for this test's transport; with --connect the first call starts
+  // the lease server.
+  WorkerOptions Worker(const std::string& root) {
+    if (GetParam() == Transport::kConnect && !server_) {
+      server_ = std::make_unique<LeaseServerProcess>(root);
+    }
+    return WorkerFor(GetParam(), root, server_ ? server_->port() : 0);
+  }
+
+ private:
+  std::unique_ptr<LeaseServerProcess> server_;
+};
+
+INSTANTIATE_TEST_SUITE_P(Transports, WorkerTest,
+                         ::testing::Values(Transport::kSpool, Transport::kConnect),
+                         TransportName);
+
+TEST_P(WorkerTest, DrainsSpoolAndMatchesSerialRun) {
   const std::string root = FreshDir("workerclean");
   std::filesystem::remove_all(root);
   std::string error;
   ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 3, &error).has_value()) << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 1;
-  const WorkerSummary summary = RunWorkerLoop(options);
+  const WorkerSummary summary = RunWorkerLoop(Worker(root));
   EXPECT_EQ(summary.items, 3u);
   EXPECT_EQ(summary.rows, 4u);
   EXPECT_EQ(summary.error_rows, 0u);
+  EXPECT_TRUE(summary.drained);
 
   Spool spool(root);
   EXPECT_EQ(spool.CountItems().done, 3u);
   EXPECT_EQ(MergedRowsJson(root), SerialRowsJson(kTinySpec));
+  // Every shard went through the lease service, whichever the transport.
+  const std::string events = Slurp(spool.EventsPath());
+  std::size_t grants = 0;
+  for (std::size_t at = events.find("\"event\":\"lease_granted\"");
+       at != std::string::npos;
+       at = events.find("\"event\":\"lease_granted\"", at + 1)) {
+    ++grants;
+  }
+  EXPECT_EQ(grants, 3u);
 }
 
-TEST(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
+TEST_P(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   // The backends x ftl cross enumerates 6 points; 4 shards exercises the
   // uneven-split arithmetic over the new dimensions.
   std::string error;
@@ -353,10 +564,7 @@ TEST(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   ASSERT_TRUE(Spool::Create(root, kPolicyGridSpec, "grid", 4, &error).has_value())
       << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 2;
-  const WorkerSummary summary = RunWorkerLoop(options);
+  const WorkerSummary summary = RunWorkerLoop(Worker(root));
   EXPECT_EQ(summary.items, 4u);
   EXPECT_EQ(summary.rows, 6u);
   EXPECT_EQ(summary.error_rows, 0u);
@@ -370,7 +578,7 @@ TEST(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   EXPECT_NE(merged[5].find("\"backend\":\"geometry\""), std::string::npos);
 }
 
-TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
+TEST_P(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
   const std::string root = FreshDir("workerkill");
   std::filesystem::remove_all(root);
   std::string error;
@@ -379,14 +587,15 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
 
   // The doomed worker runs in a fork so its _Exit(137) — a faithful SIGKILL
   // stand-in: no destructors, no finalization — cannot take the test down.
+  // Over HTTP, chunks of one row stream each row at once, as the in-process
+  // transport always does.
+  WorkerOptions doomed = Worker(root);
+  doomed.chunk_rows = 1;
+  doomed.kill_after_rows = 2;
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    WorkerOptions options;
-    options.spool_root = root;
-    options.owner = 77;
-    options.kill_after_rows = 2;
-    RunWorkerLoop(options);
+    RunWorkerLoop(doomed);
     _exit(0);  // not reached: the kill hook fires first
   }
   int status = 0;
@@ -394,10 +603,15 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
   ASSERT_TRUE(WIFEXITED(status));
   ASSERT_EQ(WEXITSTATUS(status), 137);
 
-  // The spool shows exactly what a kill -9 leaves: a leased item, a
-  // heartbeat, and a part file holding the rows streamed before death.
+  // The spool shows exactly what a kill -9 leaves: a leased item owned by
+  // the dead pid, and a part file holding the rows streamed before death.
   Spool spool(root);
   EXPECT_EQ(spool.CountItems().running, 1u);
+  const auto beat = ReadHeartbeat(spool.HeartbeatPath("shard-0000"));
+  ASSERT_TRUE(beat.has_value());
+  if (GetParam() == Transport::kSpool) {
+    EXPECT_EQ(beat->owner, static_cast<std::uint64_t>(pid));
+  }
   const auto parts = spool.PartPaths("shard-0000");
   ASSERT_EQ(parts.size(), 1u);
   EXPECT_EQ(LoadPartialRows(parts[0]).size(), 2u);
@@ -408,12 +622,9 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
   ASSERT_TRUE(item.has_value()) << error;
   ASSERT_TRUE(spool.Requeue(*item, &error)) << error;
 
-  WorkerOptions options;
-  options.spool_root = root;
-  options.owner = 78;
-  const WorkerSummary summary = RunWorkerLoop(options);
+  const WorkerSummary summary = RunWorkerLoop(Worker(root));
   EXPECT_EQ(summary.items, 1u);
-  EXPECT_EQ(summary.resumed, 2u);
+  EXPECT_EQ(summary.inherited, 2u);
   EXPECT_EQ(summary.rows, 2u);
 
   // The merged output is byte-identical to the serial run: same rows, no
@@ -423,7 +634,13 @@ TEST(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
 
 // --- Dispatcher: poisoned points retried, then exhausted -----------------
 
-TEST(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
+class DispatcherTest : public ::testing::TestWithParam<Transport> {};
+
+INSTANTIATE_TEST_SUITE_P(Transports, DispatcherTest,
+                         ::testing::Values(Transport::kSpool, Transport::kConnect),
+                         TransportName);
+
+TEST_P(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
   const std::string root = FreshDir("dispatchpoison");
   std::filesystem::remove_all(root);
   std::string error;
@@ -432,13 +649,15 @@ TEST(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
 
   // No spawned workers (worker_binary stays unresolvable): the dispatcher
   // only enforces leases and retries; the worker loop runs here, in-process,
-  // exactly as an externally attached worker would.
+  // exactly as an externally attached worker would.  With --connect the
+  // dispatcher serves its lease endpoint and the worker goes through it.
   DispatcherOptions options;
   options.spool_root = root;
   options.workers = 0;
   options.worker_binary = "/nonexistent/worker";
   options.retry_budget = 1;
   options.poll_sec = 0.02;
+  options.http_port = GetParam() == Transport::kConnect ? 0 : -1;
 
   std::atomic<bool> done{false};
   DispatchSummary summary;
@@ -446,11 +665,9 @@ TEST(DispatcherTest, RetriesPoisonedPointsUntilBudgetExhausted) {
     summary = RunDispatcher(options);
     done.store(true);
   });
-  std::uint64_t owner = 1;
+  const WorkerOptions worker = WorkerFor(
+      GetParam(), root, GetParam() == Transport::kConnect ? WaitForPortFile(root) : 0);
   while (!done.load()) {
-    WorkerOptions worker;
-    worker.spool_root = root;
-    worker.owner = ++owner;
     RunWorkerLoop(worker);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
@@ -480,13 +697,6 @@ RunMeta DbMeta(const std::string& name, const std::string& hash) {
   meta.created = "2026-01-01T00:00:00Z";
   meta.host = "host";
   return meta;
-}
-
-std::string Slurp(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 TEST(BenchDbMergeTest, UnionsShardsIdempotently) {
@@ -540,7 +750,7 @@ TEST(BenchDbMergeTest, UnionsShardsIdempotently) {
 
 // --- heartbeat + HTTP plumbing -------------------------------------------
 
-TEST(HeartbeatTest, WriteReadAndThread) {
+TEST(HeartbeatTest, WriteAndRead) {
   const std::string dir = FreshDir("heartbeat");
   const std::string path = dir + "/x.hb";
   ASSERT_TRUE(WriteHeartbeat(path, {7, 42}));
@@ -554,17 +764,6 @@ TEST(HeartbeatTest, WriteReadAndThread) {
   EXPECT_LT(*age, 60.0);
   EXPECT_FALSE(ReadHeartbeat(dir + "/missing.hb").has_value());
   EXPECT_FALSE(SecondsSinceModified(dir + "/missing.hb").has_value());
-
-  std::atomic<std::uint64_t> counter{0};
-  HeartbeatThread thread;
-  thread.Start(path, 0.01, 99, [&counter] { return counter.load(); });
-  counter.store(5);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  thread.Stop();  // final beat on stop
-  const auto last = ReadHeartbeat(path);
-  ASSERT_TRUE(last.has_value());
-  EXPECT_EQ(last->owner, 99u);
-  EXPECT_EQ(last->counter, 5u);
 }
 
 TEST(HttpServerTest, ServesHandlerAndNotFound) {
@@ -608,7 +807,6 @@ TEST(DispatcherTest, StatusRowCountsSpoolStates) {
   // Run one shard to done; claim one and leave it running with a part row.
   WorkerOptions worker;
   worker.spool_root = root;
-  worker.owner = 1;
   {
     auto item = spool.Claim(1, &error);
     ASSERT_TRUE(item.has_value()) << error;
@@ -667,40 +865,6 @@ TEST(DispatcherTest, LeaseRowsReportHeartbeatAgeAndStaleness) {
 
 // --- remote workers over the HTTP lease protocol -------------------------
 
-HttpRequest PostRequest(const std::string& path, const std::string& body) {
-  HttpRequest request;
-  request.method = "POST";
-  request.path = path;
-  request.body = body;
-  return request;
-}
-
-ResultRow ResponseRow(const HttpResponse& response) {
-  std::string text = response.body;
-  while (!text.empty() && text.back() == '\n') {
-    text.pop_back();
-  }
-  std::string error;
-  const auto row = RowFromJson(text, &error);
-  EXPECT_TRUE(row.has_value()) << error << ": " << response.body;
-  return row.value_or(ResultRow{});
-}
-
-// The dispatcher publishes its (ephemeral) port to <root>/http.port once the
-// endpoint is listening.
-std::uint16_t WaitForPortFile(const std::string& root) {
-  for (int i = 0; i < 1000; ++i) {
-    std::ifstream in(root + "/http.port");
-    int port = 0;
-    if (in >> port && port > 0 && port <= 65535) {
-      return static_cast<std::uint16_t>(port);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ADD_FAILURE() << "dispatcher never published its port";
-  return 0;
-}
-
 TEST(RemoteWorkerTest, CleanRemoteSweepMatchesSerial) {
   const std::string root = FreshDir("remoteclean");
   std::filesystem::remove_all(root);
@@ -716,13 +880,13 @@ TEST(RemoteWorkerTest, CleanRemoteSweepMatchesSerial) {
   DispatchSummary dispatch;
   std::thread dispatcher([&] { dispatch = RunDispatcher(options); });
 
-  RemoteWorkerOptions remote;
+  WorkerOptions remote;
   remote.port = WaitForPortFile(root);
   remote.worker_name = "test-remote";
   remote.poll_sec = 0.02;
   remote.heartbeat_sec = 0.05;
   remote.chunk_rows = 2;
-  const RemoteWorkerSummary summary = RunRemoteWorkerLoop(remote);
+  const WorkerSummary summary = RunWorkerLoop(remote);
   dispatcher.join();
 
   EXPECT_EQ(summary.items, 3u);
@@ -754,7 +918,7 @@ TEST(RemoteWorkerTest, FaultInjectedSweepStillMatchesSerial) {
   DispatchSummary dispatch;
   std::thread dispatcher([&] { dispatch = RunDispatcher(options); });
 
-  RemoteWorkerOptions remote;
+  WorkerOptions remote;
   remote.port = WaitForPortFile(root);
   remote.worker_name = "test-faulty";
   remote.poll_sec = 0.02;
@@ -766,7 +930,7 @@ TEST(RemoteWorkerTest, FaultInjectedSweepStillMatchesSerial) {
   remote.net_fault.seed = 3;
   remote.net_fault.drop_rate = 0.3;
   remote.net_fault.dup_rate = 0.3;
-  const RemoteWorkerSummary summary = RunRemoteWorkerLoop(remote);
+  const WorkerSummary summary = RunWorkerLoop(remote);
   dispatcher.join();
 
   EXPECT_TRUE(summary.drained);
@@ -812,14 +976,14 @@ TEST(RemoteWorkerTest, KilledWorkerRequeuesAndSuccessorConverges) {
   const pid_t doomed_pid = fork();
   ASSERT_GE(doomed_pid, 0);
   if (doomed_pid == 0) {
-    RemoteWorkerOptions doomed;
+    WorkerOptions doomed;
     doomed.port = port;
     doomed.worker_name = "doomed";
     doomed.poll_sec = 0.02;
     doomed.heartbeat_sec = 0.05;
     doomed.chunk_rows = 1;
     doomed.kill_after_rows = 2;
-    RunRemoteWorkerLoop(doomed);
+    RunWorkerLoop(doomed);
     _exit(0);  // not reached: the kill hook fires first
   }
   int status = 0;
@@ -829,12 +993,12 @@ TEST(RemoteWorkerTest, KilledWorkerRequeuesAndSuccessorConverges) {
 
   // The successor polls until the expired lease requeues, inherits the dead
   // worker's two uploaded rows via the resume set, and finishes the shard.
-  RemoteWorkerOptions successor;
+  WorkerOptions successor;
   successor.port = port;
   successor.worker_name = "successor";
   successor.poll_sec = 0.02;
   successor.heartbeat_sec = 0.05;
-  const RemoteWorkerSummary summary = RunRemoteWorkerLoop(successor);
+  const WorkerSummary summary = RunWorkerLoop(successor);
   EXPECT_EQ(summary.items, 1u);
   EXPECT_EQ(summary.inherited, 2u);
   EXPECT_EQ(summary.rows, 2u);
@@ -855,7 +1019,55 @@ TEST(RemoteWorkerTest, KilledWorkerRequeuesAndSuccessorConverges) {
 
 // --- LeaseService failure ordering, driven directly ----------------------
 
-TEST(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
+// Sends requests to a LeaseService the way a worker of each transport does:
+// straight into Handle, or over loopback HTTP to a server that serves it.
+class LeaseChannel {
+ public:
+  LeaseChannel(Transport transport, LeaseService* service) : service_(service) {
+    if (transport == Transport::kSpool) {
+      return;
+    }
+    std::string error;
+    EXPECT_TRUE(server_.Start(0,
+                              [service](const HttpRequest& request) {
+                                return service->Handle(request).value_or(
+                                    HttpNotFound());
+                              },
+                              &error))
+        << error;
+    client_ = std::make_unique<HttpClient>("127.0.0.1", server_.port(),
+                                           HttpClientOptions{});
+  }
+
+  HttpResponse Send(const std::string& method, const std::string& path,
+                    const std::string& body) {
+    if (!client_) {
+      HttpRequest request = PostRequest(path, body);
+      request.method = method;
+      return service_->Handle(request).value_or(HttpNotFound());
+    }
+    HttpResponse response;
+    std::string error;
+    EXPECT_TRUE(client_->Fetch(method, path, body, &response, &error)) << error;
+    return response;
+  }
+  HttpResponse Post(const std::string& path, const std::string& body) {
+    return Send("POST", path, body);
+  }
+
+ private:
+  LeaseService* service_;
+  HttpServer server_;
+  std::unique_ptr<HttpClient> client_;
+};
+
+class LeaseServiceTest : public ::testing::TestWithParam<Transport> {};
+
+INSTANTIATE_TEST_SUITE_P(Transports, LeaseServiceTest,
+                         ::testing::Values(Transport::kSpool, Transport::kConnect),
+                         TransportName);
+
+TEST_P(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
   const std::string root = FreshDir("leaselate");
   std::filesystem::remove_all(root);
   std::string error;
@@ -867,20 +1079,14 @@ TEST(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
   ASSERT_TRUE(spec_text.has_value()) << error;
 
   LeaseService service(&spool, *meta, *spec_text, {});
+  LeaseChannel channel(GetParam(), &service);
   EXPECT_FALSE(service.Handle(PostRequest("/status", "")).has_value());
-  {
-    HttpRequest get = PostRequest("/lease", "");
-    get.method = "GET";
-    const auto response = service.Handle(get);
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->status, 405);
-  }
+  EXPECT_EQ(channel.Send("GET", "/lease", "").status, 405);
 
   // Claim the only shard.
-  auto response = service.Handle(PostRequest("/lease", "{\"worker\":\"t\"}"));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  ResultRow grant = ResponseRow(*response);
+  HttpResponse response = channel.Post("/lease", "{\"worker\":\"t\"}");
+  ASSERT_EQ(response.status, 200);
+  ResultRow grant = ResponseRow(response);
   EXPECT_EQ(grant.Text("state"), "lease");
   EXPECT_EQ(grant.Text("spec"), *spec_text);  // verbatim bytes, newlines intact
   EXPECT_EQ(grant.Number("expected_points", -1), 4.0);
@@ -896,26 +1102,22 @@ TEST(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
     for (const ResultRow& row : rows) {
       body << RowToJson(row) << "\n";
     }
-    return PostRequest("/results", body.str());
+    return channel.Post("/results", body.str());
   };
 
   // Two rows land; the identical chunk replayed is a pure no-op.
-  response = service.Handle(chunk(token, {DataRow(0, "a"), DataRow(1, "b")}));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ResponseRow(*response).Number("accepted", -1), 2.0);
-  response = service.Handle(chunk(token, {DataRow(0, "a"), DataRow(1, "b")}));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ResponseRow(*response).Number("accepted", -1), 0.0);
-  EXPECT_EQ(ResponseRow(*response).Number("duplicates", -1), 2.0);
+  response = chunk(token, {DataRow(0, "a"), DataRow(1, "b")});
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(ResponseRow(response).Number("accepted", -1), 2.0);
+  response = chunk(token, {DataRow(0, "a"), DataRow(1, "b")});
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(ResponseRow(response).Number("accepted", -1), 0.0);
+  EXPECT_EQ(ResponseRow(response).Number("duplicates", -1), 2.0);
 
   // Finalizing short must refuse: two of four points uploaded.
-  response = service.Handle(
-      PostRequest("/done", "{\"token\":\"" + token + "\"}"));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 409);
-  EXPECT_NE(response->body.find("incomplete upload"), std::string::npos);
+  response = channel.Post("/done", "{\"token\":\"" + token + "\"}");
+  EXPECT_EQ(response.status, 409);
+  EXPECT_NE(response.body.find("incomplete upload"), std::string::npos);
 
   // The dispatcher expires the lease: requeue + token invalidation, exactly
   // its recovery sequence.  The partitioned worker's late requests now get
@@ -926,48 +1128,101 @@ TEST(LeaseServiceTest, LateUploadAfterRequeueGets410WithoutCorruption) {
   service.InvalidateItem(item->id);
   EXPECT_EQ(service.active_leases(), 0u);
 
-  response = service.Handle(chunk(token, {DataRow(2, "late")}));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 410);
-  response = service.Handle(PostRequest("/done", "{\"token\":\"" + token + "\"}"));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 410);
-  response = service.Handle(
-      PostRequest("/heartbeat", "{\"token\":\"" + token + "\"}"));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, 410);
+  EXPECT_EQ(chunk(token, {DataRow(2, "late")}).status, 410);
+  EXPECT_EQ(channel.Post("/done", "{\"token\":\"" + token + "\"}").status, 410);
+  EXPECT_EQ(channel.Post("/heartbeat", "{\"token\":\"" + token + "\"}").status,
+            410);
   EXPECT_EQ(spool.CountItems().done, 0u);
 
   // The next claimant inherits the first attempt's rows as its resume set
   // and finishes with only the remainder.
-  response = service.Handle(PostRequest("/lease", "{\"worker\":\"t2\"}"));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  grant = ResponseRow(*response);
+  response = channel.Post("/lease", "{\"worker\":\"t2\"}");
+  ASSERT_EQ(response.status, 200);
+  grant = ResponseRow(response);
   EXPECT_EQ(grant.Text("state"), "lease");
   EXPECT_EQ(grant.Text("done_points"), "0,1");
   const std::string token2 = grant.Text("token");
   EXPECT_NE(token2, token);
 
-  response = service.Handle(chunk(token2, {DataRow(2, "c"), DataRow(3, "d")}));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ResponseRow(*response).Number("accepted", -1), 2.0);
-  response = service.Handle(PostRequest("/done", "{\"token\":\"" + token2 + "\"}"));
-  ASSERT_TRUE(response.has_value());
-  ASSERT_EQ(response->status, 200);
-  EXPECT_EQ(ResponseRow(*response).Number("rows", -1), 4.0);
+  response = chunk(token2, {DataRow(2, "c"), DataRow(3, "d")});
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(ResponseRow(response).Number("accepted", -1), 2.0);
+  response = channel.Post("/done", "{\"token\":\"" + token2 + "\"}");
+  ASSERT_EQ(response.status, 200);
+  EXPECT_EQ(ResponseRow(response).Number("rows", -1), 4.0);
   EXPECT_EQ(spool.CountItems().done, 1u);
 
   // The queue is dry; /lease answers "empty" until the dispatcher flips the
   // drain flag, then "drained".
-  response = service.Handle(PostRequest("/lease", ""));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(ResponseRow(*response).Text("state"), "empty");
+  EXPECT_EQ(ResponseRow(channel.Post("/lease", "")).Text("state"), "empty");
   service.set_drained(true);
-  response = service.Handle(PostRequest("/lease", ""));
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(ResponseRow(*response).Text("state"), "drained");
+  EXPECT_EQ(ResponseRow(channel.Post("/lease", "")).Text("state"), "drained");
+}
+
+TEST(LeaseServiceTest, HeartbeatRowsMustBeANonNegativeInteger) {
+  const std::string root = FreshDir("leasebeat");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 1, &error).has_value()) << error;
+  Spool spool(root);
+  const auto meta = spool.ReadMeta(&error);
+  ASSERT_TRUE(meta.has_value()) << error;
+  const auto service = LeaseService::InProcess(&spool, *meta, "");
+  const auto grant = service->Handle(PostRequest("/lease", ""));
+  ASSERT_TRUE(grant.has_value());
+  const std::string token = ResponseRow(*grant).Text("token");
+  ASSERT_FALSE(token.empty());
+  // The in-process service owns every lease as this process.
+  const auto beat = ReadHeartbeat(spool.HeartbeatPath("shard-0000"));
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_EQ(beat->owner, static_cast<std::uint64_t>(getpid()));
+
+  const auto heartbeat = [&](const std::string& rows) {
+    return *service->Handle(PostRequest(
+        "/heartbeat", "{\"token\":\"" + token + "\",\"rows\":" + rows + "}"));
+  };
+  for (const char* bad : {"-1", "1.5", "1e30"}) {
+    const HttpResponse response = heartbeat(bad);
+    EXPECT_EQ(response.status, 400) << bad;
+    EXPECT_NE(response.body.find("rows"), std::string::npos) << response.body;
+  }
+  EXPECT_EQ(heartbeat("3").status, 200);
+  EXPECT_EQ(ReadHeartbeat(spool.HeartbeatPath("shard-0000"))->counter, 3u);
+}
+
+TEST(LeaseServiceTest, UploadsRefreshTheHeartbeatAtMostEveryTenthOfTheLease) {
+  const std::string root = FreshDir("leaseupbeat");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 1, &error).has_value()) << error;
+  Spool spool(root);
+  const auto meta = spool.ReadMeta(&error);
+  ASSERT_TRUE(meta.has_value()) << error;
+  LeaseServiceOptions options;
+  options.lease_sec = 3.0;  // uploads may refresh the heartbeat every 0.3 s
+  LeaseService service(&spool, *meta, "", options);
+  const auto grant = service.Handle(PostRequest("/lease", ""));
+  ASSERT_TRUE(grant.has_value());
+  const std::string token = ResponseRow(*grant).Text("token");
+  ASSERT_FALSE(token.empty());
+  const auto upload = [&](std::uint64_t point) {
+    return service
+        .Handle(PostRequest("/results", "{\"token\":\"" + token + "\"}\n" +
+                                            RowToJson(DataRow(point, "p")) + "\n"))
+        ->status;
+  };
+  const std::string beat_path = spool.HeartbeatPath("shard-0000");
+
+  // Claim just wrote the heartbeat: a row uploaded right after it is
+  // appended but does not rewrite the file (no sync per row).
+  ASSERT_EQ(upload(0), 200);
+  EXPECT_EQ(ReadHeartbeat(beat_path)->counter, 0u);
+  EXPECT_EQ(LoadPartialRows(spool.PartPath("shard-0000", 0)).size(), 1u);
+
+  // Once the beat is older than lease_sec/10 the next upload refreshes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  ASSERT_EQ(upload(1), 200);
+  EXPECT_EQ(ReadHeartbeat(beat_path)->counter, 2u);
 }
 
 TEST(LeaseServiceTest, ExpectedItemPointsCoversShardsAndRetryLists) {
