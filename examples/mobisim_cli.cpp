@@ -29,7 +29,6 @@
 #include "src/runner/cli_options.h"
 #include "src/runner/experiment_spec.h"
 #include "src/runner/sweep_runner.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/external_formats.h"
 #include "src/trace/trace_cache.h"
@@ -144,7 +143,7 @@ int RunMain(int argc, char** argv) {
   }
 
   // Build the block-level workload.
-  BlockTrace blocks;
+  TraceView blocks;
   if (!hpl_path.empty() || !disksim_path.empty()) {
     std::ifstream in(hpl_path.empty() ? disksim_path : hpl_path);
     if (!in) {
@@ -159,7 +158,7 @@ int RunMain(int argc, char** argv) {
       std::fprintf(stderr, "import error: %s\n", error.c_str());
       return 1;
     }
-    blocks = *imported;
+    blocks = TraceView::FromBlockTrace(*imported);
     // Disk-level traces carry an implicit buffer cache (like the paper's hp
     // trace); simulate without one.
     config.dram_bytes = 0;
@@ -169,19 +168,19 @@ int RunMain(int argc, char** argv) {
       std::fprintf(stderr, "trace error: %s\n", error.c_str());
       return 1;
     }
-    blocks = BlockMapper::Map(*trace);
+    blocks = TraceView::FromImage(TraceImage::Build(*trace));
   } else {
     // `seed` perturbs the generator so repeated runs are reproducible and
     // distinct seeds give independent workload instances.  The trace cache
     // (when configured) shares the generated blocks with sweep/bench runs.
-    blocks = *LoadOrGenerateBlockTrace(tcache.get(), workload, scale, seed);
+    blocks = LoadOrGenerateTraceView(tcache.get(), workload, scale, seed);
     ApplyWorkloadRules(workload, &config);
   }
 
   std::printf("mobisim: %s | workload %s (%zu block records)\n",
               DescribeConfig(config).c_str(),
               trace_path.empty() ? workload.c_str() : trace_path.c_str(),
-              blocks.records.size());
+              blocks.size());
 
   const SimResult result = RunSimulation(blocks, config);
 
@@ -258,7 +257,7 @@ int RunMain(int argc, char** argv) {
       replica_result = result;  // reuse the run the table reported
     } else {
       replica_result = RunSimulation(
-          *LoadOrGenerateBlockTrace(tcache.get(), workload, scale, point.seed), config);
+          LoadOrGenerateTraceView(tcache.get(), workload, scale, point.seed), config);
     }
     ResultRow row = MergePointAndResult(point, replica_result);
     for (ResultSink* sink : sinks.sinks()) {

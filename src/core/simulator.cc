@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/fault/fault.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/check.h"
 
@@ -178,11 +177,11 @@ SimConfig EffectiveConfig(const SimConfig& config) {
 }
 
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
-  const Trace trace = GenerateNamedWorkload(workload, scale);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView view =
+      TraceView::FromImage(TraceImage::Build(GenerateNamedWorkload(workload, scale)));
   SimConfig adjusted = config;
   ApplyWorkloadRules(workload, &adjusted);
-  return RunSimulation(blocks, adjusted);
+  return RunSimulation(view, adjusted);
 }
 
 }  // namespace mobisim

@@ -21,6 +21,7 @@
 #include "src/util/atomic_file.h"
 #include "src/util/bytes.h"
 #include "src/util/heartbeat.h"
+#include "src/util/http_client.h"
 #include "src/util/http_server.h"
 
 namespace mobisim {
@@ -431,13 +432,16 @@ DispatchSummary RunDispatcher(const DispatcherOptions& options) {
     ::waitpid(pid, &status, 0);
   }
 
-  if (lease_service && lease_service->ever_leased()) {
+  if (lease_service) {
     // Tell remote pollers the sweep is over — "drained", not "empty" — and
-    // keep serving briefly so they can hear it and exit cleanly instead of
-    // finding a closed port mid-poll.
+    // keep serving until every worker that held a lease has heard it, so
+    // none finds a closed port mid-poll.  A worker whose polls are being
+    // lost keeps retrying through the worst-case backoff of the default
+    // client schedule, which bounds the wait; a worker that died never asks
+    // again and costs the whole bound.
     lease_service->set_drained(true);
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(2.0 * options.poll_sec + 0.25));
+    lease_service->AwaitLesseesDrained(2.0 * options.poll_sec + 0.25 +
+                                       WorstCaseRetryBackoffSec(HttpClientOptions{}));
   }
 
   if (http.running()) {

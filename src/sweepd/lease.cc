@@ -118,6 +118,12 @@ void LeaseService::InvalidateItem(const std::string& id) {
   }
 }
 
+void LeaseService::AwaitLesseesDrained(double timeout_sec) {
+  std::unique_lock<std::mutex> lock(mu_);
+  told_drained_cv_.wait_for(lock, std::chrono::duration<double>(timeout_sec),
+                            [this] { return not_told_drained_.empty(); });
+}
+
 std::size_t LeaseService::active_leases() const {
   std::lock_guard<std::mutex> lock(mu_);
   return leases_.size();
@@ -168,11 +174,15 @@ HttpResponse LeaseService::HandleLease(const HttpRequest& request) {
     if (!error.empty()) {
       return HttpError(500, error);
     }
+    const bool drained = drained_.load();
+    if (drained && not_told_drained_.erase(worker) > 0) {
+      told_drained_cv_.notify_all();
+    }
     ResultRow row;
-    row.AddText("state", drained_.load() ? "drained" : "empty");
+    row.AddText("state", drained ? "drained" : "empty");
     return JsonOk(row);
   }
-  ever_leased_.store(true);
+  not_told_drained_.insert(worker);
 
   Lease lease;
   lease.item = *item;

@@ -48,6 +48,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -98,7 +99,13 @@ class LeaseService {
   // ever appear; an in-process service starts drained.
   void set_drained(bool drained) { drained_.store(drained); }
 
-  bool ever_leased() const { return ever_leased_.load(); }
+  // Blocks until every worker ever granted a lease has been answered
+  // "drained" at least once, or until `timeout_sec` passes.  Workers are
+  // told apart by their self-reported names.  The dispatcher calls it after
+  // set_drained(true): a worker whose last polls are lost is still inside
+  // its retry backoff and will ask again.
+  void AwaitLesseesDrained(double timeout_sec);
+
   std::size_t active_leases() const;
 
  private:
@@ -130,10 +137,13 @@ class LeaseService {
 
   mutable std::mutex mu_;
   std::map<std::string, Lease> leases_;  // token -> lease
+  // Names of workers granted a lease that have not yet been answered
+  // "drained" (guarded by mu_); AwaitLesseesDrained waits for it to empty.
+  std::set<std::string> not_told_drained_;
+  std::condition_variable told_drained_cv_;
   std::uint64_t next_owner_ = 0;
   std::uint64_t pid_owner_ = 0;  // nonzero: the one owner of every lease
   std::atomic<bool> drained_{false};
-  std::atomic<bool> ever_leased_{false};
 };
 
 }  // namespace mobisim

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 
 #include <sys/stat.h>
 
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/synth_workload.h"
 #include "src/util/atomic_file.h"
@@ -19,124 +18,12 @@ namespace mobisim {
 
 namespace {
 
-// v2 layout ("MTC2"): a 32-byte fixed header, the name padded to an 8-byte
-// boundary, then one column per BlockRecord field — times u64[n], lbas
-// u64[n], counts u32[n], file_ids u32[n], ops u8[n], each zero-padded to the
-// next 8-byte boundary — and a u64 Fnv1a64Wide footer over everything before
-// it.  Every column therefore starts 8-byte aligned relative to the (page-
-// aligned) mmap base, which is what lets LoadView hand the simulator typed
-// pointers straight into the file.
-constexpr char kEntryMagic[4] = {'M', 'T', 'C', '2'};
 constexpr char kEntrySuffix[] = ".mtc";
-constexpr std::size_t kFixedHeaderBytes = 4 + 4 + 4 + 4 + 8 + 8;
-constexpr std::size_t kFooterBytes = 8;
-
-constexpr std::size_t PadTo8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
-
-// Resolved offsets of one entry's pieces; filled by ParseEntryLayout.
-struct EntryLayout {
-  std::uint32_t block_bytes = 0;
-  std::uint32_t name_len = 0;
-  std::uint64_t record_count = 0;
-  std::uint64_t total_blocks = 0;
-  std::size_t name_off = 0;
-  std::size_t times_off = 0;
-  std::size_t lbas_off = 0;
-  std::size_t counts_off = 0;
-  std::size_t file_ids_off = 0;
-  std::size_t ops_off = 0;
-  std::size_t footer_off = 0;  // == total size - kFooterBytes
-};
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t GetU32(const char* data, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos + i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const char* data, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos + i])) << (8 * i);
-  }
-  return v;
-}
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) {
     *error = message;
   }
-}
-
-// The zero-copy path reads column words through typed pointers, which only
-// decodes the little-endian wire format correctly on a little-endian host.
-// Big-endian hosts take the copying loader (GetU32/GetU64 decode portably).
-bool HostIsLittleEndian() {
-  const std::uint32_t probe = 1;
-  unsigned char byte0 = 0;
-  std::memcpy(&byte0, &probe, 1);
-  return byte0 == 1;
-}
-
-// Validates the fixed header and resolves every column offset.  The record
-// count pins the exact file size, so any truncation or extension fails here
-// before the (more expensive) footer hash check.
-bool ParseEntryLayout(const char* data, std::size_t size, EntryLayout* layout,
-                      std::string* error) {
-  if (size < kFixedHeaderBytes + kFooterBytes) {
-    SetError(error, "entry truncated (shorter than header)");
-    return false;
-  }
-  if (std::memcmp(data, kEntryMagic, sizeof(kEntryMagic)) != 0) {
-    SetError(error, "bad magic");
-    return false;
-  }
-  const std::uint32_t version = GetU32(data, 4);
-  if (version != kTraceCacheFormatVersion) {
-    SetError(error, "format version mismatch");
-    return false;
-  }
-  layout->block_bytes = GetU32(data, 8);
-  layout->name_len = GetU32(data, 12);
-  layout->record_count = GetU64(data, 16);
-  layout->total_blocks = GetU64(data, 24);
-  layout->name_off = kFixedHeaderBytes;
-  if (layout->name_len > size - kFixedHeaderBytes - kFooterBytes) {
-    SetError(error, "entry truncated (name)");
-    return false;
-  }
-  // The times column alone needs 8 bytes per record; bounding the count by
-  // it keeps the offset arithmetic below overflow-free.
-  const std::uint64_t n = layout->record_count;
-  if (n > size / 8) {
-    SetError(error, "entry truncated (records)");
-    return false;
-  }
-  layout->times_off = layout->name_off + PadTo8(layout->name_len);
-  layout->lbas_off = layout->times_off + 8 * n;
-  layout->counts_off = layout->lbas_off + 8 * n;
-  layout->file_ids_off = layout->counts_off + PadTo8(4 * n);
-  layout->ops_off = layout->file_ids_off + PadTo8(4 * n);
-  layout->footer_off = layout->ops_off + PadTo8(n);
-  if (layout->footer_off + kFooterBytes != size) {
-    SetError(error, "entry truncated (records)");
-    return false;
-  }
-  return true;
 }
 
 void AppendCalibratedConfig(std::ostringstream& out,
@@ -228,134 +115,8 @@ std::string TraceCacheFingerprint(const std::string& workload, double scale,
 }
 
 std::string SerializeBlockTrace(const BlockTrace& trace) {
-  const std::size_t n = trace.records.size();
-  const std::size_t total = kFixedHeaderBytes + PadTo8(trace.name.size()) +
-                            8 * n + 8 * n + PadTo8(4 * n) + PadTo8(4 * n) +
-                            PadTo8(n) + kFooterBytes;
-  std::string out;
-  out.reserve(total);
-  out.append(kEntryMagic, sizeof(kEntryMagic));
-  PutU32(&out, kTraceCacheFormatVersion);
-  PutU32(&out, trace.block_bytes);
-  PutU32(&out, static_cast<std::uint32_t>(trace.name.size()));
-  PutU64(&out, static_cast<std::uint64_t>(n));
-  PutU64(&out, trace.total_blocks);
-  out.append(trace.name);
-  out.append(PadTo8(trace.name.size()) - trace.name.size(), '\0');
-  for (const BlockRecord& rec : trace.records) {
-    PutU64(&out, static_cast<std::uint64_t>(rec.time_us));
-  }
-  for (const BlockRecord& rec : trace.records) {
-    PutU64(&out, rec.lba);
-  }
-  for (const BlockRecord& rec : trace.records) {
-    PutU32(&out, rec.block_count);
-  }
-  out.append(PadTo8(4 * n) - 4 * n, '\0');
-  for (const BlockRecord& rec : trace.records) {
-    PutU32(&out, rec.file_id);
-  }
-  out.append(PadTo8(4 * n) - 4 * n, '\0');
-  for (const BlockRecord& rec : trace.records) {
-    out.push_back(static_cast<char>(rec.op));
-  }
-  out.append(PadTo8(n) - n, '\0');
-  // Footer: hash of everything before it.  Length is implicit — the record
-  // count fixes the exact file size, so truncation fails before hashing.
-  PutU64(&out, Fnv1a64Wide(out.data(), out.size()));
-  return out;
+  return std::string(TraceImage::Build(trace).bytes());
 }
-
-std::optional<BlockTrace> DeserializeBlockTrace(const std::string& data,
-                                                std::string* error) {
-  EntryLayout layout;
-  const char* base = data.data();
-  if (!ParseEntryLayout(base, data.size(), &layout, error)) {
-    return std::nullopt;
-  }
-  const std::uint64_t stored_hash = GetU64(base, layout.footer_off);
-  if (Fnv1a64Wide(base, layout.footer_off) != stored_hash) {
-    SetError(error, "footer hash mismatch");
-    return std::nullopt;
-  }
-
-  BlockTrace trace;
-  trace.name.assign(base + layout.name_off, layout.name_len);
-  trace.block_bytes = layout.block_bytes;
-  trace.total_blocks = layout.total_blocks;
-  trace.records.reserve(layout.record_count);
-  for (std::uint64_t i = 0; i < layout.record_count; ++i) {
-    const unsigned char op = static_cast<unsigned char>(base[layout.ops_off + i]);
-    if (op > static_cast<unsigned char>(OpType::kErase)) {
-      SetError(error, "bad op byte");
-      return std::nullopt;
-    }
-    BlockRecord rec;
-    rec.time_us = static_cast<SimTime>(GetU64(base, layout.times_off + 8 * i));
-    rec.op = static_cast<OpType>(op);
-    rec.lba = GetU64(base, layout.lbas_off + 8 * i);
-    rec.block_count = GetU32(base, layout.counts_off + 4 * i);
-    rec.file_id = GetU32(base, layout.file_ids_off + 4 * i);
-    trace.records.push_back(rec);
-  }
-  return trace;
-}
-
-namespace {
-
-// Builds zero-copy storage over a mapped entry.  Returns nullptr with
-// `*use_fallback` set when the entry should be loaded by the copying path
-// instead (a column landed misaligned, or the host is big-endian); nullptr
-// with it clear means the entry is torn or corrupt and should be dropped.
-std::shared_ptr<const TraceViewStorage> MapTraceEntry(MmapFile map,
-                                                      bool* use_fallback,
-                                                      std::string* error) {
-  *use_fallback = false;
-  EntryLayout layout;
-  const char* base = map.data();
-  if (!ParseEntryLayout(base, map.size(), &layout, error)) {
-    return nullptr;
-  }
-  const std::uint64_t stored_hash = GetU64(base, layout.footer_off);
-  if (Fnv1a64Wide(base, layout.footer_off) != stored_hash) {
-    SetError(error, "footer hash mismatch");
-    return nullptr;
-  }
-  for (std::uint64_t i = 0; i < layout.record_count; ++i) {
-    if (static_cast<unsigned char>(base[layout.ops_off + i]) >
-        static_cast<unsigned char>(OpType::kErase)) {
-      SetError(error, "bad op byte");
-      return nullptr;
-    }
-  }
-  const auto aligned8 = [base](std::size_t off) {
-    return (reinterpret_cast<std::uintptr_t>(base + off) & 7) == 0;
-  };
-  if (!HostIsLittleEndian() || !aligned8(layout.times_off) ||
-      !aligned8(layout.lbas_off) || !aligned8(layout.counts_off) ||
-      !aligned8(layout.file_ids_off)) {
-    *use_fallback = true;
-    SetError(error, "columns not directly addressable on this host");
-    return nullptr;
-  }
-  auto storage = std::make_shared<TraceViewStorage>();
-  storage->name.assign(base + layout.name_off, layout.name_len);
-  storage->block_bytes = layout.block_bytes;
-  storage->total_blocks = layout.total_blocks;
-  storage->record_count = layout.record_count;
-  storage->zero_copy = true;
-  storage->map = std::move(map);
-  const char* mapped = storage->map.data();
-  storage->times = reinterpret_cast<const SimTime*>(mapped + layout.times_off);
-  storage->lbas = reinterpret_cast<const std::uint64_t*>(mapped + layout.lbas_off);
-  storage->counts = reinterpret_cast<const std::uint32_t*>(mapped + layout.counts_off);
-  storage->file_ids =
-      reinterpret_cast<const std::uint32_t*>(mapped + layout.file_ids_off);
-  storage->ops = reinterpret_cast<const std::uint8_t*>(mapped + layout.ops_off);
-  return storage;
-}
-
-}  // namespace
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
@@ -363,70 +124,40 @@ std::string TraceCache::EntryPath(const std::string& fingerprint) const {
   return dir_ + "/" + fingerprint + kEntrySuffix;
 }
 
-std::shared_ptr<const BlockTrace> TraceCache::Load(const std::string& fingerprint) {
+TraceView TraceCache::LoadView(const std::string& fingerprint) {
   const std::string path = EntryPath(fingerprint);
+  // A file that cannot be mapped (or a missing one) is read instead.
+  MmapFile map;
   std::string data;
-  if (!ReadFileToString(path, &data)) {
+  std::string_view bytes;
+  if (map.Open(path)) {
+    bytes = std::string_view(map.data(), map.size());
+  } else if (ReadFileToString(path, &data)) {
+    bytes = data;
+  } else {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return TraceView();
   }
-  auto trace = DeserializeBlockTrace(data);
-  if (!trace) {
+  if (!ValidateEntry(bytes.data(), bytes.size())) {
     // Torn or corrupted: drop the entry so the regenerated trace replaces
     // it, and report the lookup as a (corrupt) miss.
     std::remove(path.c_str());
     corrupt_.fetch_add(1, std::memory_order_relaxed);
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  copies_.fetch_add(1, std::memory_order_relaxed);
-  return std::make_shared<const BlockTrace>(std::move(*trace));
-}
-
-TraceView TraceCache::LoadView(const std::string& fingerprint) {
-  const std::string path = EntryPath(fingerprint);
-  std::string map_error;
-  MmapFile map;
-  if (map.Open(path, &map_error)) {
-    bool use_fallback = false;
-    std::string parse_error;
-    if (auto storage = MapTraceEntry(std::move(map), &use_fallback, &parse_error)) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      views_.fetch_add(1, std::memory_order_relaxed);
-      return TraceView(std::move(storage));
-    }
-    if (!use_fallback) {
-      // Torn or corrupted: same recovery as Load — drop the entry so the
-      // regenerated trace replaces it, and report a (corrupt) miss.
-      std::remove(path.c_str());
-      corrupt_.fetch_add(1, std::memory_order_relaxed);
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return TraceView();
-    }
-    // Valid entry that cannot be addressed in place: copy it below.
-  }
-  // Copying fallback: the file exists but could not be mapped (or mapped but
-  // not addressed directly).  A plain missing entry lands here too and is
-  // just a miss.
-  std::string data;
-  if (!ReadFileToString(path, &data)) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return TraceView();
-  }
-  auto trace = DeserializeBlockTrace(data);
-  if (!trace) {
-    std::remove(path.c_str());
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
     return TraceView();
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
+  if (map.valid() && ColumnsAddressableInPlace(map.data())) {
+    views_.fetch_add(1, std::memory_order_relaxed);
+    return TraceView::FromMapping(std::move(map));
+  }
+  // Valid, but not addressable in place (read, misaligned, or a big-endian
+  // host): the copying decode into an owned image.
   copies_.fetch_add(1, std::memory_order_relaxed);
-  return TraceView::FromBlockTrace(*trace);
+  return TraceView::FromImage(TraceImage::Copy(bytes));
 }
 
-bool TraceCache::Store(const std::string& fingerprint, const BlockTrace& trace,
+bool TraceCache::Store(const std::string& fingerprint, const TraceImage& image,
                        std::string* error) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -435,7 +166,7 @@ bool TraceCache::Store(const std::string& fingerprint, const BlockTrace& trace,
     errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (!WriteFileAtomic(EntryPath(fingerprint), SerializeBlockTrace(trace), error)) {
+  if (!WriteFileAtomic(EntryPath(fingerprint), image.bytes(), error)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -465,25 +196,6 @@ std::string TraceCache::StatsLine() const {
   return out.str();
 }
 
-std::shared_ptr<const BlockTrace> LoadOrGenerateBlockTrace(TraceCache* cache,
-                                                           const std::string& workload,
-                                                           double scale,
-                                                           std::uint64_t seed) {
-  std::string fingerprint;
-  if (cache != nullptr) {
-    fingerprint = TraceCacheFingerprint(workload, scale, seed);
-    if (auto cached = cache->Load(fingerprint)) {
-      return cached;
-    }
-  }
-  const Trace trace = GenerateNamedWorkload(workload, scale, seed);
-  auto blocks = std::make_shared<const BlockTrace>(BlockMapper::Map(trace));
-  if (cache != nullptr) {
-    cache->Store(fingerprint, *blocks);  // best-effort; failure only counts
-  }
-  return blocks;
-}
-
 TraceView LoadOrGenerateTraceView(TraceCache* cache, const std::string& workload,
                                   double scale, std::uint64_t seed) {
   std::string fingerprint;
@@ -493,12 +205,11 @@ TraceView LoadOrGenerateTraceView(TraceCache* cache, const std::string& workload
       return view;
     }
   }
-  const Trace trace = GenerateNamedWorkload(workload, scale, seed);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  TraceImage image = TraceImage::Build(GenerateNamedWorkload(workload, scale, seed));
   if (cache != nullptr) {
-    cache->Store(fingerprint, blocks);  // best-effort; failure only counts
+    cache->Store(fingerprint, image);  // best-effort; failure only counts
   }
-  return TraceView::FromBlockTrace(blocks);
+  return TraceView::FromImage(std::move(image));
 }
 
 std::vector<TraceCacheEntry> ListTraceCache(const std::string& dir) {
@@ -520,9 +231,8 @@ std::vector<TraceCacheEntry> ListTraceCache(const std::string& dir) {
     if (::stat(entry.path.c_str(), &st) == 0) {
       entry.mtime = static_cast<std::int64_t>(st.st_mtime);
     }
-    std::string data;
-    entry.valid =
-        ReadFileToString(entry.path, &data) && DeserializeBlockTrace(data).has_value();
+    MmapFile map;
+    entry.valid = map.Open(entry.path) && ValidateEntry(map.data(), map.size());
     entries.push_back(std::move(entry));
   }
   std::sort(entries.begin(), entries.end(),

@@ -3,49 +3,40 @@
 // The paper's methodology (section 4.1) fixes the workload traces once and
 // reuses them across every device/configuration point; this cache gives
 // repeated sweeps the same discipline across *processes*.  A generated
-// BlockTrace is stored under `<dir>/<fingerprint>.mtc`, where the
-// fingerprint is the 64-bit FNV-1a hash of a canonical rendering of the
-// full workload configuration (every generator parameter, not just the
-// name), the scale, the seed, and the trace-format version — so any change
-// to the generators, the block mapper, or the entry format invalidates old
-// entries instead of silently replaying stale traces.
+// trace is stored under `<dir>/<fingerprint>.mtc`, where the fingerprint is
+// the 64-bit FNV-1a hash of a canonical rendering of the full workload
+// configuration (every generator parameter, not just the name), the scale,
+// the seed, and the trace-format version — so any change to the generators,
+// the block mapper, or the entry format invalidates old entries instead of
+// silently replaying stale traces.
 //
-// Entries are written atomically (unique temp file + fsync + rename, see
-// src/util/atomic_file.h) and carry a length/hash footer; readers validate
-// both and treat a torn or corrupted entry as a miss, delete it, and let
-// the caller regenerate.  Concurrent writers are safe: last rename wins and
-// every intermediate state is a complete, valid file.  A cached load is
-// bit-identical to generation — BlockTrace holds only integral fields, and
-// the serialization is exact — so results are byte-identical with the cache
+// An entry is the trace's `.mtc` v2 image (trace_image.h, DESIGN.md
+// section 8), built once at generation and written as it is.  Entries are
+// written atomically (unique temp file + fsync + rename, see
+// src/util/atomic_file.h) and carry a hash footer; readers validate it and
+// treat a torn or corrupted entry as a miss, delete it, and let the caller
+// regenerate.  Concurrent writers are safe: last rename wins and every
+// intermediate state is a complete, valid file.  A cached load is
+// bit-identical to generation, so results are byte-identical with the cache
 // on, off, cold, or warm.
 //
-// The v2 entry layout is column-oriented (one array per BlockRecord field,
-// each 8-byte aligned; see DESIGN.md for the byte-level map), which is what
-// makes LoadView possible: a valid entry is mmap'd and its columns handed to
-// the simulator in place — zero copies, zero per-record parsing — as a
-// TraceView.  Entries that cannot be mapped or whose columns fail alignment
-// checks fall back to the copying loader; corrupt entries are dropped and
-// regenerated exactly as before.
+// LoadView maps a valid entry and hands its columns to the simulator in
+// place — zero copies, zero per-record parsing — as a TraceView.  An entry
+// that cannot be addressed in place is copied into an owned image instead;
+// corrupt entries are dropped and regenerated.
 #ifndef MOBISIM_SRC_TRACE_TRACE_CACHE_H_
 #define MOBISIM_SRC_TRACE_TRACE_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/trace/trace_view.h"
 
 namespace mobisim {
-
-// Bump whenever the workload generators, BlockMapper, or the on-disk entry
-// layout change in any way that affects the produced BlockTrace: the
-// version participates in the fingerprint, so old entries simply miss.
-// v2: column-oriented (SoA) layout with aligned columns for zero-copy mmap.
-constexpr std::uint32_t kTraceCacheFormatVersion = 2;
 
 // Canonical key text for a named workload at (scale, seed): the format
 // version plus every parameter of the generator configuration the workload
@@ -60,12 +51,8 @@ std::string TraceCacheFingerprint(const std::string& workload, double scale,
                                   std::uint64_t seed,
                                   std::uint32_t format_version = kTraceCacheFormatVersion);
 
-// Exact binary serialization of a BlockTrace (little-endian, with a
-// trailing FNV-1a hash footer).  Deserialize returns std::nullopt on any
-// truncation, corruption, or version mismatch, describing it in `error`.
+// The entry bytes of a mapped trace: TraceImage::Build(trace), as a string.
 std::string SerializeBlockTrace(const BlockTrace& trace);
-std::optional<BlockTrace> DeserializeBlockTrace(const std::string& data,
-                                                std::string* error = nullptr);
 
 // Counts are per lookup.  A sweep (RunSweep) looks a trace up once per
 // residency, not once per distinct trace: up front, and again at each use
@@ -78,10 +65,10 @@ struct TraceCacheStats {
   std::uint64_t corrupt = 0;   // invalid entries detected (and removed)
   std::uint64_t errors = 0;    // store failures (cache stayed best-effort)
   std::uint64_t views = 0;     // zero-copy mmap loads (no payload copy)
-  std::uint64_t copies = 0;    // copying loads (Load, or LoadView fallback)
+  std::uint64_t copies = 0;    // copying loads (LoadView's fallback)
 };
 
-// The persistent cache directory.  Thread-safe: Load/Store may be called
+// The persistent cache directory.  Thread-safe: LoadView/Store may be called
 // concurrently from sweep workers (stats are atomic, writes are atomic
 // renames of unique temp files).  All failures are soft — a missing or
 // unwritable directory degrades to generating every trace, never to a
@@ -93,23 +80,18 @@ class TraceCache {
   const std::string& dir() const { return dir_; }
   std::string EntryPath(const std::string& fingerprint) const;
 
-  // Returns the cached trace, or nullptr on a miss.  A corrupted or torn
-  // entry counts as a miss (and `corrupt`), and the bad file is removed so
-  // the regenerated trace can be re-stored.  Always copies (counts `copies`);
-  // the hot path is LoadView.
-  std::shared_ptr<const BlockTrace> Load(const std::string& fingerprint);
-
-  // Zero-copy load: maps the entry, validates header/footer in place, and
-  // returns a TraceView whose columns point into the mapping (counts
-  // `views`).  Falls back to the copying loader — identical data, counts
-  // `copies` — when the file cannot be mapped or a column ends up
-  // misaligned.  A corrupted or torn entry is removed and reported as a
-  // (corrupt) miss, exactly like Load; the returned view is then empty.
+  // Maps the entry, validates it in place (ValidateEntry), and returns a
+  // TraceView whose columns point into the mapping (counts `views`).  An
+  // entry that cannot be mapped or addressed in place is read into an owned
+  // image instead — identical data, counts `copies`.  A corrupted or torn
+  // entry is removed and reported as a (corrupt) miss; the returned view is
+  // then empty, as it is for a plain miss.
   TraceView LoadView(const std::string& fingerprint);
 
-  // Stores the trace under the fingerprint, creating the cache directory if
-  // needed.  Best-effort: returns false (and counts `errors`) on failure.
-  bool Store(const std::string& fingerprint, const BlockTrace& trace,
+  // Writes the image under the fingerprint as it is, creating the cache
+  // directory if needed.  Best-effort: returns false (and counts `errors`)
+  // on failure.
+  bool Store(const std::string& fingerprint, const TraceImage& image,
              std::string* error = nullptr);
 
   TraceCacheStats stats() const;
@@ -131,19 +113,11 @@ class TraceCache {
 };
 
 // The one code path every consumer shares: load the (workload, scale, seed)
-// trace from `cache`, or generate + map + store it.  `cache` may be null
-// (plain generation).  Exceptions from unknown workload names propagate
-// exactly as GenerateNamedWorkload's do.
-std::shared_ptr<const BlockTrace> LoadOrGenerateBlockTrace(TraceCache* cache,
-                                                           const std::string& workload,
-                                                           double scale,
-                                                           std::uint64_t seed);
-
-// The view-returning twin, and what the sweep engine actually uses: a warm
-// cache yields an mmap-backed zero-copy view, a cold one generates, stores,
-// and wraps the generated trace in an owned-column view.  Same determinism
-// contract as LoadOrGenerateBlockTrace: the view's data is bit-identical
-// however it was produced.
+// trace from `cache`, or generate it, build its image once, store that, and
+// adopt it.  `cache` may be null (plain generation).  A warm cache yields an
+// mmap-backed zero-copy view; the view's data is bit-identical however it
+// was produced.  Exceptions from unknown workload names propagate exactly
+// as GenerateNamedWorkload's do.
 TraceView LoadOrGenerateTraceView(TraceCache* cache, const std::string& workload,
                                   double scale, std::uint64_t seed);
 
@@ -154,7 +128,7 @@ struct TraceCacheEntry {
   std::string path;
   std::uint64_t bytes = 0;
   std::int64_t mtime = 0;  // seconds since epoch, for age-ordered eviction
-  bool valid = false;      // footer and length verified
+  bool valid = false;      // passed ValidateEntry, in place
 };
 
 // Lists `<dir>/*.mtc`, validating each entry; empty for a missing dir.

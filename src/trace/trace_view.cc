@@ -1,34 +1,47 @@
 #include "src/trace/trace_view.h"
 
+#include "src/util/check.h"
+
 namespace mobisim {
 
-TraceView TraceView::FromBlockTrace(const BlockTrace& trace) {
-  auto storage = std::make_shared<TraceViewStorage>();
-  storage->name = trace.name;
-  storage->block_bytes = trace.block_bytes;
-  storage->total_blocks = trace.total_blocks;
-  storage->record_count = trace.records.size();
-  storage->zero_copy = false;
+namespace {
 
-  const std::size_t n = trace.records.size();
-  storage->own_times.reserve(n);
-  storage->own_lbas.reserve(n);
-  storage->own_counts.reserve(n);
-  storage->own_file_ids.reserve(n);
-  storage->own_ops.reserve(n);
-  for (const BlockRecord& rec : trace.records) {
-    storage->own_times.push_back(rec.time_us);
-    storage->own_lbas.push_back(rec.lba);
-    storage->own_counts.push_back(rec.block_count);
-    storage->own_file_ids.push_back(rec.file_id);
-    storage->own_ops.push_back(static_cast<std::uint8_t>(rec.op));
-  }
-  storage->times = storage->own_times.data();
-  storage->lbas = storage->own_lbas.data();
-  storage->counts = storage->own_counts.data();
-  storage->file_ids = storage->own_file_ids.data();
-  storage->ops = storage->own_ops.data();
+// The one pointer setup, for owned and mapped images alike.
+TraceView Attach(std::shared_ptr<TraceViewStorage> storage, const char* base,
+                 std::size_t size) {
+  EntryLayout layout;
+  MOBISIM_CHECK(ParseEntryLayout(base, size, &layout));
+  storage->name.assign(base + layout.name_off, layout.name_len);
+  storage->block_bytes = layout.block_bytes;
+  storage->total_blocks = layout.total_blocks;
+  storage->record_count = layout.record_count;
+  storage->times = reinterpret_cast<const SimTime*>(base + layout.times_off);
+  storage->lbas = reinterpret_cast<const std::uint64_t*>(base + layout.lbas_off);
+  storage->counts = reinterpret_cast<const std::uint32_t*>(base + layout.counts_off);
+  storage->file_ids = reinterpret_cast<const std::uint32_t*>(base + layout.file_ids_off);
+  storage->ops = reinterpret_cast<const std::uint8_t*>(base + layout.ops_off);
   return TraceView(std::move(storage));
+}
+
+}  // namespace
+
+TraceView TraceView::FromImage(TraceImage image) {
+  image.ColumnsToHostOrder();
+  auto storage = std::make_shared<TraceViewStorage>();
+  storage->image = std::move(image);
+  const char* base = storage->image.data();
+  const std::size_t size = storage->image.size();
+  return Attach(std::move(storage), base, size);
+}
+
+TraceView TraceView::FromMapping(MmapFile map) {
+  MOBISIM_CHECK(ColumnsAddressableInPlace(map.data()));
+  auto storage = std::make_shared<TraceViewStorage>();
+  storage->zero_copy = true;
+  storage->map = std::move(map);
+  const char* base = storage->map.data();
+  const std::size_t size = storage->map.size();
+  return Attach(std::move(storage), base, size);
 }
 
 BlockTrace TraceView::ToBlockTrace() const {

@@ -2,12 +2,12 @@
 //
 // The simulator's per-record loop reads five fields per record; a TraceView
 // hands it five parallel arrays (structure-of-arrays) instead of a vector of
-// structs.  The columns are backed either by an mmap'd trace-cache entry
-// (the zero-copy path: the `.mtc` v2 layout on disk IS the column layout,
-// 8-byte aligned, so the file pages are walked in place) or by owned vectors
-// copied out of a BlockTrace (generation, or the fallback when an entry
-// cannot be mapped).  Both backings expose identical data, so simulation
-// results are byte-identical whichever path produced the view.
+// structs.  Every view's columns live in a `.mtc` v2 entry image (see
+// trace_image.h): either an owned TraceImage (built in memory by
+// generation or FromBlockTrace, or copied from an entry file that cannot be
+// addressed in place) or an mmap'd trace-cache entry, the zero-copy path.
+// Both backings have the same layout and go through the same pointer setup,
+// so simulation results are byte-identical whichever path produced the view.
 //
 // Views are cheap to copy (one shared_ptr) and safe to share across sweep
 // worker threads — the backing is immutable after construction.  A view
@@ -20,16 +20,15 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/util/mmap_file.h"
 
 namespace mobisim {
 
-// The immutable backing of a TraceView.  Filled either by
-// TraceView::FromBlockTrace (owned vectors) or by the trace cache's mmap
-// loader (column pointers into `map`).  Consumers never touch this directly.
+// The immutable backing of a TraceView: one entry image, owned or mapped,
+// and typed pointers to its columns.  Consumers never touch this directly.
 struct TraceViewStorage {
   std::string name;
   std::uint32_t block_bytes = 0;
@@ -37,17 +36,10 @@ struct TraceViewStorage {
   std::size_t record_count = 0;
   bool zero_copy = false;
 
-  // Owned columns (copy path); unused when the view maps a file.
-  std::vector<SimTime> own_times;
-  std::vector<std::uint64_t> own_lbas;
-  std::vector<std::uint32_t> own_counts;
-  std::vector<std::uint32_t> own_file_ids;
-  std::vector<std::uint8_t> own_ops;
-
-  // Keeps the mapped entry alive for the life of the view (zero-copy path).
+  // Exactly one of the two holds the image the columns point into.
+  TraceImage image;
   MmapFile map;
 
-  // Column pointers, into `map` or the own_* vectors.
   const SimTime* times = nullptr;
   const std::uint64_t* lbas = nullptr;
   const std::uint32_t* counts = nullptr;
@@ -61,8 +53,16 @@ class TraceView {
   explicit TraceView(std::shared_ptr<const TraceViewStorage> storage)
       : storage_(std::move(storage)) {}
 
-  // Copies a BlockTrace into owned columns (the non-mmap backing).
-  static TraceView FromBlockTrace(const BlockTrace& trace);
+  // Adopts an owned image: one TraceImage::Build made, or a copy of an
+  // entry that passed ValidateEntry.
+  static TraceView FromImage(TraceImage image);
+  // Walks a mapped entry in place (zero copy).  The caller has validated it
+  // and checked ColumnsAddressableInPlace(map.data()).
+  static TraceView FromMapping(MmapFile map);
+  // Builds the image of `trace` and adopts it.
+  static TraceView FromBlockTrace(const BlockTrace& trace) {
+    return FromImage(TraceImage::Build(trace));
+  }
 
   bool empty() const { return storage_ == nullptr || storage_->record_count == 0; }
   explicit operator bool() const { return storage_ != nullptr; }
@@ -71,7 +71,8 @@ class TraceView {
   std::uint32_t block_bytes() const { return storage_->block_bytes; }
   std::uint64_t total_blocks() const { return storage_->total_blocks; }
   std::size_t size() const { return storage_ == nullptr ? 0 : storage_->record_count; }
-  // True when the columns point into a mapped cache entry (no copy was made).
+  // True when the columns point into a mapped cache entry (no copy was
+  // made); the one thing that tells the two backings apart.
   bool zero_copy() const { return storage_ != nullptr && storage_->zero_copy; }
 
   const SimTime* times() const { return storage_->times; }

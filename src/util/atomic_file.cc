@@ -31,7 +31,7 @@ std::string TempName(const std::string& path) {
 
 }  // namespace
 
-bool WriteFileAtomic(const std::string& path, const std::string& data,
+bool WriteFileAtomic(const std::string& path, std::string_view data,
                      std::string* error) {
   const std::string tmp = TempName(path);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);

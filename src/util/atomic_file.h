@@ -10,13 +10,14 @@
 #define MOBISIM_SRC_UTIL_ATOMIC_FILE_H_
 
 #include <string>
+#include <string_view>
 
 namespace mobisim {
 
 // Writes `data` to `path` atomically.  On failure returns false with a
 // description in `error` (when non-null); the temp file is cleaned up and
 // any existing file at `path` is left untouched.
-bool WriteFileAtomic(const std::string& path, const std::string& data,
+bool WriteFileAtomic(const std::string& path, std::string_view data,
                      std::string* error = nullptr);
 
 // Reads the entire file into `data`.  Returns false with `error` set when

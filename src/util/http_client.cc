@@ -28,6 +28,16 @@ constexpr std::uint64_t kDelayStream = 0xe7037ed1a0b428dbULL;
 constexpr std::uint64_t kDupStream = 0x8ebc6af09c88c6e3ULL;
 constexpr std::uint64_t kJitterStream = 0x589965cc75374cc3ULL;
 
+// The wait before retry `attempt` (0-based), before the jitter factor:
+// backoff_base_sec doubled per attempt, capped at backoff_max_sec.
+double BackoffBeforeJitterSec(const HttpClientOptions& options, std::size_t attempt) {
+  double backoff = options.backoff_base_sec;
+  for (std::size_t i = 0; i < attempt && backoff < options.backoff_max_sec; ++i) {
+    backoff *= 2.0;
+  }
+  return std::min(backoff, options.backoff_max_sec);
+}
+
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) {
     *error = message;
@@ -309,6 +319,14 @@ bool HttpClient::Fetch(const std::string& method, const std::string& path,
   return true;
 }
 
+double WorstCaseRetryBackoffSec(const HttpClientOptions& options) {
+  double total = 0.0;
+  for (std::size_t attempt = 0; attempt < options.max_retries; ++attempt) {
+    total += 2.0 * BackoffBeforeJitterSec(options, attempt);
+  }
+  return total;
+}
+
 bool HttpClient::FetchWithRetry(const std::string& method,
                                 const std::string& path,
                                 const std::string& body,
@@ -349,12 +367,8 @@ bool HttpClient::FetchWithRetry(const std::string& method,
                           " attempts)");
       return false;
     }
-    double backoff = options_.backoff_base_sec;
-    for (std::size_t i = 0; i < attempt && backoff < options_.backoff_max_sec; ++i) {
-      backoff *= 2.0;
-    }
-    backoff = std::min(backoff, options_.backoff_max_sec);
-    backoff *= jitter_rng_.Uniform(1.0, 2.0);
+    const double backoff =
+        BackoffBeforeJitterSec(options_, attempt) * jitter_rng_.Uniform(1.0, 2.0);
     std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
   }
 }

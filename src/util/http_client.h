@@ -44,6 +44,12 @@ struct HttpClientOptions {
   std::uint64_t jitter_seed = 1;
 };
 
+// The longest FetchWithRetry can sleep between a request's first and last
+// attempt under `options`: every backoff of the schedule at the top of its
+// jitter range.  A server that must still be there for a client's last
+// retry keeps listening at least this long.
+double WorstCaseRetryBackoffSec(const HttpClientOptions& options);
+
 // Seed-driven network-fault plan.  All rates default to zero: no draw is
 // ever made and the injector is a strict no-op.
 struct NetFaultConfig {

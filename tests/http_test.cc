@@ -232,6 +232,19 @@ TEST(HttpClientTest, RetriesExhaustAgainstClosedPort) {
   EXPECT_NE(error.find("after 3 attempts"), std::string::npos) << error;
 }
 
+TEST(HttpClientTest, WorstCaseRetryBackoffCoversTheWholeSchedule) {
+  // Defaults: 0.2 + 0.4 + 0.8 + 1.6 s of backoff, each at most doubled by
+  // the jitter.
+  EXPECT_DOUBLE_EQ(WorstCaseRetryBackoffSec(HttpClientOptions{}), 6.0);
+  HttpClientOptions capped;
+  capped.max_retries = 5;
+  capped.backoff_base_sec = 0.5;
+  capped.backoff_max_sec = 1.5;
+  EXPECT_DOUBLE_EQ(WorstCaseRetryBackoffSec(capped), 2.0 * (0.5 + 1.0 + 1.5 + 1.5 + 1.5));
+  capped.max_retries = 0;
+  EXPECT_DOUBLE_EQ(WorstCaseRetryBackoffSec(capped), 0.0);
+}
+
 TEST(HttpClientTest, HttpErrorStatusIsAnAnswerNotARetry) {
   HttpServer server;
   std::string error;

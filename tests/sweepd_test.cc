@@ -944,6 +944,75 @@ TEST(RemoteWorkerTest, FaultInjectedSweepStillMatchesSerial) {
   EXPECT_EQ(MergedRowsJson(root), SerialRowsJson(kTinySpec));
 }
 
+// The dispatcher keeps answering "drained" until the worker has heard it:
+// a proxy in front of it swallows the worker's first three /lease polls
+// after the queue runs dry, each past the worker's read deadline, so to the
+// worker they are lost requests and it backs off between retries.  Its
+// fourth poll must still find the dispatcher and end the loop cleanly.
+TEST(RemoteWorkerTest, WorkerWhoseDrainedPollsAreLostStillExitsClean) {
+  const std::string root = FreshDir("remotelostdrain");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 2, &error).has_value()) << error;
+
+  DispatcherOptions options;
+  options.spool_root = root;
+  options.workers = 0;
+  options.worker_binary = "/nonexistent/worker";
+  options.http_port = 0;
+  options.poll_sec = 0.02;
+  DispatchSummary dispatch;
+  std::thread dispatcher([&] { dispatch = RunDispatcher(options); });
+  const std::uint16_t dispatcher_port = WaitForPortFile(root);
+
+  constexpr double kReadDeadlineSec = 0.2;
+  const auto outlast_deadline = [] {
+    std::this_thread::sleep_for(std::chrono::duration<double>(2 * kReadDeadlineSec));
+  };
+  Spool spool(root);
+  int swallowed = 0;
+  HttpServer proxy;
+  ASSERT_TRUE(proxy.Start(
+      0,
+      [&](const HttpRequest& request) {
+        const Spool::Counts counts = spool.CountItems();
+        if (request.path == "/lease" && counts.queued == 0 && counts.running == 0 &&
+            swallowed < 3) {
+          ++swallowed;
+          outlast_deadline();
+          return HttpError(503, "swallowed");
+        }
+        HttpClient upstream("127.0.0.1", dispatcher_port);
+        HttpResponse response;
+        std::string fetch_error;
+        if (!upstream.Fetch(request.method, request.path, request.body, &response,
+                            &fetch_error)) {
+          outlast_deadline();  // the dispatcher is gone: look like it
+          return HttpError(503, fetch_error);
+        }
+        return response;
+      },
+      &error))
+      << error;
+
+  WorkerOptions remote;
+  remote.port = proxy.port();
+  remote.worker_name = "test-lossy";
+  remote.poll_sec = 0.02;
+  remote.heartbeat_sec = 0.05;
+  remote.http.io_timeout_sec = kReadDeadlineSec;  // default backoff schedule
+  const WorkerSummary summary = RunWorkerLoop(remote);
+  dispatcher.join();
+  proxy.Stop();
+
+  EXPECT_EQ(swallowed, 3);
+  EXPECT_TRUE(summary.drained);
+  EXPECT_FALSE(summary.unreachable);
+  EXPECT_GE(summary.transport_failures, 3u);
+  EXPECT_TRUE(dispatch.complete);
+  EXPECT_EQ(MergedRowsJson(root), SerialRowsJson(kTinySpec));
+}
+
 TEST(RemoteWorkerTest, KilledWorkerRequeuesAndSuccessorConverges) {
   const std::string root = FreshDir("remotekill");
   std::filesystem::remove_all(root);

@@ -1,11 +1,16 @@
-// Tests for the persistent fingerprint-keyed trace cache: serialization
-// round-trips, fingerprint sensitivity, hit/miss/corruption accounting,
-// byte-identical results with the cache on/off/cold/warm (including under
-// parallel sweeps), and the maintenance surface (list + gc).
+// Tests for the persistent fingerprint-keyed trace cache: the entry image
+// (bytes pinned against earlier builds, the column builder against the row
+// path, owned and mapped views alike), entry validation, fingerprint
+// sensitivity, hit/miss/corruption accounting, byte-identical results with
+// the cache on/off/cold/warm (including under parallel sweeps), and the
+// maintenance surface (list + gc).
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +24,12 @@
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/trace_cache.h"
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_io.h"
+#include "src/trace/trace_view.h"
 #include "src/util/atomic_file.h"
+#include "src/util/hash.h"
+#include "src/util/rng.h"
 
 namespace mobisim {
 namespace {
@@ -52,37 +61,188 @@ bool SameTrace(const BlockTrace& a, const BlockTrace& b) {
   return true;
 }
 
+std::string EntryDigest(std::string_view bytes) {
+  return HexU64(Fnv1a64Wide(bytes.data(), bytes.size()));
+}
+
 TEST(TraceSerializationTest, RoundTripIsExact) {
   const BlockTrace trace = SmallTrace();
   const std::string data = SerializeBlockTrace(trace);
   std::string error;
-  const auto back = DeserializeBlockTrace(data, &error);
-  ASSERT_TRUE(back.has_value()) << error;
-  EXPECT_TRUE(SameTrace(trace, *back));
+  ASSERT_TRUE(ValidateEntry(data.data(), data.size(), &error)) << error;
+  // Decoded back to rows through an owned-image view.
+  const BlockTrace back = TraceView::FromImage(TraceImage::Copy(data)).ToBlockTrace();
+  EXPECT_TRUE(SameTrace(trace, back));
   // Serialization is deterministic: same trace, same bytes.
-  EXPECT_EQ(data, SerializeBlockTrace(*back));
+  EXPECT_EQ(data, SerializeBlockTrace(back));
 }
 
 TEST(TraceSerializationTest, DetectsTruncationAndCorruption) {
   const std::string data = SerializeBlockTrace(SmallTrace());
   std::string error;
+  const auto valid = [&error](const std::string& bytes) {
+    return ValidateEntry(bytes.data(), bytes.size(), &error);
+  };
 
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{17},
                                 data.size() - 1}) {
-    EXPECT_FALSE(DeserializeBlockTrace(data.substr(0, cut), &error).has_value())
-        << "cut at " << cut;
+    EXPECT_FALSE(valid(data.substr(0, cut))) << "cut at " << cut;
   }
   // A flipped payload byte fails the footer hash.
   std::string flipped = data;
   flipped[data.size() / 2] = static_cast<char>(flipped[data.size() / 2] ^ 0x5a);
-  EXPECT_FALSE(DeserializeBlockTrace(flipped, &error).has_value());
+  EXPECT_FALSE(valid(flipped));
   EXPECT_NE(error.find("hash"), std::string::npos) << error;
   // Extra trailing bytes are not silently ignored.
-  EXPECT_FALSE(DeserializeBlockTrace(data + "x", &error).has_value());
+  EXPECT_FALSE(valid(data + "x"));
   // Wrong magic.
   std::string magic = data;
   magic[0] = 'X';
-  EXPECT_FALSE(DeserializeBlockTrace(magic, &error).has_value());
+  EXPECT_FALSE(valid(magic));
+  // An op byte outside OpType fails even under a matching footer.
+  EntryLayout layout;
+  ASSERT_TRUE(ParseEntryLayout(data.data(), data.size(), &layout));
+  std::string bad_op = data;
+  bad_op[layout.ops_off] = 7;
+  const std::uint64_t footer = Fnv1a64Wide(bad_op.data(), layout.footer_off);
+  for (int i = 0; i < 8; ++i) {
+    bad_op[layout.footer_off + i] = static_cast<char>((footer >> (8 * i)) & 0xff);
+  }
+  EXPECT_FALSE(valid(bad_op));
+  EXPECT_NE(error.find("op byte"), std::string::npos) << error;
+}
+
+// Fnv1a64Wide digests of whole entry files (footer included) as the row
+// serializer wrote them before the image builder existed.  The format did
+// not change, so the builder must reproduce every byte.
+struct PinnedEntry {
+  const char* workload;
+  double scale;
+  std::uint64_t seed;
+  const char* digest;
+};
+
+constexpr PinnedEntry kPinnedEntries[] = {
+    {"mac", 0.02, 1, "1e2e8f954876d20a"},   {"mac", 0.02, 7, "56054a5a2fb418df"},
+    {"mac", 0.1, 1, "5cdd7469a3a9e499"},    {"mac", 0.1, 7, "55290b6453cb3a58"},
+    {"dos", 0.02, 1, "e51b2a7d2c8af0c4"},   {"dos", 0.02, 7, "bf6bc9443ab043a9"},
+    {"dos", 0.1, 1, "7119821ada4a0982"},    {"dos", 0.1, 7, "a48864171637ae8b"},
+    {"hp", 0.02, 1, "f0fb9423a522ae61"},    {"hp", 0.02, 7, "40f6c4fe747cde6e"},
+    {"hp", 0.1, 1, "76aa96d6b9955270"},     {"hp", 0.1, 7, "19dd7011ec324a17"},
+    {"synth", 0.02, 1, "19a8755c498362d7"}, {"synth", 0.02, 7, "d92879896ab08652"},
+    {"synth", 0.1, 1, "9914a31f3ae07514"},  {"synth", 0.1, 7, "657bc90c88c181c8"},
+};
+
+TEST(TraceImageTest, BuilderReproducesPinnedEntryDigests) {
+  for (const PinnedEntry& pinned : kPinnedEntries) {
+    SCOPED_TRACE(std::string(pinned.workload) + " scale " +
+                 std::to_string(pinned.scale) + " seed " + std::to_string(pinned.seed));
+    const TraceImage image =
+        TraceImage::Build(GenerateNamedWorkload(pinned.workload, pinned.scale, pinned.seed));
+    EXPECT_EQ(EntryDigest(image.bytes()), pinned.digest);
+  }
+}
+
+TEST(TraceImageTest, TextImportWithEraseOnlyAndSparseFileIdsIsPinned) {
+  // File 77 is only ever erased (a 1-block extent); file 4000000000 is a
+  // sparse id near the top of the u32 range; the name needs padding.
+  std::istringstream text(
+      "mobisim-trace v1\n"
+      "name sparse\n"
+      "block 512\n"
+      "0 w 3 0 1500\n"
+      "10 e 77 0 0\n"
+      "20 w 4000000000 1024 4096\n"
+      "30 r 3 512 100\n"
+      "40 w 3 3000 10\n"
+      "50 e 3 0 0\n"
+      "60 r 4000000000 0 512\n"
+      "70 w 12 0 0\n"
+      "80 e 4000000000 0 0\n");
+  std::string error;
+  const auto trace = ReadTrace(text, &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  const TraceImage image = TraceImage::Build(*trace);
+  EXPECT_EQ(EntryDigest(image.bytes()), "ac86d9d279c3fd38");
+  EXPECT_EQ(image.bytes(), SerializeBlockTrace(BlockMapper::Map(*trace)));
+  const BlockTrace rows = TraceView::FromImage(TraceImage::Build(*trace)).ToBlockTrace();
+  EXPECT_EQ(rows.total_blocks, 18u);
+  ASSERT_EQ(rows.records.size(), 9u);
+  EXPECT_EQ(rows.records[1].op, OpType::kErase);
+  EXPECT_EQ(rows.records[1].lba, 6u);
+  EXPECT_EQ(rows.records[1].block_count, 1u);
+  EXPECT_EQ(rows.records[8].file_id, 4000000000u);
+  EXPECT_EQ(rows.records[8].block_count, 10u);
+}
+
+// A random file-level trace: reads, writes and erases over a mix of dense
+// and sparse file ids, odd record counts and name lengths (so every column
+// and the name exercise their padding), zero-size transfers included.
+Trace RandomTrace(std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr std::uint32_t kIds[] = {0, 1, 2, 3, 9, 65535, 1u << 31, 4000000000u, 0xffffffffu};
+  constexpr std::uint32_t kBlockBytes[] = {512, 1024, 4096};
+  Trace trace;
+  trace.name = std::string(static_cast<std::size_t>(rng.UniformInt(0, 13)), 'n');
+  trace.block_bytes = kBlockBytes[rng.UniformInt(0, 2)];
+  const std::int64_t n = rng.UniformInt(0, 301);
+  SimTime now = 0;
+  for (std::int64_t i = 0; i < n; ++i) {
+    TraceRecord rec;
+    now += rng.UniformInt(0, 5000);
+    rec.time_us = now;
+    rec.op = static_cast<OpType>(rng.UniformInt(0, 2));
+    rec.file_id = kIds[rng.UniformInt(0, std::size(kIds) - 1)];
+    if (rec.op != OpType::kErase) {
+      rec.offset = static_cast<std::uint64_t>(rng.UniformInt(0, 1 << 22));
+      rec.size_bytes = static_cast<std::uint32_t>(rng.UniformInt(0, 1 << 16));
+    }
+    trace.records.push_back(rec);
+  }
+  return trace;
+}
+
+TEST(TraceImageTest, ColumnBuilderMatchesTheRowPathOnRandomTraces) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    const Trace trace = RandomTrace(seed);
+    const TraceImage image = TraceImage::Build(trace);
+    ASSERT_EQ(image.bytes(), SerializeBlockTrace(BlockMapper::Map(trace)));
+    ASSERT_TRUE(ValidateEntry(image.data(), image.size()));
+  }
+}
+
+void ExpectSameColumns(const TraceView& a, const TraceView& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.block_bytes(), b.block_bytes());
+  EXPECT_EQ(a.total_blocks(), b.total_blocks());
+  const std::size_t n = a.size();
+  EXPECT_EQ(std::memcmp(a.times(), b.times(), n * sizeof(SimTime)), 0);
+  EXPECT_EQ(std::memcmp(a.lbas(), b.lbas(), n * sizeof(std::uint64_t)), 0);
+  EXPECT_EQ(std::memcmp(a.counts(), b.counts(), n * sizeof(std::uint32_t)), 0);
+  EXPECT_EQ(std::memcmp(a.file_ids(), b.file_ids(), n * sizeof(std::uint32_t)), 0);
+  EXPECT_EQ(std::memcmp(a.ops(), b.ops(), n), 0);
+}
+
+TEST(TraceImageTest, OwnedAndMappedViewsDifferOnlyInZeroCopy) {
+  const std::string dir = FreshDir("tc_layout");
+  TraceCache cold(dir);
+  const TraceView owned = LoadOrGenerateTraceView(&cold, "dos", 0.1, 3);
+  TraceCache warm(dir);
+  const TraceView mapped = warm.LoadView(TraceCacheFingerprint("dos", 0.1, 3));
+  ASSERT_FALSE(owned.empty());
+  EXPECT_FALSE(owned.zero_copy());
+  EXPECT_TRUE(mapped.zero_copy());
+  ExpectSameColumns(owned, mapped);
+  // The entry file is the owned image's bytes, and a copy of them adopted
+  // as a view (the fallback backing) holds the same columns too.
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(warm.EntryPath(TraceCacheFingerprint("dos", 0.1, 3)), &file));
+  EXPECT_EQ(file, SerializeBlockTrace(owned.ToBlockTrace()));
+  const TraceView copied = TraceView::FromImage(TraceImage::Copy(file));
+  EXPECT_FALSE(copied.zero_copy());
+  ExpectSameColumns(copied, mapped);
 }
 
 TEST(TraceFingerprintTest, SensitiveToEveryKeyComponent) {
@@ -113,30 +273,29 @@ TEST(TraceCacheTest, ColdMissStoresThenWarmHitIsBitIdentical) {
   const std::string dir = FreshDir("tc_basic");
   TraceCache cache(dir);
 
-  const auto first = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
-  ASSERT_NE(first, nullptr);
+  const BlockTrace first = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7).ToBlockTrace();
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
   TraceCache warm(dir);
-  const auto second = LoadOrGenerateBlockTrace(&warm, "synth", 0.02, 7);
-  ASSERT_NE(second, nullptr);
+  const BlockTrace second = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7).ToBlockTrace();
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(warm.stats().misses, 0u);
   EXPECT_EQ(warm.stats().stores, 0u);
-  EXPECT_TRUE(SameTrace(*first, *second));
+  EXPECT_TRUE(SameTrace(first, second));
   // Bit-identical means the serializations match too.
-  EXPECT_EQ(SerializeBlockTrace(*first), SerializeBlockTrace(*second));
+  EXPECT_EQ(SerializeBlockTrace(first), SerializeBlockTrace(second));
   // And both match plain generation with no cache at all.
-  const auto plain = LoadOrGenerateBlockTrace(nullptr, "synth", 0.02, 7);
-  EXPECT_TRUE(SameTrace(*plain, *second));
+  EXPECT_TRUE(SameTrace(LoadOrGenerateTraceView(nullptr, "synth", 0.02, 7).ToBlockTrace(),
+                        second));
+  EXPECT_TRUE(SameTrace(SmallTrace(), second));
 }
 
 TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   const std::string dir = FreshDir("tc_corrupt");
   TraceCache cache(dir);
-  const auto original = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
+  const BlockTrace original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7).ToBlockTrace();
   const std::string path = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 7));
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -144,15 +303,16 @@ TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   std::filesystem::resize_file(path, 17);
 
   TraceCache reread(dir);
-  const auto regenerated = LoadOrGenerateBlockTrace(&reread, "synth", 0.02, 7);
-  ASSERT_NE(regenerated, nullptr);
+  const TraceView regenerated = LoadOrGenerateTraceView(&reread, "synth", 0.02, 7);
+  ASSERT_FALSE(regenerated.empty());
   EXPECT_EQ(reread.stats().corrupt, 1u);
   EXPECT_EQ(reread.stats().misses, 1u);
   EXPECT_EQ(reread.stats().stores, 1u);  // re-stored after regeneration
-  EXPECT_TRUE(SameTrace(*original, *regenerated));
+  EXPECT_TRUE(SameTrace(original, regenerated.ToBlockTrace()));
   // The re-stored entry is whole again.
   TraceCache again(dir);
-  EXPECT_NE(again.Load(TraceCacheFingerprint("synth", 0.02, 7)), nullptr);
+  EXPECT_FALSE(again.LoadView(TraceCacheFingerprint("synth", 0.02, 7)).empty());
+  EXPECT_EQ(again.stats().hits, 1u);
 }
 
 TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {
@@ -161,8 +321,7 @@ TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {
   const std::string blocker = dir + "/file";
   std::ofstream(blocker) << "x";
   TraceCache cache(blocker + "/cache");
-  const auto trace = LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 7);
-  ASSERT_NE(trace, nullptr);
+  EXPECT_FALSE(LoadOrGenerateTraceView(&cache, "synth", 0.02, 7).empty());
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 0u);
   EXPECT_GE(cache.stats().errors, 1u);
@@ -317,8 +476,8 @@ TEST(TraceCacheTest, ReMapOfAVanishedEntryRegenerates) {
 TEST(TraceCacheMaintenanceTest, ListReportsValidity) {
   const std::string dir = FreshDir("tc_list");
   TraceCache cache(dir);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 1);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 2);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 1);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 2);
   const std::string bad = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 2));
   std::filesystem::resize_file(bad, 10);
 
@@ -336,9 +495,9 @@ TEST(TraceCacheMaintenanceTest, ListReportsValidity) {
 TEST(TraceCacheMaintenanceTest, GcRemovesInvalidAndTempThenEvictsToBudget) {
   const std::string dir = FreshDir("tc_gc");
   TraceCache cache(dir);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 1);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 2);
-  LoadOrGenerateBlockTrace(&cache, "synth", 0.02, 3);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 1);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 2);
+  LoadOrGenerateTraceView(&cache, "synth", 0.02, 3);
   // A corrupted entry and a leftover temp file from a crashed writer.
   const std::string bad = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 3));
   std::filesystem::resize_file(bad, 5);

@@ -1,6 +1,6 @@
 // Tests for the zero-copy mmap trace path: a warm cache entry is served as
 // an mmap-backed TraceView whose records — and whose simulation results —
-// are bit-identical to the copying loader and to plain generation; a torn
+// are bit-identical to an owned-image view and to plain generation; a torn
 // entry falls back to regeneration and heals the cache; gc'ing an entry out
 // from under a live view leaves the mapping readable (POSIX unlink
 // semantics); and warm parallel sweeps stay deterministic across thread
