@@ -83,7 +83,7 @@ void BM_FlashCardWrite(benchmark::State& state) {
 BENCHMARK(BM_FlashCardWrite);
 
 void BM_BufferCacheHit(benchmark::State& state) {
-  BufferCache cache(NecDramSpec(), 2 * 1024 * 1024, 1024);
+  BufferCache cache(NecDramSpec(), 2 * 1024 * 1024, 1024, /*address_blocks=*/1024);
   cache.Insert(0, 1024);
   std::uint64_t lba = 0;
   for (auto _ : state) {

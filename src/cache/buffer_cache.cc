@@ -7,11 +7,13 @@
 namespace mobisim {
 
 BufferCache::BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes,
-                         std::uint32_t block_bytes)
+                         std::uint32_t block_bytes, std::uint64_t address_blocks)
     : spec_(spec),
       capacity_blocks_(capacity_bytes / block_bytes),
       block_bytes_(block_bytes),
-      meter_({{"active", spec.active_w}, {"refresh", /*computed below*/ 0.0}}) {
+      meter_({{"active", spec.active_w}, {"refresh", /*computed below*/ 0.0}}),
+      // A disabled cache never probes, so it indexes nothing.
+      cache_(capacity_blocks_ > 0 ? address_blocks : 0, capacity_blocks_) {
   MOBISIM_CHECK(block_bytes > 0);
   refresh_w_ = spec.idle_w_per_mbyte * static_cast<double>(capacity_bytes) / (1024.0 * 1024.0);
 }
@@ -21,8 +23,7 @@ void BufferCache::InvalidateRange(std::uint64_t lba, std::uint32_t count) {
     return;
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    bool was_dirty = false;
-    cache_.Erase(lba + i, &was_dirty);
+    cache_.Erase(lba + i);
   }
 }
 
@@ -39,21 +40,15 @@ void BufferCache::MarkDirty(std::uint64_t lba, std::uint32_t count) {
   }
 }
 
-std::vector<BufferCache::DirtyRange> BufferCache::DrainDirty() {
-  std::vector<std::uint64_t> blocks;
-  blocks.reserve(cache_.dirty_count());
-  cache_.CollectDirty(&blocks);
-  std::sort(blocks.begin(), blocks.end());
+void BufferCache::DrainDirty(std::vector<BlockRange>* out) {
+  drain_scratch_.clear();
+  cache_.CollectDirty(&drain_scratch_);
+  std::sort(drain_scratch_.begin(), drain_scratch_.end());
   cache_.ClearDirtyBits();
-  std::vector<DirtyRange> ranges;
-  for (const std::uint64_t block : blocks) {
-    if (!ranges.empty() && ranges.back().lba + ranges.back().count == block) {
-      ++ranges.back().count;
-    } else {
-      ranges.push_back(DirtyRange{block, 1});
-    }
+  out->clear();
+  for (const std::uint64_t block : drain_scratch_) {
+    AppendCoalesced(block, out);
   }
-  return ranges;
 }
 
 }  // namespace mobisim

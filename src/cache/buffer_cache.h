@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "src/device/device_spec.h"
-#include "src/util/block_hash.h"
+#include "src/util/block_index.h"
 #include "src/util/energy_meter.h"
 #include "src/util/sim_time.h"
 
@@ -24,7 +24,10 @@ namespace mobisim {
 
 class BufferCache {
  public:
-  BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes, std::uint32_t block_bytes);
+  // `address_blocks` is the block address space the cache indexes: every
+  // lba passed in must be below it.
+  BufferCache(const MemorySpec& spec, std::uint64_t capacity_bytes, std::uint32_t block_bytes,
+              std::uint64_t address_blocks);
 
   bool enabled() const { return capacity_blocks_ > 0; }
   std::uint64_t capacity_blocks() const { return capacity_blocks_; }
@@ -85,14 +88,10 @@ class BufferCache {
   // Marks cached blocks dirty; they must already be present (Insert first).
   void MarkDirty(std::uint64_t lba, std::uint32_t count);
   std::uint64_t dirty_blocks() const { return cache_.dirty_count(); }
-  // A maximal run of consecutive dirty blocks.
-  struct DirtyRange {
-    std::uint64_t lba = 0;
-    std::uint32_t count = 0;
-  };
-  // Clears all dirty flags and returns the blocks coalesced into ranges
-  // sorted by LBA (the periodic sync path).  Blocks stay cached.
-  std::vector<DirtyRange> DrainDirty();
+  // Clears all dirty flags and fills `out` (replacing its contents) with the
+  // blocks coalesced into ranges sorted by LBA (the periodic sync path).
+  // Blocks stay cached.
+  void DrainDirty(std::vector<BlockRange>* out);
 
   // Time to move `bytes` through the DRAM, and the paired active energy.
   SimTime AccessTime(std::uint64_t bytes) const {
@@ -127,9 +126,10 @@ class BufferCache {
   double refresh_w_ = 0.0;
 
   // Index, recency order, and dirty bits in one flat structure (see
-  // block_hash.h); eviction order is exact LRU, identical to the previous
-  // list-based implementation.
+  // block_index.h); eviction order is exact LRU.
   LruBlockMap cache_;
+  // DrainDirty's sort buffer, kept so the sync path does not allocate.
+  std::vector<std::uint64_t> drain_scratch_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -1,17 +1,17 @@
 #include "src/cache/sram_write_buffer.h"
 
-#include <algorithm>
-
 #include "src/util/check.h"
 
 namespace mobisim {
 
 SramWriteBuffer::SramWriteBuffer(const MemorySpec& spec, std::uint64_t capacity_bytes,
-                                 std::uint32_t block_bytes)
+                                 std::uint32_t block_bytes, std::uint64_t address_blocks)
     : spec_(spec),
       capacity_blocks_(capacity_bytes / block_bytes),
       block_bytes_(block_bytes),
-      meter_({{"active", spec.active_w}, {"retention", 0.0}}) {
+      meter_({{"active", spec.active_w}, {"retention", 0.0}}),
+      // A disabled buffer never probes, so it indexes nothing.
+      dirty_(capacity_blocks_ > 0 ? address_blocks : 0) {
   MOBISIM_CHECK(block_bytes > 0);
   retention_w_ = spec.idle_w_per_mbyte * static_cast<double>(capacity_bytes) / (1024.0 * 1024.0);
 }
@@ -37,29 +37,19 @@ bool SramWriteBuffer::Absorb(std::uint64_t lba, std::uint32_t count) {
 }
 
 void SramWriteBuffer::Discard(std::uint64_t lba, std::uint32_t count) {
+  if (!enabled()) {
+    return;
+  }
   for (std::uint32_t i = 0; i < count; ++i) {
     dirty_.erase(lba + i);
   }
 }
 
-std::vector<SramWriteBuffer::FlushRange> SramWriteBuffer::Drain() {
-  std::vector<std::uint64_t> blocks;
-  blocks.reserve(dirty_.size());
-  dirty_.CollectInto(&blocks);
-  std::sort(blocks.begin(), blocks.end());
-  dirty_.clear();
-  std::vector<FlushRange> ranges;
-  for (const std::uint64_t block : blocks) {
-    if (!ranges.empty() && ranges.back().lba + ranges.back().count == block) {
-      ++ranges.back().count;
-    } else {
-      ranges.push_back(FlushRange{block, 1});
-    }
-  }
-  if (!ranges.empty()) {
+void SramWriteBuffer::Drain(std::vector<BlockRange>* out) {
+  if (!dirty_.empty()) {
     ++flushes_;
   }
-  return ranges;
+  dirty_.DrainInto(out);
 }
 
 }  // namespace mobisim

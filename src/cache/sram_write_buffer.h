@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "src/device/device_spec.h"
-#include "src/util/block_hash.h"
+#include "src/util/block_index.h"
 #include "src/util/energy_meter.h"
 #include "src/util/sim_time.h"
 
@@ -22,8 +22,10 @@ namespace mobisim {
 
 class SramWriteBuffer {
  public:
+  // `address_blocks` is the block address space the buffer indexes: every
+  // lba passed in must be below it.
   SramWriteBuffer(const MemorySpec& spec, std::uint64_t capacity_bytes,
-                  std::uint32_t block_bytes);
+                  std::uint32_t block_bytes, std::uint64_t address_blocks);
 
   bool enabled() const { return capacity_blocks_ > 0; }
   std::uint64_t capacity_blocks() const { return capacity_blocks_; }
@@ -64,14 +66,9 @@ class SramWriteBuffer {
   // Removes blocks covered by a file deletion; they no longer need flushing.
   void Discard(std::uint64_t lba, std::uint32_t count);
 
-  // A maximal run of consecutive dirty blocks, flushed as one device write.
-  struct FlushRange {
-    std::uint64_t lba = 0;
-    std::uint32_t count = 0;
-  };
-  // Empties the buffer, returning its contents coalesced into ranges sorted
-  // by LBA.
-  std::vector<FlushRange> Drain();
+  // Empties the buffer into `out` (replacing its contents): the blocks
+  // coalesced into ranges sorted by LBA, each flushed as one device write.
+  void Drain(std::vector<BlockRange>* out);
 
   SimTime AccessTime(std::uint64_t bytes) const {
     return static_cast<SimTime>(spec_.access_overhead_us) +

@@ -22,8 +22,8 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
                              std::uint32_t block_bytes)
     : config_(config),
       block_bytes_(block_bytes),
-      dram_(config.dram, config.dram_bytes, block_bytes),
-      sram_(config.sram, config.sram_bytes, block_bytes) {
+      dram_(config.dram, config.dram_bytes, block_bytes, trace_blocks),
+      sram_(config.sram, config.sram_bytes, block_bytes, trace_blocks) {
   DeviceOptions options;
   options.block_bytes = block_bytes;
   options.spin_down_after_us = config.spin_down_after_us;
@@ -119,7 +119,8 @@ SimTime StorageSystem::DeviceWrite(SimTime now, const BlockRecord& rec,
 
 SimTime StorageSystem::DrainSramTo(SimTime now) {
   SimTime completion = now;
-  for (const SramWriteBuffer::FlushRange& range : sram_.Drain()) {
+  sram_.Drain(&ranges_scratch_);
+  for (const BlockRange& range : ranges_scratch_) {
     BlockRecord rec;
     rec.time_us = now;
     rec.op = OpType::kWrite;
@@ -184,7 +185,8 @@ SimTime StorageSystem::PowerLoss(SimTime now) {
 }
 
 void StorageSystem::SyncDirtyCache(SimTime now) {
-  for (const BufferCache::DirtyRange& range : dram_.DrainDirty()) {
+  dram_.DrainDirty(&ranges_scratch_);
+  for (const BlockRange& range : ranges_scratch_) {
     BlockRecord rec;
     rec.time_us = now;
     rec.op = OpType::kWrite;

@@ -28,8 +28,9 @@ namespace mobisim {
 
 class StorageSystem {
  public:
-  // `trace_blocks` is the workload's logical address-space size (used to
-  // preload flash devices to the configured utilization).  `block_bytes` is
+  // `trace_blocks` is the workload's logical address-space size: every
+  // record's blocks lie below it.  It sizes the DRAM and SRAM indexes and
+  // preloads flash devices to the configured utilization.  `block_bytes` is
   // the workload's file-system block size.
   StorageSystem(const SimConfig& config, std::uint64_t trace_blocks,
                 std::uint32_t block_bytes);
@@ -129,6 +130,9 @@ class StorageSystem {
   // Per-call scratch for dirty-eviction victims, kept as a member so the hot
   // read/write paths do not allocate; cleared before each use.
   std::vector<std::uint64_t> evicted_scratch_;
+  // Per-call scratch for the ranges DrainSramTo and SyncDirtyCache write out
+  // (neither calls the other), refilled by each drain.
+  std::vector<BlockRange> ranges_scratch_;
 };
 
 // Capacity (bytes) a device needs so `trace_bytes` of live data fits at

@@ -21,16 +21,29 @@ BlockRecord MakeRecord(SimTime t, OpType op, std::uint64_t lba, std::uint32_t co
   return rec;
 }
 
+// The disk's block count: the address space both caches index.
+std::uint64_t DiskBlocks(const FlashCacheConfig& config) {
+  MOBISIM_CHECK(config.block_bytes > 0);
+  return config.disk_capacity_bytes / config.block_bytes;
+}
+
+std::uint64_t FlashCapacityBytes(const FlashCacheConfig& config) {
+  return std::max<std::uint64_t>(config.flash_bytes,
+                                 2ull * config.flash.erase_segment_bytes + config.block_bytes);
+}
+
 }  // namespace
 
 FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
-    : config_(config), dram_(config.dram, config.dram_bytes, config.block_bytes) {
-  MOBISIM_CHECK(config.block_bytes > 0);
-
+    : config_(config),
+      dram_(config.dram, config.dram_bytes, config.block_bytes, DiskBlocks(config)),
+      cache_capacity_blocks_(static_cast<std::uint64_t>(
+          config.flash_usable_fraction *
+          static_cast<double>(FlashCapacityBytes(config) / config.block_bytes))),
+      blocks_(DiskBlocks(config), cache_capacity_blocks_) {
   DeviceOptions flash_options;
   flash_options.block_bytes = config.block_bytes;
-  flash_options.capacity_bytes = std::max<std::uint64_t>(
-      config.flash_bytes, 2ull * config.flash.erase_segment_bytes + config.block_bytes);
+  flash_options.capacity_bytes = FlashCapacityBytes(config);
   flash_ = std::make_unique<LogFlashDevice>(config.flash, flash_options);
 
   DeviceOptions disk_options;
@@ -39,10 +52,6 @@ FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
   disk_options.spin_down_after_us = config.spin_down_after_us;
   disk_ = std::make_unique<MagneticDisk>(config.disk, disk_options);
 
-  const std::uint64_t flash_blocks =
-      flash_options.capacity_bytes / config.block_bytes;
-  cache_capacity_blocks_ = static_cast<std::uint64_t>(
-      config.flash_usable_fraction * static_cast<double>(flash_blocks));
   MOBISIM_CHECK(cache_capacity_blocks_ > 0);
   free_slots_.reserve(cache_capacity_blocks_);
   // Hand out slots from the top down so pops are cheap.
@@ -53,17 +62,11 @@ FlashCacheSystem::FlashCacheSystem(const FlashCacheConfig& config)
 
 bool FlashCacheSystem::CachedAll(std::uint64_t lba, std::uint32_t count) const {
   for (std::uint32_t i = 0; i < count; ++i) {
-    if (entries_.find(lba + i) == entries_.end()) {
+    if (!blocks_.Contains(lba + i)) {
       return false;
     }
   }
   return true;
-}
-
-void FlashCacheSystem::Touch(std::uint64_t lba) {
-  const auto it = entries_.find(lba);
-  MOBISIM_DCHECK(it != entries_.end());
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
 }
 
 SimTime FlashCacheSystem::Destage(SimTime now, std::uint64_t max_blocks) {
@@ -101,19 +104,16 @@ std::uint64_t FlashCacheSystem::AcquireSlot(SimTime now) {
     free_slots_.pop_back();
     return slot;
   }
-  MOBISIM_CHECK(!lru_.empty());
-  const std::uint64_t victim_lba = lru_.back();
-  const auto it = entries_.find(victim_lba);
-  MOBISIM_DCHECK(it != entries_.end());
+  MOBISIM_CHECK(blocks_.size() > 0);
+  const std::uint64_t victim_lba = blocks_.LruBlock();
   if (dirty_.contains(victim_lba)) {
     // The cache is full of dirty data: destage everything in one disk
     // session rather than dribbling single blocks.
     DestageAll(now);
   }
-  const std::uint64_t slot = it->second.slot;
+  const std::uint64_t slot = blocks_.payload(victim_lba);
   flash_->Trim(now, MakeRecord(now, OpType::kErase, slot, 1));
-  lru_.pop_back();
-  entries_.erase(it);
+  blocks_.Erase(victim_lba);
   return slot;
 }
 
@@ -122,18 +122,12 @@ SimTime FlashCacheSystem::InstallRange(SimTime now, std::uint64_t lba, std::uint
   SimTime response = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t block = lba + i;
-    const auto it = entries_.find(block);
     std::uint64_t slot;
-    if (it != entries_.end()) {
-      slot = it->second.slot;
-      Touch(block);
+    if (blocks_.TouchIfPresent(block)) {
+      slot = blocks_.payload(block);
     } else {
       slot = AcquireSlot(now);
-      lru_.push_front(block);
-      CacheEntry entry;
-      entry.slot = slot;
-      entry.lru_it = lru_.begin();
-      entries_.emplace(block, entry);
+      blocks_.InsertFront(block, static_cast<std::uint32_t>(slot));
     }
     if (dirty) {
       dirty_.insert(block);
@@ -154,13 +148,12 @@ SimTime FlashCacheSystem::HandleRead(const BlockRecord& rec) {
   if (CachedAll(rec.lba, rec.block_count)) {
     ++flash_hits_;
     for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-      Touch(rec.lba + i);
+      blocks_.TouchIfPresent(rec.lba + i);
     }
     // Timing: one flash read of the full size (slot scatter is irrelevant on
     // a byte-addressed card).
-    const SimTime response =
-        flash_->Read(now, MakeRecord(now, OpType::kRead, entries_[rec.lba].slot,
-                                     rec.block_count));
+    const SimTime response = flash_->Read(
+        now, MakeRecord(now, OpType::kRead, blocks_.payload(rec.lba), rec.block_count));
     dram_.Insert(rec.lba, rec.block_count);
     dram_.NoteTransfer(bytes);
     return response;
@@ -201,15 +194,15 @@ SimTime FlashCacheSystem::HandleWrite(const BlockRecord& rec) {
 void FlashCacheSystem::HandleErase(const BlockRecord& rec) {
   dram_.InvalidateRange(rec.lba, rec.block_count);
   for (std::uint32_t i = 0; i < rec.block_count; ++i) {
-    const auto it = entries_.find(rec.lba + i);
-    if (it == entries_.end()) {
+    const std::uint64_t block = rec.lba + i;
+    if (!blocks_.Contains(block)) {
       continue;
     }
-    dirty_.erase(it->first);
-    flash_->Trim(rec.time_us, MakeRecord(rec.time_us, OpType::kErase, it->second.slot, 1));
-    free_slots_.push_back(it->second.slot);
-    lru_.erase(it->second.lru_it);
-    entries_.erase(it);
+    const std::uint64_t slot = blocks_.payload(block);
+    dirty_.erase(block);
+    flash_->Trim(rec.time_us, MakeRecord(rec.time_us, OpType::kErase, slot, 1));
+    free_slots_.push_back(slot);
+    blocks_.Erase(block);
   }
   disk_->Trim(rec.time_us, rec);
 }

@@ -17,16 +17,16 @@
 #define MOBISIM_SRC_FCACHE_FLASH_CACHE_SYSTEM_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <set>
-#include <unordered_map>
+#include <vector>
 
 #include "src/cache/buffer_cache.h"
 #include "src/device/device_catalog.h"
 #include "src/device/log_flash_device.h"
 #include "src/device/magnetic_disk.h"
 #include "src/trace/trace_record.h"
+#include "src/util/block_index.h"
 
 namespace mobisim {
 
@@ -73,16 +73,11 @@ class FlashCacheSystem {
   std::uint64_t destages() const { return destages_; }
   const DeviceCounters& disk_counters() const { return disk_->counters(); }
   const DeviceCounters& flash_counters() const { return flash_->counters(); }
-  std::uint64_t cached_blocks() const { return lru_.size(); }
+  std::uint64_t cached_blocks() const { return blocks_.size(); }
   // Cached blocks newer than their disk copy.
   std::uint64_t dirty_blocks() const { return dirty_.size(); }
 
  private:
-  struct CacheEntry {
-    std::uint64_t slot = 0;  // flash-side block address
-    std::list<std::uint64_t>::iterator lru_it;
-  };
-
   SimTime HandleRead(const BlockRecord& rec);
   SimTime HandleWrite(const BlockRecord& rec);
   void HandleErase(const BlockRecord& rec);
@@ -100,7 +95,6 @@ class FlashCacheSystem {
   // Returns the completion time.
   SimTime Destage(SimTime now, std::uint64_t max_blocks);
   SimTime DestageAll(SimTime now) { return Destage(now, ~std::uint64_t{0}); }
-  void Touch(std::uint64_t lba);
 
   FlashCacheConfig config_;
   BufferCache dram_;
@@ -108,11 +102,12 @@ class FlashCacheSystem {
   std::unique_ptr<MagneticDisk> disk_;
 
   std::uint64_t cache_capacity_blocks_;
-  std::unordered_map<std::uint64_t, CacheEntry> entries_;  // disk lba -> entry
-  std::list<std::uint64_t> lru_;                           // front = most recent
+  // Cached disk LBAs in LRU order, each with its flash slot as the payload.
+  // Its dirty bits are unused: `dirty_` below is the record of dirtiness.
+  LruBlockMap blocks_;
   std::vector<std::uint64_t> free_slots_;
   // Disk LBAs of the dirty cached blocks, in LBA order: the one record of
-  // which entries are dirty.
+  // which cached blocks are dirty.
   std::set<std::uint64_t> dirty_;
   std::uint64_t flash_hits_ = 0;
   std::uint64_t flash_misses_ = 0;

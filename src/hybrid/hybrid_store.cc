@@ -25,7 +25,9 @@ BlockRecord MakeRecord(SimTime t, OpType op, std::uint64_t lba, std::uint32_t co
 }  // namespace
 
 HybridStore::HybridStore(const HybridConfig& config)
-    : config_(config), dram_(config.dram, config.dram_bytes, config.block_bytes) {
+    : config_(config),
+      dram_(config.dram, config.dram_bytes, config.block_bytes,
+            config.disk_capacity_bytes / config.block_bytes) {
   DeviceOptions disk_options;
   disk_options.block_bytes = config.block_bytes;
   disk_options.capacity_bytes = config.disk_capacity_bytes;

@@ -20,9 +20,11 @@ namespace mobisim {
 // *which* invariant a failed point tripped.
 class SimError : public std::runtime_error {
  public:
-  SimError(const char* cond, const char* file, int line)
-      : std::runtime_error(std::string("MOBISIM_CHECK failed: ") + cond + " at " +
-                           file + ":" + std::to_string(line)),
+  // `detail`, when non-empty, names the offending values.
+  SimError(const char* cond, const char* file, int line, const std::string& detail = "")
+      : std::runtime_error(std::string("MOBISIM_CHECK failed: ") + cond +
+                           (detail.empty() ? "" : " (" + detail + ")") + " at " + file + ":" +
+                           std::to_string(line)),
         condition_(cond),
         file_(file),
         line_(line) {}
@@ -37,8 +39,9 @@ class SimError : public std::runtime_error {
   int line_;
 };
 
-[[noreturn]] inline void CheckFailed(const char* cond, const char* file, int line) {
-  throw SimError(cond, file, line);
+[[noreturn]] inline void CheckFailed(const char* cond, const char* file, int line,
+                                     const std::string& detail = "") {
+  throw SimError(cond, file, line, detail);
 }
 
 }  // namespace mobisim
@@ -48,6 +51,15 @@ class SimError : public std::runtime_error {
     if (!(cond)) {                                          \
       ::mobisim::CheckFailed(#cond, __FILE__, __LINE__);    \
     }                                                       \
+  } while (0)
+
+// MOBISIM_CHECK whose message also carries `detail` (a std::string
+// expression, evaluated only on failure).
+#define MOBISIM_CHECK_MSG(cond, detail)                             \
+  do {                                                              \
+    if (!(cond)) {                                                  \
+      ::mobisim::CheckFailed(#cond, __FILE__, __LINE__, (detail));  \
+    }                                                               \
   } while (0)
 
 #ifdef NDEBUG

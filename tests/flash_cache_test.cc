@@ -1,10 +1,13 @@
 // Tests for the flash-as-disk-cache system (Marsh et al. architecture).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "src/fcache/flash_cache_system.h"
+#include "src/trace/block_mapper.h"
+#include "src/trace/calibrated_workload.h"
 #include "src/util/rng.h"
 
 namespace mobisim {
@@ -209,6 +212,56 @@ TEST(FlashCacheTest, RandomMixesMatchPinnedResults) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     EXPECT_EQ(RandomMixFingerprint(seed), kPinned[seed - 1]) << "seed " << seed;
   }
+}
+
+// Replays a small calibrated trace through a small flash cache behind a
+// small DRAM cache and returns what the flash cache did.
+std::string TraceFingerprint(const std::string& workload, std::uint64_t flash_kb,
+                             std::uint64_t dram_kb) {
+  const BlockTrace trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.1));
+  FlashCacheConfig config;
+  config.flash_bytes = flash_kb * 1024;
+  config.dram_bytes = dram_kb * 1024;
+  config.block_bytes = trace.block_bytes;
+  config.disk_capacity_bytes = std::max<std::uint64_t>(trace.total_bytes(), 40ull << 20);
+  FlashCacheSystem system(config);
+  for (const BlockRecord& rec : trace.records) {
+    system.Handle(rec);
+  }
+  system.Finish(trace.records.back().time_us);
+
+  const DeviceCounters& disk = system.disk_counters();
+  const DeviceCounters& flash = system.flash_counters();
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "hits=%llu misses=%llu destages=%llu cached=%llu disk=%llu/%llu/%llu "
+                "flash=%llu/%llu/%llu/%llu/%llu/%llu",
+                static_cast<unsigned long long>(system.flash_hits()),
+                static_cast<unsigned long long>(system.flash_misses()),
+                static_cast<unsigned long long>(system.destages()),
+                static_cast<unsigned long long>(system.cached_blocks()),
+                static_cast<unsigned long long>(disk.reads),
+                static_cast<unsigned long long>(disk.writes),
+                static_cast<unsigned long long>(disk.spinups),
+                static_cast<unsigned long long>(flash.reads),
+                static_cast<unsigned long long>(flash.writes),
+                static_cast<unsigned long long>(flash.segment_erases),
+                static_cast<unsigned long long>(flash.blocks_copied),
+                static_cast<unsigned long long>(flash.clean_jobs),
+                static_cast<unsigned long long>(flash.write_stalls));
+  return buf;
+}
+
+TEST(FlashCacheTest, SmallTracesMatchPinnedCounters) {
+  // Captured from the implementation whose LRU was a std::list indexed by a
+  // std::unordered_map.  The caches are small enough that both the DRAM and
+  // the flash cache evict throughout.
+  EXPECT_EQ(TraceFingerprint("mac", 1024, 64),
+            "hits=1170 misses=5142 destages=3063 cached=512 disk=5142/7202/15 "
+            "flash=1170/15996/144/3179/144/0");
+  EXPECT_EQ(TraceFingerprint("dos", 512, 32),
+            "hits=13 misses=219 destages=160 cached=512 disk=219/638/1 "
+            "flash=13/3310/58/12111/59/0");
 }
 
 }  // namespace

@@ -12,11 +12,12 @@ namespace mobisim {
 namespace {
 
 TEST(BufferCacheDirtyTest, MarkAndDrain) {
-  BufferCache cache(NecDramSpec(), 8 * 1024, 1024);
+  BufferCache cache(NecDramSpec(), 8 * 1024, 1024, /*address_blocks=*/64);
   cache.Insert(0, 4);
   cache.MarkDirty(1, 2);
   EXPECT_EQ(cache.dirty_blocks(), 2u);
-  const auto ranges = cache.DrainDirty();
+  std::vector<BlockRange> ranges;
+  cache.DrainDirty(&ranges);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].lba, 1u);
   EXPECT_EQ(ranges[0].count, 2u);
@@ -26,7 +27,7 @@ TEST(BufferCacheDirtyTest, MarkAndDrain) {
 }
 
 TEST(BufferCacheDirtyTest, EvictionReportsDirtyVictims) {
-  BufferCache cache(NecDramSpec(), 2 * 1024, 1024);  // 2 blocks
+  BufferCache cache(NecDramSpec(), 2 * 1024, 1024, /*address_blocks=*/64);  // 2 blocks
   cache.Insert(0, 2);
   cache.MarkDirty(0, 2);
   std::vector<std::uint64_t> evicted;
@@ -36,12 +37,14 @@ TEST(BufferCacheDirtyTest, EvictionReportsDirtyVictims) {
 }
 
 TEST(BufferCacheDirtyTest, InvalidateClearsDirty) {
-  BufferCache cache(NecDramSpec(), 8 * 1024, 1024);
+  BufferCache cache(NecDramSpec(), 8 * 1024, 1024, /*address_blocks=*/64);
   cache.Insert(0, 4);
   cache.MarkDirty(0, 4);
   cache.InvalidateRange(0, 4);
   EXPECT_EQ(cache.dirty_blocks(), 0u);
-  EXPECT_TRUE(cache.DrainDirty().empty());
+  std::vector<BlockRange> ranges;
+  cache.DrainDirty(&ranges);
+  EXPECT_TRUE(ranges.empty());
 }
 
 TEST(WriteBackSystemTest, WritesAvoidImmediateDeviceTraffic) {
