@@ -285,21 +285,29 @@ void LogFlashDevice::Preload(std::uint64_t trace_blocks, double utilization,
   }
   // Interleave filler among workload blocks with an integer error
   // accumulator so each cleaned segment carries its share of cold data.
+  // The order is handed over a segment's worth at a time.
   std::uint64_t next_trace = 0;
   std::uint64_t next_filler = trace_blocks;
   std::int64_t error = 0;
   const std::int64_t t = static_cast<std::int64_t>(trace_blocks);
   const std::int64_t f = static_cast<std::int64_t>(filler);
+  std::vector<std::uint64_t> order;
+  order.reserve(segments_.blocks_per_segment());
   while (next_trace < trace_blocks || next_filler < trace_blocks + filler) {
     if (next_filler >= trace_blocks + filler ||
         (next_trace < trace_blocks && error < t)) {
-      segments_.Preload(next_trace++, 1);
+      order.push_back(next_trace++);
       error += f;
     } else {
-      segments_.Preload(next_filler++, 1);
+      order.push_back(next_filler++);
       error -= t;
     }
+    if (order.size() == segments_.blocks_per_segment()) {
+      segments_.Preload(order);
+      order.clear();
+    }
   }
+  segments_.Preload(order);
 }
 
 std::uint64_t LogFlashDevice::AvailableSlots() const {
@@ -325,15 +333,7 @@ bool LogFlashDevice::CanAcceptHostBlock() const {
          segments_.PickVictim() == SegmentManager::kNoSegment;
 }
 
-bool LogFlashDevice::MaybeStartCleanJob() {
-  if (job_.active) {
-    return true;
-  }
-  // Keep at least one segment erased at all times (section 4.2): trigger as
-  // soon as the reserve is down to its last erased segment.
-  if (segments_.erased_segment_count() > 1) {
-    return false;
-  }
+bool LogFlashDevice::StartCleanJob() {
   const std::uint32_t victim = segments_.PickVictim();
   if (victim == SegmentManager::kNoSegment) {
     return false;
@@ -379,10 +379,7 @@ SimTime LogFlashDevice::FinishCleanJobNow() {
   return copy + erase;
 }
 
-void LogFlashDevice::AccountUntil(SimTime t) {
-  if (t <= accounted_until_) {
-    return;
-  }
+void LogFlashDevice::AccountIdle(SimTime t) {
   SimTime available = t - accounted_until_;
   // Background cleaning consumes idle time; keep starting follow-up jobs
   // while time remains and the erased reserve is low.

@@ -163,14 +163,33 @@ class LogFlashDevice : public StorageDevice {
   // write discipline -- the source of high-utilization write stalls).
   bool CanAcceptHostBlock() const;
   // Starts a cleaning job if the erased-segment reserve is low and a victim
-  // exists.  Returns true if a job is (now) active.
-  bool MaybeStartCleanJob();
+  // exists.  Returns true if a job is (now) active.  Inline: the write path
+  // asks before every block, and only a low reserve needs the victim.
+  bool MaybeStartCleanJob() {
+    if (job_.active) {
+      return true;
+    }
+    // Keep at least one segment erased at all times (section 4.2): trigger
+    // as soon as the reserve is down to its last erased segment.
+    return segments_.erased_segment_count() <= 1 && StartCleanJob();
+  }
+  // MaybeStartCleanJob's low-reserve half: picks the victim and starts the
+  // job if its relocation fits.
+  bool StartCleanJob();
   // Runs the active job to completion immediately, accounting its energy;
   // returns the time it consumed.
   SimTime FinishCleanJobNow();
   // Applies the job's state transition.
   void CompleteCleanJob();
-  void AccountUntil(SimTime t);
+  // Brings idle time, and the background cleaning it pays for, up to `t`.
+  // Inline: every operation calls it, and after AdvanceTo the device is
+  // usually accounted up to `t` already.
+  void AccountUntil(SimTime t) {
+    if (t > accounted_until_) {
+      AccountIdle(t);
+    }
+  }
+  void AccountIdle(SimTime t);
   SimTime ServiceRead(SimTime now, const BlockRecord& rec);
   SimTime ServiceWrite(SimTime now, const BlockRecord& rec);
   // A write attempt that fails before committing any block: it pays the

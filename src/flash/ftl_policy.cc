@@ -219,8 +219,10 @@ double FatRemapFtl::ScoreVictim(const VictimCandidate& candidate,
                                 const VictimView& view) const {
   (void)view;
   // FIFO fold order: the oldest sealed segment (smallest fill stamp) scores
-  // highest.  Stamps start at 1 and are unique, so 1/stamp is a strict,
-  // positive ordering the `score > best` scan resolves deterministically.
+  // highest.  Stamps start at 1 and are unique, and distinct stamps give
+  // distinct reciprocals (well past 2^26 seals), so the smallest stamp is
+  // the scan's unique winner -- the order victim_order() declares, so
+  // SegmentManager never calls this.
   return 1.0 / static_cast<double>(candidate.sequence);
 }
 

@@ -84,33 +84,6 @@ struct FtlCounters {
   std::uint64_t remap_table_wraps = 0; // table wraparounds (map-page flushes)
 };
 
-// One cleaning candidate as seen by ScoreVictim.
-struct VictimCandidate {
-  std::uint32_t index = 0;
-  std::uint32_t live = 0;         // still-mapped blocks
-  std::uint32_t erase_count = 0;
-  std::uint64_t sequence = 0;     // fill-completion stamp (1 = oldest)
-};
-
-// Scan-invariant context for ScoreVictim.
-struct VictimView {
-  std::uint32_t blocks_per_segment = 0;
-  std::uint64_t fill_sequence = 0;   // newest stamp issued so far
-  // Highest erase count across all segments; populated only when the policy
-  // reports NeedsMaxEraseCount().
-  std::uint32_t max_erase_count = 0;
-};
-
-// How SegmentManager::PickVictim finds the best-scoring candidate.
-enum class VictimOrder : std::uint8_t {
-  // Score every candidate; works for any ScoreVictim.
-  kScan = 0,
-  // ScoreVictim depends on nothing but blocks_per_segment - live, and rises
-  // with it: the winner is the lowest-index candidate with the fewest live
-  // blocks, which SegmentManager reads off per-live-count buckets.
-  kFewestLive = 1,
-};
-
 // What servicing a one-block host write physically does to the card.
 struct HostWritePlan {
   // Log appends to perform, in order (the block itself, and possibly a
@@ -134,14 +107,16 @@ class FtlPolicy {
   // -- Victim selection (SegmentManager::PickVictim) -----------------------
   // Higher score wins; the first candidate (lowest index) wins ties.  Called
   // only for sealed segments with at least one invalid slot, and only when
-  // victim_order() is kScan: a kFewestLive policy is never scored, so its
-  // ScoreVictim must order candidates exactly as the fewest-live rule does.
+  // victim_order() is kScan: a kFewestLive or kOldestFilled policy is never
+  // scored, so its ScoreVictim must order candidates exactly as its order's
+  // index does.
   virtual double ScoreVictim(const VictimCandidate& candidate,
                              const VictimView& view) const = 0;
   // Whether the victim scan must pre-compute VictimView::max_erase_count.
   virtual bool NeedsMaxEraseCount() const { return false; }
   // kFewestLive only when ScoreVictim is a rising function of
-  // blocks_per_segment - live alone.  Fixed for the policy's lifetime.
+  // blocks_per_segment - live alone; kOldestFilled only when it is
+  // 1 / sequence.  Fixed for the policy's lifetime.
   virtual VictimOrder victim_order() const { return VictimOrder::kScan; }
 
   // -- Placement and cost hooks (LogFlashDevice) ---------------------------
@@ -269,6 +244,7 @@ class FatRemapFtl : public FtlPolicy {
   const char* name() const override { return "fat-remap"; }
   double ScoreVictim(const VictimCandidate& candidate,
                      const VictimView& view) const override;
+  VictimOrder victim_order() const override { return VictimOrder::kOldestFilled; }
   void AttachMetaWindow(std::uint64_t base, std::uint64_t available,
                         std::uint32_t block_bytes) override;
   HostWritePlan PlanHostWrite(std::uint64_t lba, bool mapped,

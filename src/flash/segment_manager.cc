@@ -57,7 +57,11 @@ SegmentManager::SegmentManager(const SegmentManagerConfig& config) : config_(con
           ? config.logical_blocks
           : static_cast<std::uint64_t>(segment_count) * blocks_per_segment_;
   MOBISIM_CHECK(logical >= static_cast<std::uint64_t>(segment_count) * blocks_per_segment_);
-  block_segment_.assign(logical, kNoSegment);
+  // The mapping and the slot table hold 4-byte slots and lbas, with ~0 as
+  // the empty marker; the physical slots are at most the logical blocks.
+  MOBISIM_CHECK(logical < kNoLba && "logical space too large for 32-bit block numbers");
+  block_slot_.assign(logical, kNoSlot);
+  slot_lba_.assign(total_blocks(), kNoLba);
   free_slots_ = total_blocks();
   erased_segments_ = segment_count;
   erased_bits_.assign(WordsFor(segment_count), 0);
@@ -70,8 +74,8 @@ SegmentManager::SegmentManager(const SegmentManagerConfig& config) : config_(con
     owned_policy_ = std::make_unique<LogStructuredFtl>(config.cleaning_policy);
     policy_ = owned_policy_.get();
   }
-  keep_buckets_ = policy_->victim_order() == VictimOrder::kFewestLive;
-  if (keep_buckets_) {
+  order_ = policy_->victim_order();
+  if (order_ == VictimOrder::kFewestLive) {
     bucket_words_ = WordsFor(segment_count);
     bucket_bits_.assign(bucket_words_ * blocks_per_segment_, 0);
     bucket_sizes_.assign(blocks_per_segment_, 0);
@@ -86,13 +90,6 @@ std::uint64_t SegmentManager::total_blocks() const {
 
 double SegmentManager::utilization() const {
   return static_cast<double>(live_blocks_) / static_cast<double>(total_blocks());
-}
-
-std::uint32_t SegmentManager::active_free_slots() const {
-  if (active_segment_ == kNoSegment) {
-    return 0;
-  }
-  return blocks_per_segment_ - segments_[active_segment_].slots_used;
 }
 
 std::uint32_t SegmentManager::cleaning_free_slots() const {
@@ -115,6 +112,11 @@ std::uint32_t SegmentManager::segment_erase_count(std::uint32_t segment) const {
   return segments_[segment].erase_count;
 }
 
+std::uint64_t SegmentManager::segment_sequence(std::uint32_t segment) const {
+  MOBISIM_CHECK(segment < segments_.size());
+  return segments_[segment].sequence;
+}
+
 void SegmentManager::OpenNewActiveSegment(std::uint32_t& slot) {
   const std::uint32_t i = FirstSetBit(erased_bits_.data(), erased_bits_.size());
   MOBISIM_CHECK(i != kNoSegment && "no erased segment available for the active role");
@@ -122,105 +124,157 @@ void SegmentManager::OpenNewActiveSegment(std::uint32_t& slot) {
   ClearBit(erased_bits_.data(), i);
   --erased_segments_;
   slot = i;
-  // The segment will fill completely before it closes; one allocation up
-  // front instead of push_back growth (CleanSegment moves the vector away, so
-  // capacity does not survive an erase cycle).
-  segments_[i].residents.reserve(blocks_per_segment_);
 }
 
-void SegmentManager::BucketInsert(std::uint32_t segment, std::uint32_t live) {
-  if (keep_buckets_ && live < blocks_per_segment_) {
-    SetBit(bucket_bits_.data() + live * bucket_words_, segment);
-    ++bucket_sizes_[live];
+void SegmentManager::IndexInsert(std::uint32_t segment) {
+  const Segment& seg = segments_[segment];
+  MOBISIM_DCHECK(seg.slots_used == blocks_per_segment_ && seg.live < blocks_per_segment_);
+  if (order_ == VictimOrder::kFewestLive) {
+    SetBit(bucket_bits_.data() + seg.live * bucket_words_, segment);
+    ++bucket_sizes_[seg.live];
+    bucket_floor_ = std::min(bucket_floor_, seg.live);
+  } else if (order_ == VictimOrder::kOldestFilled) {
+    fill_heap_.push_back({seg.sequence, segment});
+    std::push_heap(fill_heap_.begin(), fill_heap_.end(), LaterFilled);
   }
 }
 
 void SegmentManager::BucketErase(std::uint32_t segment, std::uint32_t live) {
-  if (keep_buckets_ && live < blocks_per_segment_) {
-    ClearBit(bucket_bits_.data() + live * bucket_words_, segment);
-    --bucket_sizes_[live];
+  ClearBit(bucket_bits_.data() + live * bucket_words_, segment);
+  --bucket_sizes_[live];
+}
+
+void SegmentManager::DropStaleFillEntries() {
+  while (!fill_heap_.empty() && !FillEntryLive(fill_heap_.front())) {
+    std::pop_heap(fill_heap_.begin(), fill_heap_.end(), LaterFilled);
+    fill_heap_.pop_back();
+  }
+  // Stale entries below the top are those of segments cleaned out of fill
+  // order (a victim chosen before an older segment became a candidate).
+  // Rebuild once they outnumber the segments, so the heap stays bounded.
+  if (fill_heap_.size() > 2 * segments_.size()) {
+    std::erase_if(fill_heap_, [this](const FillEntry& e) { return !FillEntryLive(e); });
+    std::make_heap(fill_heap_.begin(), fill_heap_.end(), LaterFilled);
   }
 }
 
-void SegmentManager::AppendBlock(std::uint64_t lba, bool cleaning) {
-  MOBISIM_CHECK(free_slots_ > 0);
-  ++mutation_epoch_;
-  std::uint32_t& role = (cleaning && config_.separate_cleaning_segment) ? cleaning_segment_
-                                                                        : active_segment_;
-  if (role == kNoSegment || segments_[role].slots_used == blocks_per_segment_) {
-    OpenNewActiveSegment(role);
-  }
+void SegmentManager::Seal(std::uint32_t& role) {
   const std::uint32_t target = role;
   Segment& seg = segments_[target];
-  ++seg.slots_used;
-  ++seg.live;
-  seg.residents.push_back(lba);
-  if (seg.slots_used == blocks_per_segment_) {
-    // Seal the segment: a full segment is no longer "active" and becomes a
-    // cleaning candidate like any other.
-    seg.sequence = ++fill_sequence_;
-    role = kNoSegment;
-    BucketInsert(target, seg.live);
+  // A full segment is no longer "active" and becomes a cleaning candidate
+  // like any other once it holds an invalid slot.
+  seg.sequence = ++fill_sequence_;
+  role = kNoSegment;
+  if (seg.live < blocks_per_segment_) {
+    IndexInsert(target);
   }
-  --free_slots_;
-  ++live_blocks_;
-  block_segment_[lba] = target;
 }
 
 void SegmentManager::InvalidateBlock(std::uint64_t lba) {
-  const std::uint32_t seg_idx = block_segment_[lba];
-  if (seg_idx == kNoSegment) {
+  const std::uint32_t slot = block_slot_[lba];
+  if (slot == kNoSlot) {
     return;
   }
-  ++mutation_epoch_;
+  const std::uint32_t seg_idx = slot / blocks_per_segment_;
   Segment& seg = segments_[seg_idx];
   MOBISIM_DCHECK(seg.live > 0);
-  if (seg.slots_used == blocks_per_segment_) {
-    BucketErase(seg_idx, seg.live);
-    BucketInsert(seg_idx, seg.live - 1);
-  }
   --seg.live;
   --live_blocks_;
-  block_segment_[lba] = kNoSegment;
+  block_slot_[lba] = kNoSlot;
+  if (seg.slots_used == blocks_per_segment_) {
+    // A sealed segment: the slot can never be copied again, its live count
+    // is its bucket, and its first invalid slot makes it a candidate.  (A
+    // slot superseded while its segment is open keeps its lba: the block may
+    // be appended to the same segment again, and CleanSegment copies it at
+    // its first slot.)
+    slot_lba_[slot] = kNoLba;
+    if (order_ == VictimOrder::kFewestLive) {
+      if (seg.live + 1 < blocks_per_segment_) {
+        BucketErase(seg_idx, seg.live + 1);
+      }
+      IndexInsert(seg_idx);
+    } else if (seg.live + 1 == blocks_per_segment_) {
+      IndexInsert(seg_idx);
+    }
+  }
+}
+
+template <typename NextLba>
+void SegmentManager::AppendRun(std::uint32_t& role, std::uint64_t count, NextLba next_lba) {
+  MOBISIM_CHECK(free_slots_ >= count);
+  while (count > 0) {
+    if (role == kNoSegment) {
+      OpenNewActiveSegment(role);
+    }
+    Segment& seg = segments_[role];
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(count, blocks_per_segment_ - seg.slots_used));
+    const std::uint32_t first = role * blocks_per_segment_ + seg.slots_used;
+    for (std::uint32_t slot = first; slot < first + n; ++slot) {
+      const std::uint32_t lba = next_lba();
+      slot_lba_[slot] = lba;
+      block_slot_[lba] = slot;
+    }
+    seg.slots_used += n;
+    seg.live += n;
+    free_slots_ -= n;
+    live_blocks_ += n;
+    count -= n;
+    if (seg.slots_used == blocks_per_segment_) {
+      Seal(role);
+    }
+  }
 }
 
 void SegmentManager::Preload(std::uint64_t lba, std::uint64_t count) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    MOBISIM_CHECK(lba + i < block_segment_.size());
-    MOBISIM_CHECK(block_segment_[lba + i] == kNoSegment);
-    AppendBlock(lba + i);
-  }
+  PreloadEach(count, [lba]() mutable { return lba++; });
+}
+
+void SegmentManager::Preload(std::span<const std::uint64_t> lbas) {
+  PreloadEach(lbas.size(), [it = lbas.begin()]() mutable { return *it++; });
+}
+
+template <typename NextLba>
+void SegmentManager::PreloadEach(std::uint64_t count, NextLba next_lba) {
+  ++mutation_epoch_;
+  AppendRun(active_segment_, count, [&] {
+    const std::uint64_t lba = next_lba();
+    MOBISIM_CHECK(lba < block_slot_.size());
+    MOBISIM_CHECK(block_slot_[lba] == kNoSlot);
+    return static_cast<std::uint32_t>(lba);
+  });
 }
 
 void SegmentManager::WriteBlock(std::uint64_t lba) {
-  MOBISIM_CHECK(lba < block_segment_.size());
+  MOBISIM_CHECK(lba < block_slot_.size());
+  ++mutation_epoch_;
   InvalidateBlock(lba);
-  AppendBlock(lba);
+  AppendRun(active_segment_, 1, [lba] { return static_cast<std::uint32_t>(lba); });
 }
 
 void SegmentManager::TrimBlock(std::uint64_t lba) {
-  MOBISIM_CHECK(lba < block_segment_.size());
+  MOBISIM_CHECK(lba < block_slot_.size());
+  ++mutation_epoch_;
   InvalidateBlock(lba);
 }
 
-bool SegmentManager::IsMapped(std::uint64_t lba) const {
-  MOBISIM_CHECK(lba < block_segment_.size());
-  return block_segment_[lba] != kNoSegment;
-}
-
 std::uint32_t SegmentManager::BlockSegment(std::uint64_t lba) const {
-  MOBISIM_CHECK(lba < block_segment_.size());
-  return block_segment_[lba];
+  MOBISIM_CHECK(lba < block_slot_.size());
+  const std::uint32_t slot = block_slot_[lba];
+  return slot == kNoSlot ? kNoSegment : slot / blocks_per_segment_;
 }
 
 std::uint32_t SegmentManager::PickVictim() const {
-  if (keep_buckets_) {
-    for (std::uint32_t live = 0; live < blocks_per_segment_; ++live) {
-      if (bucket_sizes_[live] > 0) {
-        return FirstSetBit(bucket_bits_.data() + live * bucket_words_, bucket_words_);
+  if (order_ == VictimOrder::kFewestLive) {
+    for (; bucket_floor_ < blocks_per_segment_; ++bucket_floor_) {
+      if (bucket_sizes_[bucket_floor_] > 0) {
+        return FirstSetBit(bucket_bits_.data() + bucket_floor_ * bucket_words_, bucket_words_);
       }
     }
     return kNoSegment;
+  }
+  if (order_ == VictimOrder::kOldestFilled) {
+    return fill_heap_.empty() ? kNoSegment : fill_heap_.front().segment;
   }
   if (victim_epoch_ == mutation_epoch_) {
     return victim_cache_;
@@ -233,21 +287,17 @@ std::uint32_t SegmentManager::PickVictim() const {
       view.max_erase_count = std::max(view.max_erase_count, seg.erase_count);
     }
   }
-
+  // Only full segments with at least one invalid slot qualify; a sealed
+  // segment is never the active or cleaning one.
   std::uint32_t best = kNoSegment;
   double best_score = -1.0;
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = segments_[i];
-    if (i == active_segment_ || seg.slots_used != blocks_per_segment_ ||
-        seg.live == blocks_per_segment_) {
-      continue;  // only full segments with at least one invalid slot qualify
+    if (seg.slots_used != blocks_per_segment_ || seg.live == blocks_per_segment_) {
+      continue;
     }
-    VictimCandidate candidate;
-    candidate.index = i;
-    candidate.live = seg.live;
-    candidate.erase_count = seg.erase_count;
-    candidate.sequence = seg.sequence;
-    const double score = policy_->ScoreVictim(candidate, view);
+    const double score =
+        policy_->ScoreVictim({i, seg.live, seg.erase_count, seg.sequence}, view);
     if (score > best_score) {
       best_score = score;
       best = i;
@@ -270,29 +320,45 @@ std::uint32_t SegmentManager::CleanSegment(std::uint32_t segment) {
   Segment& victim = segments_[segment];
   MOBISIM_CHECK(victim.slots_used == blocks_per_segment_);
   MOBISIM_CHECK(free_slots_ >= victim.live);
+  ++mutation_epoch_;
 
-  // Copy the still-live residents into the active segment.  Resident entries
-  // may be stale (the block was overwritten elsewhere since being appended
-  // here); the mapping is the source of truth.
-  std::uint32_t copied = 0;
-  std::vector<std::uint64_t> residents = std::move(victim.residents);
-  victim.residents.clear();
-  for (const std::uint64_t lba : residents) {
-    if (block_segment_[lba] != segment) {
-      continue;
-    }
-    InvalidateBlock(lba);
-    AppendBlock(lba, /*cleaning=*/true);
-    ++copied;
+  // The victim leaves its victim index once (a fill-order entry goes stale
+  // when its sequence is reset below).
+  if (order_ == VictimOrder::kFewestLive && victim.live < blocks_per_segment_) {
+    BucketErase(segment, victim.live);
   }
-  MOBISIM_CHECK(victim.live == 0);
+  // Copy each live block, at the first slot it was appended to in this fill
+  // (a block superseded and appended again while the segment was open
+  // appears more than once), into the cleaning destination.  A slot is live
+  // if its lba still maps into the victim; once copied, the lba maps
+  // elsewhere and its later slots are skipped.  Slots superseded after
+  // sealing hold kNoLba and cost no mapping read.  The victim's live count
+  // moves to the destination; the device's live total is unchanged.
+  const std::uint32_t copied = victim.live;
+  victim.live = 0;
+  live_blocks_ -= copied;
+  const std::uint32_t base = segment * blocks_per_segment_;
+  const std::uint32_t* source = slot_lba_.data() + base;
+  // Unsigned wrap: kNoSlot and slots of other segments fall outside.
+  const auto live = [&](std::uint32_t lba) {
+    return lba != kNoLba && block_slot_[lba] - base < blocks_per_segment_;
+  };
+  AppendRun(config_.separate_cleaning_segment ? cleaning_segment_ : active_segment_, copied,
+            [&] {
+              while (!live(*source)) {
+                ++source;
+              }
+              MOBISIM_DCHECK(source < slot_lba_.data() + base + blocks_per_segment_);
+              return *source++;
+            });
 
-  BucketErase(segment, 0);
   victim.slots_used = 0;
   victim.sequence = 0;
   ++victim.erase_count;
   ++total_erases_;
-  ++mutation_epoch_;
+  if (order_ == VictimOrder::kOldestFilled) {
+    DropStaleFillEntries();
+  }
   const std::uint32_t limit =
       victim.endurance_limit > 0 ? victim.endurance_limit : config_.endurance_limit;
   if (limit > 0 && victim.erase_count >= limit) {
@@ -347,17 +413,19 @@ RunningStats SegmentManager::EraseCountStats() const {
 }
 
 bool SegmentManager::CheckInvariants() const {
+  // The mapping and the slot table must be inverses over the live slots.
   std::vector<std::uint32_t> live_per_segment(segments_.size(), 0);
   std::uint64_t mapped = 0;
-  for (std::size_t lba = 0; lba < block_segment_.size(); ++lba) {
-    const std::uint32_t seg = block_segment_[lba];
-    if (seg == kNoSegment) {
+  for (std::size_t lba = 0; lba < block_slot_.size(); ++lba) {
+    const std::uint32_t slot = block_slot_[lba];
+    if (slot == kNoSlot) {
       continue;
     }
-    if (seg >= segments_.size()) {
+    if (slot >= slot_lba_.size() || slot_lba_[slot] != lba ||
+        slot % blocks_per_segment_ >= segments_[slot / blocks_per_segment_].slots_used) {
       return false;
     }
-    ++live_per_segment[seg];
+    ++live_per_segment[slot / blocks_per_segment_];
     ++mapped;
   }
   if (mapped != live_blocks_) {
@@ -366,12 +434,38 @@ bool SegmentManager::CheckInvariants() const {
   std::uint64_t used = 0;
   std::uint32_t erased = 0;
   std::vector<std::uint32_t> bucket_sizes(bucket_sizes_.size(), 0);
+  std::vector<std::uint32_t> fill_entries(segments_.size(), 0);
+  for (const FillEntry& entry : fill_heap_) {
+    if (entry.segment >= segments_.size()) {
+      return false;
+    }
+    fill_entries[entry.segment] += FillEntryLive(entry) ? 1 : 0;
+  }
   for (std::uint32_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = segments_[i];
     if (seg.live != live_per_segment[i]) {
       return false;
     }
     if (seg.live > seg.slots_used || seg.slots_used > blocks_per_segment_) {
+      return false;
+    }
+    // The slots the mapping points at are the live ones; in a sealed
+    // segment every other slot either holds kNoLba or was superseded while
+    // the segment was open.
+    std::uint32_t occupied = 0;
+    for (std::uint32_t k = 0; k < seg.slots_used; ++k) {
+      const std::uint32_t slot = i * blocks_per_segment_ + k;
+      const std::uint32_t lba = slot_lba_[slot];
+      if (lba != kNoLba && (lba >= block_slot_.size())) {
+        return false;
+      }
+      occupied += lba != kNoLba && block_slot_[lba] == slot ? 1 : 0;
+    }
+    if (occupied != seg.live) {
+      return false;
+    }
+    const bool sealed = seg.slots_used == blocks_per_segment_;
+    if ((seg.sequence != 0) != sealed || seg.sequence > fill_sequence_) {
       return false;
     }
     used += seg.slots_used;
@@ -383,18 +477,25 @@ bool SegmentManager::CheckInvariants() const {
     if (TestBit(erased_bits_.data(), i) != is_erased) {
       return false;
     }
-    if (keep_buckets_) {
-      const bool candidate = seg.slots_used == blocks_per_segment_ && seg.live < blocks_per_segment_;
+    const bool candidate = sealed && seg.live < blocks_per_segment_;
+    if (order_ == VictimOrder::kFewestLive) {
       for (std::uint32_t live = 0; live < blocks_per_segment_; ++live) {
         const bool in_bucket = TestBit(bucket_bits_.data() + live * bucket_words_, i);
-        if (in_bucket != (candidate && live == seg.live)) {
+        if (in_bucket != (candidate && live == seg.live) || (in_bucket && live < bucket_floor_)) {
           return false;
         }
         bucket_sizes[live] += in_bucket ? 1 : 0;
       }
     }
+    if (fill_entries[i] != (order_ == VictimOrder::kOldestFilled && candidate ? 1u : 0u)) {
+      return false;
+    }
   }
   if (erased != erased_segments_ || bucket_sizes != bucket_sizes_) {
+    return false;
+  }
+  if (!std::is_heap(fill_heap_.begin(), fill_heap_.end(), LaterFilled) ||
+      (!fill_heap_.empty() && !FillEntryLive(fill_heap_.front()))) {
     return false;
   }
   const std::uint64_t bad_capacity =

@@ -82,12 +82,13 @@ class ReservoirSample {
   // keeps results whose percentiles already sit in the exported row).
   // count() is kept; Quantile and Quantiles fail a check from then on.
   void Release();
-  // Quantile estimate, q in [0, 1]; 0 with no data.
+  // Quantile estimate, q in [0, 1]; 0 with no data.  The two order
+  // statistics around q * (size - 1) are interpolated linearly.
   double Quantile(double q) const;
-  // All of `qs` from ONE copy + sort of the reservoir.  Each element equals
-  // Quantile(qs[i]) exactly; callers needing several percentiles (the
-  // p50/p95/p99 result columns) use this instead of paying the sort per
-  // quantile.
+  // All of `qs` from one exact radix selection over the reservoir, which
+  // reads each order statistic a sort would (bit for bit; -0.0 ranks below
+  // +0.0).  Each element equals Quantile(qs[i]); callers needing several
+  // percentiles (the p50/p95/p99 result columns) pay one selection.
   std::vector<double> Quantiles(const std::vector<double>& qs) const;
 
  private:

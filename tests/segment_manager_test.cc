@@ -1,8 +1,11 @@
 // Unit and property tests for the flash segment-management substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <type_traits>
 #include <vector>
 
+#include "src/device/log_flash_device.h"
 #include "src/flash/ftl_policy.h"
 #include "src/flash/segment_manager.h"
 #include "src/util/rng.h"
@@ -277,6 +280,122 @@ TEST(SegmentManagerTest, SeparateCleaningSegmentKeepsCopiesApart) {
   EXPECT_NE(m.BlockSegment(20), m.BlockSegment(2));
 }
 
+// The order LogFlashDevice::Preload appends its blocks in: the workload's
+// lbas then the filler packed, or the filler spread among them by the
+// integer error accumulator.
+std::vector<std::uint64_t> PreloadOrder(std::uint64_t trace_blocks, std::uint64_t filler,
+                                        bool interleave) {
+  std::vector<std::uint64_t> order;
+  if (!interleave) {
+    for (std::uint64_t lba = 0; lba < trace_blocks + filler; ++lba) {
+      order.push_back(lba);
+    }
+    return order;
+  }
+  std::uint64_t next_trace = 0;
+  std::uint64_t next_filler = trace_blocks;
+  std::int64_t error = 0;
+  const auto t = static_cast<std::int64_t>(trace_blocks);
+  const auto f = static_cast<std::int64_t>(filler);
+  while (next_trace < trace_blocks || next_filler < trace_blocks + filler) {
+    if (next_filler >= trace_blocks + filler || (next_trace < trace_blocks && error < t)) {
+      order.push_back(next_trace++);
+      error += f;
+    } else {
+      order.push_back(next_filler++);
+      error -= t;
+    }
+  }
+  return order;
+}
+
+// LogFlashDevice::Preload fills whole segments at once; the layout must be
+// the one a fresh manager reaches with one WriteBlock per block in the same
+// order, down to the victim choices that follow.
+TEST(SegmentManagerTest, BulkPreloadMatchesPerBlockAppends) {
+  DeviceSpec spec;
+  spec.name = "preload-card";
+  spec.kind = DeviceKind::kFlashCard;
+  spec.read_kbps = 8192.0;
+  spec.write_kbps = 256.0;
+  spec.erase_segment_bytes = 8 * 1024;  // 8 blocks per segment
+  spec.erase_ms_per_segment = 100.0;
+  DeviceOptions options;
+  options.block_bytes = 1024;
+  options.capacity_bytes = 400 * 1024;  // 50 segments, 400 slots
+  // 260 live blocks: the last segment of the preload is partly filled.
+  const std::uint64_t trace_blocks = 97;
+  const double utilization = 0.65;
+  for (const bool interleave : {false, true}) {
+    SCOPED_TRACE(interleave ? "interleaved" : "packed");
+    LogFlashDevice device(spec, options);
+    device.Preload(trace_blocks, utilization, interleave);
+    const SegmentManager& bulk = device.segments();
+    const auto target_live =
+        static_cast<std::uint64_t>(utilization * static_cast<double>(bulk.usable_blocks()));
+    const std::vector<std::uint64_t> order =
+        PreloadOrder(trace_blocks, target_live - trace_blocks, interleave);
+
+    SegmentManagerConfig config;
+    config.capacity_bytes = options.capacity_bytes;
+    config.segment_bytes = spec.erase_segment_bytes;
+    config.block_bytes = options.block_bytes;
+    SegmentManager per_block(config);
+    for (const std::uint64_t lba : order) {
+      per_block.WriteBlock(lba);
+    }
+    ASSERT_TRUE(bulk.CheckInvariants());
+    ASSERT_EQ(bulk.live_blocks(), per_block.live_blocks());
+    ASSERT_EQ(bulk.free_slots(), per_block.free_slots());
+    ASSERT_EQ(bulk.active_free_slots(), per_block.active_free_slots());
+    for (std::uint64_t lba = 0; lba < bulk.total_blocks(); ++lba) {
+      ASSERT_EQ(bulk.BlockSegment(lba), per_block.BlockSegment(lba)) << lba;
+    }
+    for (std::uint32_t s = 0; s < bulk.segment_count(); ++s) {
+      ASSERT_EQ(bulk.segment_sequence(s), per_block.segment_sequence(s)) << s;
+      ASSERT_EQ(bulk.segment_is_erased(s), per_block.segment_is_erased(s)) << s;
+    }
+
+    // The device's manager is read-only here, so the traffic runs on a
+    // manager bulk-loaded with the same order, checked against the device.
+    SegmentManager loaded(config);
+    loaded.Preload(order);
+    for (std::uint64_t lba = 0; lba < bulk.total_blocks(); ++lba) {
+      ASSERT_EQ(loaded.BlockSegment(lba), bulk.BlockSegment(lba)) << lba;
+    }
+    // Cleaning the first three preloaded segments copies their blocks in
+    // slot order across the end of the partly filled active segment.
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      ASSERT_EQ(loaded.CleanSegment(s), per_block.CleanSegment(s));
+      for (std::uint64_t lba = 0; lba < loaded.total_blocks(); ++lba) {
+        ASSERT_EQ(loaded.BlockSegment(lba), per_block.BlockSegment(lba)) << lba;
+      }
+    }
+    Rng rng(interleave ? 11 : 7);
+    for (int i = 0; i < 10000; ++i) {
+      while (loaded.free_slots() <= 2ull * loaded.blocks_per_segment()) {
+        const std::uint32_t victim = loaded.PickVictim();
+        ASSERT_EQ(victim, per_block.PickVictim()) << "write " << i;
+        ASSERT_NE(victim, SegmentManager::kNoSegment);
+        ASSERT_EQ(loaded.CleanSegment(victim), per_block.CleanSegment(victim)) << "write " << i;
+        // Copies land in slot order, so a misordered preload shows here.
+        for (std::uint64_t lba = 0; lba < loaded.total_blocks(); ++lba) {
+          ASSERT_EQ(loaded.BlockSegment(lba), per_block.BlockSegment(lba)) << lba;
+        }
+      }
+      const auto lba = static_cast<std::uint64_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(target_live) - 1));
+      loaded.WriteBlock(lba);
+      per_block.WriteBlock(lba);
+      ASSERT_EQ(loaded.PickVictim(), per_block.PickVictim()) << "write " << i;
+    }
+    ASSERT_TRUE(loaded.CheckInvariants());
+    for (std::uint64_t lba = 0; lba < loaded.total_blocks(); ++lba) {
+      ASSERT_EQ(loaded.BlockSegment(lba), per_block.BlockSegment(lba)) << lba;
+    }
+  }
+}
+
 // Property test: random traffic never violates the structural invariants
 // (including the erased set and the live-count buckets CheckInvariants
 // recounts), with and without wear-out and cleaning segregation.
@@ -348,18 +467,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SegmentManagerPropertyTest,
                                            PropertyCase{89, 0, true},
                                            PropertyCase{144, 12, true}));
 
-// Greedy scoring that declares VictimOrder::kScan, so a manager using it
-// picks victims by scoring every segment rather than from the buckets.
-class ScanningGreedyFtl : public FtlPolicy {
+// Scores through another policy's ScoreVictim but declares VictimOrder::kScan,
+// so a manager using it scores every segment -- the reference every victim
+// index must agree with.
+class PerSegmentScanFtl : public FtlPolicy {
  public:
-  FtlPolicyKind kind() const override { return FtlPolicyKind::kLogStructured; }
-  const char* name() const override { return "greedy-scan"; }
+  explicit PerSegmentScanFtl(const FtlPolicy& inner) : inner_(inner) {}
+
+  FtlPolicyKind kind() const override { return inner_.kind(); }
+  const char* name() const override { return "per-segment-scan"; }
   double ScoreVictim(const VictimCandidate& candidate, const VictimView& view) const override {
-    return greedy_.ScoreVictim(candidate, view);
+    return inner_.ScoreVictim(candidate, view);
   }
+  bool NeedsMaxEraseCount() const override { return inner_.NeedsMaxEraseCount(); }
 
  private:
-  LogStructuredFtl greedy_{CleaningPolicy::kGreedy};
+  const FtlPolicy& inner_;
 };
 
 TEST(SegmentManagerTest, GreedyDeclaresFewestLiveOrder) {
@@ -368,9 +491,179 @@ TEST(SegmentManagerTest, GreedyDeclaresFewestLiveOrder) {
   EXPECT_EQ(LogStructuredFtl(CleaningPolicy::kCostBenefit).victim_order(), VictimOrder::kScan);
   EXPECT_EQ(LogStructuredFtl(CleaningPolicy::kWearAware).victim_order(), VictimOrder::kScan);
   EXPECT_EQ(PageDiffFtl(CleaningPolicy::kWearAware).victim_order(), VictimOrder::kScan);
-  EXPECT_EQ(FatRemapFtl().victim_order(), VictimOrder::kScan);
-  EXPECT_EQ(ScanningGreedyFtl().victim_order(), VictimOrder::kScan);
+  EXPECT_EQ(FatRemapFtl().victim_order(), VictimOrder::kOldestFilled);
+  const LogStructuredFtl greedy(CleaningPolicy::kGreedy);
+  EXPECT_EQ(PerSegmentScanFtl(greedy).victim_order(), VictimOrder::kScan);
 }
+
+// The log as it was kept before the slot table and batched cleaning: one
+// vector of appended lbas per segment (stale entries included), a copy per
+// live entry in append order checked against the mapping, and a victim scan
+// calling ScoreVictim per segment.  Reference for the batched cleaner.
+class PerCopyLog {
+ public:
+  PerCopyLog(const SegmentManagerConfig& config, const FtlPolicy& policy)
+      : policy_(policy),
+        bps_(config.segment_bytes / config.block_bytes),
+        separate_(config.separate_cleaning_segment),
+        endurance_limit_(config.endurance_limit),
+        segments_(config.capacity_bytes / config.segment_bytes),
+        block_segment_(config.logical_blocks, kNone) {
+    free_slots_ = segments_.size() * bps_;
+  }
+
+  void Preload(std::uint64_t lba, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Append(lba + i, /*cleaning=*/false);
+    }
+  }
+  void WriteBlock(std::uint64_t lba) {
+    Invalidate(lba);
+    Append(lba, /*cleaning=*/false);
+  }
+  void TrimBlock(std::uint64_t lba) { Invalidate(lba); }
+  std::uint32_t BlockSegment(std::uint64_t lba) const { return block_segment_[lba]; }
+
+  std::uint32_t PickVictim() const {
+    VictimView view;
+    view.blocks_per_segment = bps_;
+    view.fill_sequence = fill_sequence_;
+    if (policy_.NeedsMaxEraseCount()) {
+      for (const Segment& seg : segments_) {
+        view.max_erase_count = std::max(view.max_erase_count, seg.erase_count);
+      }
+    }
+    std::uint32_t best = kNone;
+    double best_score = -1.0;
+    for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+      const Segment& seg = segments_[i];
+      if (seg.used != bps_ || seg.live == bps_) {
+        continue;
+      }
+      const double score = policy_.ScoreVictim({i, seg.live, seg.erase_count, seg.sequence}, view);
+      if (score > best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  std::uint32_t CleanSegment(std::uint32_t segment) {
+    Segment& victim = segments_[segment];
+    std::vector<std::uint64_t> residents = std::move(victim.residents);
+    victim.residents.clear();
+    std::uint32_t copied = 0;
+    for (const std::uint64_t lba : residents) {
+      if (block_segment_[lba] == segment) {
+        Invalidate(lba);
+        Append(lba, /*cleaning=*/true);
+        ++copied;
+      }
+    }
+    victim.used = 0;
+    victim.sequence = 0;
+    ++victim.erase_count;
+    const std::uint32_t limit = victim.budget > 0 ? victim.budget : endurance_limit_;
+    if (limit > 0 && victim.erase_count >= limit) {
+      victim.bad = true;
+    } else {
+      victim.erased = true;
+      free_slots_ += bps_;
+    }
+    return copied;
+  }
+
+  void RetireSegment(std::uint32_t segment) {
+    segments_[segment].bad = true;
+    segments_[segment].erased = false;
+    free_slots_ -= bps_;
+  }
+  void SetEnduranceBudget(std::uint32_t segment, std::uint32_t limit) {
+    segments_[segment].budget = limit;
+  }
+
+  std::uint64_t free_slots() const { return free_slots_; }
+  std::uint64_t live_blocks() const {
+    return static_cast<std::uint64_t>(std::count_if(
+        block_segment_.begin(), block_segment_.end(), [](std::uint32_t s) { return s != kNone; }));
+  }
+  std::uint32_t active_free_slots() const {
+    return active_ == kNone ? 0 : bps_ - segments_[active_].used;
+  }
+  std::uint32_t cleaning_free_slots() const {
+    if (!separate_) {
+      return active_free_slots();
+    }
+    return cleaning_ == kNone ? 0 : bps_ - segments_[cleaning_].used;
+  }
+  std::uint32_t segment_live_count(std::uint32_t segment) const { return segments_[segment].live; }
+  bool segment_is_bad(std::uint32_t segment) const { return segments_[segment].bad; }
+  bool segment_is_erased(std::uint32_t segment) const { return segments_[segment].erased; }
+  std::uint32_t erased_segment_count() const {
+    return static_cast<std::uint32_t>(std::count_if(
+        segments_.begin(), segments_.end(), [](const Segment& s) { return s.erased; }));
+  }
+  std::uint32_t segment_erase_count(std::uint32_t segment) const {
+    return segments_[segment].erase_count;
+  }
+  std::uint64_t segment_sequence(std::uint32_t segment) const {
+    return segments_[segment].sequence;
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = SegmentManager::kNoSegment;
+
+  struct Segment {
+    std::uint32_t used = 0;
+    std::uint32_t live = 0;
+    std::uint32_t erase_count = 0;
+    std::uint32_t budget = 0;
+    std::uint64_t sequence = 0;
+    bool bad = false;
+    bool erased = true;
+    std::vector<std::uint64_t> residents;
+  };
+
+  void Invalidate(std::uint64_t lba) {
+    if (block_segment_[lba] != kNone) {
+      --segments_[block_segment_[lba]].live;
+      block_segment_[lba] = kNone;
+    }
+  }
+
+  void Append(std::uint64_t lba, bool cleaning) {
+    std::uint32_t& role = cleaning && separate_ ? cleaning_ : active_;
+    if (role == kNone) {
+      role = 0;
+      while (!segments_[role].erased) {
+        ++role;
+      }
+      segments_[role].erased = false;
+    }
+    Segment& seg = segments_[role];
+    seg.residents.push_back(lba);
+    ++seg.used;
+    ++seg.live;
+    block_segment_[lba] = role;
+    --free_slots_;
+    if (seg.used == bps_) {
+      seg.sequence = ++fill_sequence_;
+      role = kNone;
+    }
+  }
+
+  const FtlPolicy& policy_;
+  std::uint32_t bps_;
+  bool separate_;
+  std::uint32_t endurance_limit_;
+  std::vector<Segment> segments_;
+  std::vector<std::uint32_t> block_segment_;
+  std::uint32_t active_ = kNone;
+  std::uint32_t cleaning_ = kNone;
+  std::uint64_t free_slots_ = 0;
+  std::uint64_t fill_sequence_ = 0;
+};
 
 struct DifferentialCase {
   std::uint64_t seed = 0;
@@ -382,13 +675,7 @@ struct DifferentialCase {
   std::uint32_t endurance_limit = 0;
 };
 
-class SegmentManagerDifferentialTest : public ::testing::TestWithParam<DifferentialCase> {};
-
-// The bucketed greedy manager and a scanning one, fed identical random
-// write, trim, clean, retire and wear-budget traffic, must pick the same
-// victims, open the same segments and end in the same state.
-TEST_P(SegmentManagerDifferentialTest, BucketsPickWhatTheScanPicks) {
-  const DifferentialCase& param = GetParam();
+SegmentManagerConfig DifferentialConfig(const DifferentialCase& param) {
   SegmentManagerConfig config;
   config.block_bytes = 512;
   config.segment_bytes = param.blocks_per_segment * config.block_bytes;
@@ -397,103 +684,196 @@ TEST_P(SegmentManagerDifferentialTest, BucketsPickWhatTheScanPicks) {
       static_cast<std::uint64_t>(param.segments) * param.blocks_per_segment * param.logical_factor;
   config.separate_cleaning_segment = param.separate_cleaning_segment;
   config.endurance_limit = param.endurance_limit;
-  SegmentManager bucketed(config);
-  const ScanningGreedyFtl scanning_policy;
-  config.policy = &scanning_policy;
-  SegmentManager scanned(config);
+  return config;
+}
 
+// Feeds `tested` and `reference` identical random write, trim, clean,
+// retire and wear-budget traffic after a preload of a quarter of the
+// physical slots.  After every step both must name the same victim, copy
+// the same number of blocks when cleaning it, map the touched lba to the
+// same segment and agree on erase counts, fill sequences, free and erased
+// counts and the room left in the active and cleaning segments.  After
+// every clean (the one step that moves blocks it was not asked to), every
+// 100th step and at the end, every lba must map to the same segment, the
+// live counts and bad and erased flags must agree, and `tested` must pass
+// CheckInvariants(); a SegmentManager reference must pass it every 1000th
+// step.  A clean retires its victim exactly when the victim's erase count
+// reaches the limit in force (its budget, else the card's endurance
+// limit), and a card with an endurance limit must wear at least one
+// segment out by that limit.
+template <typename Reference>
+void DriveDifferential(const DifferentialCase& param, SegmentManager& tested,
+                       Reference& reference) {
+  const std::uint64_t logical_blocks = DifferentialConfig(param).logical_blocks;
   const std::uint32_t bps = param.blocks_per_segment;
+  const auto compare = [&](int step, bool every_lba) {
+    ASSERT_EQ(tested.free_slots(), reference.free_slots()) << "step " << step;
+    ASSERT_EQ(tested.erased_segment_count(), reference.erased_segment_count()) << "step " << step;
+    ASSERT_EQ(tested.active_free_slots(), reference.active_free_slots()) << "step " << step;
+    ASSERT_EQ(tested.cleaning_free_slots(), reference.cleaning_free_slots()) << "step " << step;
+    for (std::uint32_t s = 0; s < param.segments; ++s) {
+      ASSERT_EQ(tested.segment_erase_count(s), reference.segment_erase_count(s)) << s;
+      ASSERT_EQ(tested.segment_sequence(s), reference.segment_sequence(s)) << s;
+    }
+    if (every_lba) {
+      ASSERT_EQ(tested.live_blocks(), reference.live_blocks()) << "step " << step;
+      for (std::uint32_t s = 0; s < param.segments; ++s) {
+        ASSERT_EQ(tested.segment_live_count(s), reference.segment_live_count(s)) << s;
+        ASSERT_EQ(tested.segment_is_bad(s), reference.segment_is_bad(s)) << s;
+        ASSERT_EQ(tested.segment_is_erased(s), reference.segment_is_erased(s)) << s;
+      }
+      for (std::uint64_t lba = 0; lba < logical_blocks; ++lba) {
+        ASSERT_EQ(tested.BlockSegment(lba), reference.BlockSegment(lba))
+            << "step " << step << " lba " << lba;
+      }
+      ASSERT_TRUE(tested.CheckInvariants()) << "step " << step;
+    }
+    if constexpr (std::is_same_v<Reference, SegmentManager>) {
+      if (step % 1000 == 0) {
+        ASSERT_TRUE(reference.CheckInvariants()) << "step " << step;
+      }
+    }
+  };
+  const std::uint64_t preload = tested.total_blocks() / 4;
+  tested.Preload(0, preload);
+  reference.Preload(0, preload);
+  ASSERT_NO_FATAL_FAILURE(compare(0, true));
   Rng rng(param.seed);
   std::uint64_t victims = 0;
   std::uint64_t retired = 0;
-  for (int step = 0; step < 20000; ++step) {
-    // The victim either manager would pick must agree after every step.
-    const std::uint32_t victim = bucketed.PickVictim();
-    ASSERT_EQ(victim, scanned.PickVictim()) << "step " << step;
-    ASSERT_EQ(bucketed.erased_segment_count(), scanned.erased_segment_count());
-    ASSERT_EQ(bucketed.free_slots(), scanned.free_slots());
-    ASSERT_EQ(bucketed.active_free_slots(), scanned.active_free_slots());
-    ASSERT_EQ(bucketed.cleaning_free_slots(), scanned.cleaning_free_slots());
-
-    const bool can_clean =
-        victim != SegmentManager::kNoSegment && bucketed.free_slots() >= bucketed.VictimLiveBlocks(victim);
-    if (bucketed.free_slots() <= 2ull * bps) {
-      if (!can_clean) {
-        break;  // worn out: the reserve can no longer be kept
-      }
-      bucketed.CleanSegment(victim);
-      scanned.CleanSegment(victim);
+  std::uint64_t worn_by_card_limit = 0;
+  std::vector<std::uint32_t> budgets(param.segments, 0);
+  for (int step = 1; step <= 20000; ++step) {
+    const std::uint32_t victim = tested.PickVictim();
+    ASSERT_EQ(victim, reference.PickVictim()) << "step " << step;
+    // A victim has fewer live blocks than a segment holds, so its copies
+    // open at most one erased segment.
+    const bool can_clean = victim != SegmentManager::kNoSegment &&
+                           tested.free_slots() >= tested.VictimLiveBlocks(victim) &&
+                           tested.erased_segment_count() > 0;
+    bool cleaned = false;
+    const auto clean = [&] {
+      ASSERT_EQ(tested.CleanSegment(victim), reference.CleanSegment(victim)) << "step " << step;
       ++victims;
-      continue;
-    }
+      cleaned = true;
+      const std::uint32_t limit = budgets[victim] > 0 ? budgets[victim] : param.endurance_limit;
+      const bool worn = limit > 0 && tested.segment_erase_count(victim) >= limit;
+      ASSERT_EQ(tested.segment_is_bad(victim), worn) << "step " << step;
+      worn_by_card_limit += worn && budgets[victim] == 0 ? 1 : 0;
+    };
     const double pick = rng.NextDouble();
     // Live data stays within about 70% of the usable slots, so a logical
     // space larger than the card never overfills it.
-    const bool full = bucketed.live_blocks() * 10 >= bucketed.usable_blocks() * 7;
-    const auto lba = static_cast<std::uint64_t>(
-        rng.UniformInt(0, static_cast<std::int64_t>(config.logical_blocks) - 1));
-    if (pick < 0.72) {
-      if (full && !bucketed.IsMapped(lba)) {
-        bucketed.TrimBlock(lba);
-        scanned.TrimBlock(lba);
-        continue;
+    const bool full = tested.live_blocks() * 10 >= tested.usable_blocks() * 7;
+    const auto lba =
+        static_cast<std::uint64_t>(rng.UniformInt(0, static_cast<std::int64_t>(logical_blocks) - 1));
+    // Keep a reserve of free slots and of erased segments (with a separate
+    // cleaning segment, free slots can sit in the two open segments).
+    if (tested.free_slots() <= 2ull * bps || tested.erased_segment_count() <= 2) {
+      if (!can_clean) {
+        break;  // worn out: the reserve can no longer be kept
       }
-      // A write that opens a segment must open the lowest erased one.
-      std::uint32_t lowest_erased = 0;
-      while (lowest_erased < param.segments && !bucketed.segment_is_erased(lowest_erased)) {
-        ++lowest_erased;
-      }
-      const std::uint32_t erased_before = bucketed.erased_segment_count();
-      bucketed.WriteBlock(lba);
-      scanned.WriteBlock(lba);
-      ASSERT_EQ(bucketed.BlockSegment(lba), scanned.BlockSegment(lba)) << "step " << step;
-      if (bucketed.erased_segment_count() < erased_before) {
-        ASSERT_EQ(bucketed.BlockSegment(lba), lowest_erased) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(clean());
+    } else if (pick < 0.72) {
+      if (full && !tested.IsMapped(lba)) {
+        tested.TrimBlock(lba);
+        reference.TrimBlock(lba);
+      } else {
+        // A write that opens a segment must open the lowest erased one.
+        std::uint32_t lowest_erased = 0;
+        while (lowest_erased < param.segments && !tested.segment_is_erased(lowest_erased)) {
+          ++lowest_erased;
+        }
+        const std::uint32_t erased_before = tested.erased_segment_count();
+        tested.WriteBlock(lba);
+        reference.WriteBlock(lba);
+        if (tested.erased_segment_count() < erased_before) {
+          ASSERT_EQ(tested.BlockSegment(lba), lowest_erased) << "step " << step;
+        }
       }
     } else if (pick < 0.9) {
-      bucketed.TrimBlock(lba);
-      scanned.TrimBlock(lba);
+      tested.TrimBlock(lba);
+      reference.TrimBlock(lba);
     } else if (pick < 0.96) {
       if (can_clean) {
-        bucketed.CleanSegment(victim);
-        scanned.CleanSegment(victim);
-        ++victims;
+        ASSERT_NO_FATAL_FAILURE(clean());
       }
     } else if (pick < 0.965) {
-      const auto segment = static_cast<std::uint32_t>(rng.UniformInt(0, param.segments - 1));
-      ASSERT_EQ(bucketed.segment_is_erased(segment), scanned.segment_is_erased(segment));
-      if (bucketed.segment_is_erased(segment) && bucketed.erased_segment_count() > 3 &&
-          bucketed.free_slots() >= 4ull * bps) {
-        bucketed.RetireSegment(segment);
-        scanned.RetireSegment(segment);
+      // The lowest erased segment at or after a random one.
+      auto segment = static_cast<std::uint32_t>(rng.UniformInt(0, param.segments - 1));
+      while (segment < param.segments && !tested.segment_is_erased(segment)) {
+        ++segment;
+      }
+      // At most an eighth of the card, so the rest wears on for the run.
+      if (segment < param.segments && retired < param.segments / 8 &&
+          tested.erased_segment_count() > 3 && tested.free_slots() >= 4ull * bps) {
+        tested.RetireSegment(segment);
+        reference.RetireSegment(segment);
         ++retired;
       }
     } else {
-      const auto segment = static_cast<std::uint32_t>(rng.UniformInt(0, param.segments - 1));
+      // Odd segments only: the even ones keep the card's endurance limit.
+      const auto segment =
+          static_cast<std::uint32_t>(2 * rng.UniformInt(0, param.segments / 2 - 1) + 1);
       const auto budget = static_cast<std::uint32_t>(rng.UniformInt(20, 400));
-      bucketed.SetEnduranceBudget(segment, budget);
-      scanned.SetEnduranceBudget(segment, budget);
+      tested.SetEnduranceBudget(segment, budget);
+      reference.SetEnduranceBudget(segment, budget);
+      budgets[segment] = budget;
     }
-    if (step % 1000 == 0) {
-      ASSERT_TRUE(bucketed.CheckInvariants()) << "step " << step;
-      ASSERT_TRUE(scanned.CheckInvariants()) << "step " << step;
-    }
+    ASSERT_EQ(tested.BlockSegment(lba), reference.BlockSegment(lba)) << "step " << step;
+    ASSERT_NO_FATAL_FAILURE(compare(step, cleaned || step % 100 == 0));
   }
+  ASSERT_NO_FATAL_FAILURE(compare(-1, true));
   EXPECT_GT(victims, 100u);
   EXPECT_GT(retired, 0u);
-  ASSERT_TRUE(bucketed.CheckInvariants());
-  ASSERT_TRUE(scanned.CheckInvariants());
-  EXPECT_EQ(bucketed.total_erase_operations(), scanned.total_erase_operations());
-  EXPECT_EQ(bucketed.bad_segment_count(), scanned.bad_segment_count());
-  EXPECT_EQ(bucketed.live_blocks(), scanned.live_blocks());
-  for (std::uint32_t s = 0; s < param.segments; ++s) {
-    EXPECT_EQ(bucketed.segment_live_count(s), scanned.segment_live_count(s)) << s;
-    EXPECT_EQ(bucketed.segment_erase_count(s), scanned.segment_erase_count(s)) << s;
-    EXPECT_EQ(bucketed.segment_is_bad(s), scanned.segment_is_bad(s)) << s;
-    EXPECT_EQ(bucketed.segment_is_erased(s), scanned.segment_is_erased(s)) << s;
+  if (param.endurance_limit > 0) {
+    EXPECT_GT(worn_by_card_limit, 0u);
   }
-  for (std::uint64_t lba = 0; lba < config.logical_blocks; ++lba) {
-    ASSERT_EQ(bucketed.BlockSegment(lba), scanned.BlockSegment(lba)) << lba;
+}
+
+class SegmentManagerDifferentialTest : public ::testing::TestWithParam<DifferentialCase> {};
+
+// The bucketed greedy manager against one scanning every segment.
+TEST_P(SegmentManagerDifferentialTest, BucketsPickWhatTheScanPicks) {
+  const LogStructuredFtl greedy(CleaningPolicy::kGreedy);
+  const PerSegmentScanFtl scan(greedy);
+  SegmentManagerConfig config = DifferentialConfig(GetParam());
+  config.policy = &greedy;
+  SegmentManager bucketed(config);
+  config.policy = &scan;
+  SegmentManager scanned(config);
+  ASSERT_NO_FATAL_FAILURE(DriveDifferential(GetParam(), bucketed, scanned));
+  EXPECT_TRUE(scanned.CheckInvariants());
+}
+
+// FAT-remap's fill-order index against a scan scoring 1 / sequence.
+TEST_P(SegmentManagerDifferentialTest, FifoIndexPicksWhatTheScanPicks) {
+  const FatRemapFtl fifo;
+  const PerSegmentScanFtl scan(fifo);
+  SegmentManagerConfig config = DifferentialConfig(GetParam());
+  config.policy = &fifo;
+  SegmentManager indexed(config);
+  config.policy = &scan;
+  SegmentManager scanned(config);
+  ASSERT_NO_FATAL_FAILURE(DriveDifferential(GetParam(), indexed, scanned));
+  EXPECT_TRUE(scanned.CheckInvariants());
+}
+
+// The slot table, batched relocation and bulk preload against the per-copy
+// log, under every victim order.
+TEST_P(SegmentManagerDifferentialTest, BatchedCleanerMatchesPerCopyLog) {
+  const LogStructuredFtl greedy(CleaningPolicy::kGreedy);
+  const LogStructuredFtl cost_benefit(CleaningPolicy::kCostBenefit);
+  const LogStructuredFtl wear_aware(CleaningPolicy::kWearAware);
+  const FatRemapFtl fifo;
+  for (const FtlPolicy* policy :
+       std::vector<const FtlPolicy*>{&greedy, &cost_benefit, &wear_aware, &fifo}) {
+    SCOPED_TRACE(policy->name());
+    SegmentManagerConfig config = DifferentialConfig(GetParam());
+    config.policy = policy;
+    SegmentManager batched(config);
+    PerCopyLog per_copy(config, *policy);
+    ASSERT_NO_FATAL_FAILURE(DriveDifferential(GetParam(), batched, per_copy));
   }
 }
 
@@ -504,8 +884,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DifferentialCase{1, 96, 8}, DifferentialCase{2, 70, 32},
                       DifferentialCase{3, 96, 8, 1, true}, DifferentialCase{4, 70, 32, 1, true},
                       DifferentialCase{5, 130, 4, 3}, DifferentialCase{6, 70, 32, 4, true},
-                      DifferentialCase{7, 96, 8, 1, false, 60},
-                      DifferentialCase{8, 70, 32, 2, true, 40}));
+                      DifferentialCase{7, 96, 8, 1, false, 25},
+                      DifferentialCase{8, 70, 32, 2, true, 20}));
 
 }  // namespace
 }  // namespace mobisim

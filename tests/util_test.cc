@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -350,6 +351,68 @@ TEST(ReservoirSampleTest, QuantilesAfterReleaseFailTheCheck) {
   ReservoirSample empty(16);
   empty.Release();
   EXPECT_THROW(empty.Quantiles({0.5, 0.99}), SimError);
+}
+
+// The exact radix selection against a full sort of the same values, bit
+// for bit.  The reference sorts by the total order (-0.0 before +0.0),
+// which `<` leaves tied; every other pair of values sorts as `<` does.
+TEST(ReservoirSampleTest, QuantilesMatchAFullSortBitForBit) {
+  const auto total_less = [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  };
+  const auto reference = [](const std::vector<double>& v, double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+  };
+  Rng rng(20261018);
+  int checked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    // Sizes 1-3, small, around the sort cutoff, and reservoir-sized.
+    const std::size_t sizes[] = {1, 2, 3, 10, 63, 64, 65, 500, 5000, 70000};
+    const std::size_t n = sizes[trial % 10];
+    // A pool of 1, <= 10 or many distinct values, mixing signs, both zeros,
+    // subnormals and huge outliers.
+    const int pool_kind = (trial / 10) % 4;
+    const std::size_t pool_size =
+        pool_kind == 0 ? 1 : pool_kind == 1 ? static_cast<std::size_t>(rng.UniformInt(1, 10)) : n;
+    std::vector<double> pool;
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      const double pick = rng.NextDouble();
+      pool.push_back(pick < 0.1    ? 0.0
+                     : pick < 0.2  ? -0.0
+                     : pick < 0.25 ? (rng.Chance(0.5) ? 1e300 : -1e300)
+                     : pick < 0.3  ? 4.9e-324 * static_cast<double>(rng.UniformInt(1, 9))
+                     : pick < 0.6  ? -rng.Exponential(1.0 / 3.0)
+                                   : rng.Exponential(1.0 / 3.0));
+    }
+    if (pool_kind == 3) {
+      pool.resize(std::min<std::size_t>(pool.size(), 2000));  // heavy duplicates
+    }
+    std::vector<double> values;
+    ReservoirSample res(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values.push_back(pool[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))]);
+      res.Add(values.back());
+    }
+    const std::vector<double> qs = {0.0, 1.0, 0.5, 0.9, 0.95, 0.99, rng.NextDouble()};
+    const std::vector<double> got = res.Quantiles(qs);
+    ASSERT_EQ(got.size(), qs.size());
+    std::sort(values.begin(), values.end(), total_less);
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      const double want = reference(values, qs[i]);
+      const double single = res.Quantile(qs[i]);
+      ASSERT_EQ(std::memcmp(&got[i], &want, sizeof(double)), 0)
+          << "trial " << trial << " n " << n << " q " << qs[i] << ": " << got[i] << " vs "
+          << want;
+      ASSERT_EQ(std::memcmp(&single, &want, sizeof(double)), 0) << "trial " << trial;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 400 * 7);
 }
 
 TEST(HistogramTest, BucketsAndQuantiles) {
