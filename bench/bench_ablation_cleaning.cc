@@ -51,7 +51,7 @@ void Run(BenchContext& ctx) {
   std::printf("(mac trace, Intel datasheet card)\n\n");
 
   const Trace trace = GenerateNamedWorkload("mac", scale);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   const std::uint64_t capacity = RequiredCapacityBytes(blocks.total_bytes(), 0.40, 128 * 1024);
 
   const std::vector<double> utils = {0.80, 0.90, 0.95};

@@ -34,14 +34,14 @@ void Run(BenchContext& ctx) {
   for (const char* workload : {"mac", "dos"}) {
     const Trace trace = GenerateNamedWorkload(workload, scale);
 
-    const BlockTrace naive = BlockMapper::Map(trace);
+    const TraceView naive = BlockMapper::Map(trace);
     FatConfig fat_config;
     fat_config.block_bytes = trace.block_bytes;
     fat_config.capacity_bytes =
         2 * naive.total_bytes() + 16ull * 1024 * 1024;  // roomy volume
     fat_config.dir_entries = 4096;
     FatFileSystem fat(fat_config);
-    const BlockTrace with_fat = fat.Lower(trace);
+    const TraceView with_fat = fat.Lower(trace);
 
     const FatStats& stats = fat.stats();
     std::printf("-- %s trace: %llu data + %llu metadata block writes (%.1f%% metadata),\n",
@@ -59,7 +59,7 @@ void Run(BenchContext& ctx) {
                         "Write Mean (ms)", "Erases", "Max seg erases"});
     for (const DeviceSpec& spec : {Cu140Datasheet(), IntelCardDatasheet()}) {
       for (const bool use_fat : {false, true}) {
-        const BlockTrace& blocks = use_fat ? with_fat : naive;
+        const TraceView& blocks = use_fat ? with_fat : naive;
         SimConfig config = MakePaperConfig(spec, 2 * 1024 * 1024);
         const SimResult result = RunSimulation(blocks, config);
         table.BeginRow()

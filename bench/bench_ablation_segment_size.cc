@@ -30,7 +30,7 @@ void Run(BenchContext& ctx) {
   std::printf("(erase time scaled with segment size: constant 80 KB/s erase bandwidth)\n\n");
 
   const Trace trace = GenerateNamedWorkload("mac", scale);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
 
   const std::vector<std::uint32_t> segment_kb = {8, 16, 32, 64, 128, 256};
   const std::vector<double> utils = {0.80, 0.95};

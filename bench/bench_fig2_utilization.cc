@@ -43,7 +43,7 @@ void Run(BenchContext& ctx) {
     // Fixed capacity across the sweep: big enough for the highest demand.
     // (The engine regenerates this trace internally from the same seed.)
     const Trace trace = GenerateNamedWorkload(workload, scale);
-    const BlockTrace blocks = BlockMapper::Map(trace);
+    const TraceView blocks = BlockMapper::Map(trace);
     const std::uint64_t capacity =
         RequiredCapacityBytes(blocks.total_bytes(), utilizations.front(), 128 * 1024);
 

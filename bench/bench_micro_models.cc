@@ -96,12 +96,12 @@ BENCHMARK(BM_BufferCacheHit);
 
 void BM_SynthEndToEnd(benchmark::State& state) {
   const Trace trace = GenerateNamedWorkload("synth", 0.25);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   for (auto _ : state) {
     SimConfig config = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
     benchmark::DoNotOptimize(RunSimulation(blocks, config));
   }
-  state.SetItemsProcessed(state.iterations() * blocks.records.size());
+  state.SetItemsProcessed(state.iterations() * blocks.size());
 }
 BENCHMARK(BM_SynthEndToEnd);
 

@@ -31,12 +31,12 @@ struct RunStats {
   double flash_hit_rate = 0.0;
 };
 
-RunStats RunFlashCache(const BlockTrace& trace, std::uint64_t flash_bytes,
+RunStats RunFlashCache(const TraceView& trace, std::uint64_t flash_bytes,
                        std::uint64_t dram_bytes, SimTime spin_down_us) {
   FlashCacheConfig config;
   config.flash_bytes = flash_bytes;
   config.dram_bytes = dram_bytes;
-  config.block_bytes = trace.block_bytes;
+  config.block_bytes = trace.block_bytes();
   config.spin_down_after_us = spin_down_us;
   config.disk_capacity_bytes =
       std::max<std::uint64_t>(trace.total_bytes(), 40ull * 1024 * 1024);
@@ -44,9 +44,9 @@ RunStats RunFlashCache(const BlockTrace& trace, std::uint64_t flash_bytes,
 
   RunningStats reads;
   RunningStats writes;
-  const std::uint64_t warm = trace.records.size() / 10;
-  for (std::uint64_t i = 0; i < trace.records.size(); ++i) {
-    const BlockRecord& rec = trace.records[i];
+  const std::uint64_t warm = trace.size() / 10;
+  for (std::uint64_t i = 0; i < trace.size(); ++i) {
+    const BlockRecord rec = trace.record(i);
     const SimTime response = system.Handle(rec);
     if (i >= warm) {
       if (rec.op == OpType::kRead) {
@@ -56,7 +56,7 @@ RunStats RunFlashCache(const BlockTrace& trace, std::uint64_t flash_bytes,
       }
     }
   }
-  system.Finish(trace.records.back().time_us);
+  system.Finish(trace.times()[trace.size() - 1]);
 
   RunStats stats;
   stats.energy_j = system.total_energy_j();
@@ -112,7 +112,7 @@ void Run(BenchContext& ctx) {
   // far beyond any cache here, so compulsory misses keep the disk busy.
   for (const char* workload : workloads) {
     const Trace trace = GenerateNamedWorkload(workload, scale);
-    const BlockTrace blocks = BlockMapper::Map(trace);
+    const TraceView blocks = BlockMapper::Map(trace);
     for (const double threshold_sec : thresholds_sec) {
     const SimTime spin_down_us = UsFromSec(threshold_sec);
 

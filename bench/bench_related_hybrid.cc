@@ -40,19 +40,19 @@ struct RunStats {
   std::uint64_t promotions = 0;
 };
 
-RunStats RunHybrid(const BlockTrace& trace, std::uint64_t flash_bytes) {
+RunStats RunHybrid(const TraceView& trace, std::uint64_t flash_bytes) {
   HybridConfig config;
   config.flash_bytes = flash_bytes;
-  config.block_bytes = trace.block_bytes;
+  config.block_bytes = trace.block_bytes();
   config.disk_capacity_bytes =
       std::max<std::uint64_t>(trace.total_bytes(), 40ull * 1024 * 1024);
   HybridStore store(config);
 
   RunningStats reads;
   RunningStats writes;
-  const std::uint64_t warm = trace.records.size() / 10;
-  for (std::uint64_t i = 0; i < trace.records.size(); ++i) {
-    const BlockRecord& rec = trace.records[i];
+  const std::uint64_t warm = trace.size() / 10;
+  for (std::uint64_t i = 0; i < trace.size(); ++i) {
+    const BlockRecord rec = trace.record(i);
     const SimTime response = store.Handle(rec);
     if (i >= warm) {
       if (rec.op == OpType::kRead) {
@@ -62,7 +62,7 @@ RunStats RunHybrid(const BlockTrace& trace, std::uint64_t flash_bytes) {
       }
     }
   }
-  store.Finish(trace.records.back().time_us);
+  store.Finish(trace.times()[trace.size() - 1]);
   return RunStats{store.total_energy_j(), reads.mean(), writes.mean(),
                   store.flash_service_fraction(), store.promotions()};
 }
@@ -90,7 +90,7 @@ void Run(BenchContext& ctx) {
 
   for (const char* workload : workloads) {
     const Trace trace = GenerateNamedWorkload(workload, scale);
-    const BlockTrace blocks = BlockMapper::Map(trace);
+    const TraceView blocks = BlockMapper::Map(trace);
     const double store_mb = 40.0;
 
     std::printf("-- %s trace --\n", workload);

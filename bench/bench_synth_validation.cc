@@ -30,16 +30,16 @@ struct Expectation {
 // Mean service time straight from the spec sheet, assuming a spinning disk /
 // stall-free flash and the no-seek-within-file rule applied pessimistically
 // (every op pays the random overhead).
-Expectation AnalyticExpectation(const DeviceSpec& spec, const BlockTrace& trace) {
+Expectation AnalyticExpectation(const DeviceSpec& spec, const TraceView& trace) {
   Expectation e;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   double read_ms = 0.0;
   double write_ms = 0.0;
-  const std::uint64_t warm = trace.records.size() / 10;
-  for (std::uint64_t i = warm; i < trace.records.size(); ++i) {
-    const BlockRecord& rec = trace.records[i];
-    const std::uint64_t bytes = static_cast<std::uint64_t>(rec.block_count) * trace.block_bytes;
+  const std::uint64_t warm = trace.size() / 10;
+  for (std::uint64_t i = warm; i < trace.size(); ++i) {
+    const BlockRecord rec = trace.record(i);
+    const std::uint64_t bytes = static_cast<std::uint64_t>(rec.block_count) * trace.block_bytes();
     if (rec.op == OpType::kRead) {
       read_ms += spec.read_overhead_ms + MsFromUs(TransferTimeUs(bytes, spec.read_kbps));
       ++reads;
@@ -61,15 +61,16 @@ void Run(BenchContext& ctx) {
   std::printf(" decompression and seek costs; our deltas likewise come from seeks, queueing\n");
   std::printf(" and cleaning, which the analytic model omits)\n\n");
 
-  const Trace trace = GenerateNamedWorkload("synth", scale);
-  BlockTrace blocks = BlockMapper::Map(trace);
+  Trace trace = GenerateNamedWorkload("synth", scale);
   // The testbed ran closed-loop (each operation issued after the previous
   // one completed); replaying trace timestamps open-loop against a raw
   // device would only measure queueing.  Spacing the records out removes
-  // queueing while keeping the op mix and sizes.
-  for (std::size_t i = 0; i < blocks.records.size(); ++i) {
-    blocks.records[i].time_us = static_cast<SimTime>(i) * 5 * kUsPerSec;
+  // queueing while keeping the op mix and sizes.  The mapper copies each
+  // file-level time to its block record.
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    trace.records[i].time_us = static_cast<SimTime>(i) * 5 * kUsPerSec;
   }
+  const TraceView blocks = BlockMapper::Map(trace);
 
   TablePrinter table({"Device", "Read sim (ms)", "Read analytic", "Delta (%)",
                       "Write sim (ms)", "Write analytic", "Delta (%)"});

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const double scale = argc > 2 ? std::atof(argv[2]) : 0.5;
 
   const Trace trace = GenerateNamedWorkload(workload, scale);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   const std::uint64_t capacity =
       RequiredCapacityBytes(blocks.total_bytes(), 0.40, 128 * 1024);
 

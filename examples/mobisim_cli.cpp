@@ -29,6 +29,7 @@
 #include "src/runner/cli_options.h"
 #include "src/runner/experiment_spec.h"
 #include "src/runner/sweep_runner.h"
+#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/external_formats.h"
 #include "src/trace/trace_cache.h"
@@ -144,21 +145,20 @@ int RunMain(int argc, char** argv) {
 
   // Build the block-level workload.
   TraceView blocks;
-  if (!hpl_path.empty() || !disksim_path.empty()) {
-    std::ifstream in(hpl_path.empty() ? disksim_path : hpl_path);
+  const std::string import_path = hpl_path.empty() ? disksim_path : hpl_path;
+  if (!import_path.empty()) {
+    std::ifstream in(import_path);
     if (!in) {
-      std::fprintf(stderr, "cannot open trace %s\n",
-                   (hpl_path.empty() ? disksim_path : hpl_path).c_str());
+      std::fprintf(stderr, "cannot open trace %s\n", import_path.c_str());
       return 1;
     }
-    const auto imported = hpl_path.empty()
-                              ? ImportDiskSimTrace(in, DiskSimImportOptions{}, &error)
-                              : ImportHplTrace(in, HplImportOptions{}, &error);
+    auto imported = hpl_path.empty() ? ImportDiskSimTrace(in, DiskSimImportOptions{}, &error)
+                                     : ImportHplTrace(in, HplImportOptions{}, &error);
     if (!imported) {
       std::fprintf(stderr, "import error: %s\n", error.c_str());
       return 1;
     }
-    blocks = TraceView::FromBlockTrace(*imported);
+    blocks = std::move(*imported);
     // Disk-level traces carry an implicit buffer cache (like the paper's hp
     // trace); simulate without one.
     config.dram_bytes = 0;
@@ -168,7 +168,7 @@ int RunMain(int argc, char** argv) {
       std::fprintf(stderr, "trace error: %s\n", error.c_str());
       return 1;
     }
-    blocks = TraceView::FromImage(TraceImage::Build(*trace));
+    blocks = BlockMapper::Map(*trace);
   } else {
     // `seed` perturbs the generator so repeated runs are reproducible and
     // distinct seeds give independent workload instances.  The trace cache
@@ -177,10 +177,10 @@ int RunMain(int argc, char** argv) {
     ApplyWorkloadRules(workload, &config);
   }
 
+  const std::string& source =
+      generated ? workload : (import_path.empty() ? trace_path : import_path);
   std::printf("mobisim: %s | workload %s (%zu block records)\n",
-              DescribeConfig(config).c_str(),
-              trace_path.empty() ? workload.c_str() : trace_path.c_str(),
-              blocks.size());
+              DescribeConfig(config).c_str(), source.c_str(), blocks.size());
 
   const SimResult result = RunSimulation(blocks, config);
 
@@ -244,10 +244,7 @@ int RunMain(int argc, char** argv) {
   for (std::size_t replica = 0; replica < replicas; ++replica) {
     ExperimentPoint point;
     point.index = replica;
-    point.workload = generated ? workload
-                               : (trace_path.empty()
-                                      ? (hpl_path.empty() ? disksim_path : hpl_path)
-                                      : trace_path);
+    point.workload = source;
     point.scale = scale;
     point.seed = ReplicaSeed(seed, replica);
     point.replica = replica;

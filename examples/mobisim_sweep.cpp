@@ -210,6 +210,10 @@ int RunMain(int argc, char** argv) {
       return 1;
     }
   }
+  if (!CheckGridAxes(spec, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
+  }
   // Common-surface overrides land in the spec itself so the fingerprint and
   // the enumerated points both reflect them.
   if (common.seed) {

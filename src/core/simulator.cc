@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/fault/fault.h"
+#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/check.h"
 
@@ -141,10 +142,6 @@ SimResult RunSimulation(const TraceView& trace, const SimConfig& config) {
   return result;
 }
 
-SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config) {
-  return RunSimulation(TraceView::FromBlockTrace(trace), config);
-}
-
 void ApplyWorkloadRules(const std::string& workload, SimConfig* config) {
   if (workload == "hp") {
     // The hp trace was gathered below the buffer cache; simulating one would
@@ -177,8 +174,7 @@ SimConfig EffectiveConfig(const SimConfig& config) {
 }
 
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
-  const TraceView view =
-      TraceView::FromImage(TraceImage::Build(GenerateNamedWorkload(workload, scale)));
+  const TraceView view = BlockMapper::Map(GenerateNamedWorkload(workload, scale));
   SimConfig adjusted = config;
   ApplyWorkloadRules(workload, &adjusted);
   return RunSimulation(view, adjusted);

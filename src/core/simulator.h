@@ -9,9 +9,9 @@
 //     their own Rng instances.  Concurrent calls from different threads are
 //     safe, and results are bit-identical to serial execution regardless of
 //     scheduling.
-//   - A `const BlockTrace&` or TraceView may be shared across concurrent
-//     RunSimulation calls; the simulator only reads it (TraceView backings
-//     are immutable after construction, including mmap'd ones).
+//   - A TraceView may be shared across concurrent RunSimulation calls; the
+//     simulator only reads it (TraceView backings are immutable after
+//     construction, including mmap'd ones).
 //   - Do NOT share one StorageSystem/StorageDevice across threads, even
 //     through const methods: some accessors refresh cached aggregates (e.g.
 //     LogFlashDevice::counters() recomputes erase statistics into a mutable
@@ -34,12 +34,9 @@ namespace mobisim {
 
 // Runs `trace` under `config`.  The first config.warm_fraction of records
 // warms the caches; energy and response statistics cover the remainder
-// (section 4.2 of the paper).  The TraceView overload is the real
-// implementation (it walks the view's columns in place, zero-copy when the
-// view maps a cache entry); the BlockTrace overload copies into a view and
-// produces byte-identical results.
+// (section 4.2 of the paper).  It walks the view's columns in place, zero
+// copy when the view maps a cache entry.
 SimResult RunSimulation(const TraceView& trace, const SimConfig& config);
-SimResult RunSimulation(const BlockTrace& trace, const SimConfig& config);
 
 // The per-workload configuration rules of the paper's methodology, the one
 // place every driver (RunNamedWorkload, RunSweep, the CLI tools) applies

@@ -161,7 +161,7 @@ FatFileSystem::FileState& FatFileSystem::GetOrCreateFile(std::uint32_t file_id,
   return entry;
 }
 
-BlockTrace FatFileSystem::Lower(const Trace& trace) {
+TraceView FatFileSystem::Lower(const Trace& trace) {
   MOBISIM_CHECK(trace.block_bytes == config_.block_bytes);
 
   // Pass 1: maximum size each file reaches (for pre-existing allocation).
@@ -173,19 +173,16 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
   }
 
-  BlockTrace out;
-  out.name = trace.name + "+fat";
-  out.block_bytes = config_.block_bytes;
-  out.total_blocks = total_blocks_;
-  out.records.reserve(trace.records.size() * 2);
+  std::vector<BlockRecord> out;
+  out.reserve(trace.records.size() * 2);
 
   for (const TraceRecord& rec : trace.records) {
     pending_fat_blocks_.clear();
     if (rec.op == OpType::kErase) {
       const auto it = files_.find(rec.file_id);
       if (it != files_.end()) {
-        FreeClusters(it->second, rec.time_us, &out.records);
-        EmitDirWrite(it->second, rec.time_us, &out.records);
+        FreeClusters(it->second, rec.time_us, &out);
+        EmitDirWrite(it->second, rec.time_us, &out);
         files_.erase(it);
         ++stats_.files_deleted;
       }
@@ -193,7 +190,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
 
     FileState& file = GetOrCreateFile(rec.file_id, rec.op == OpType::kWrite,
-                                      max_bytes[rec.file_id], rec.time_us, &out.records);
+                                      max_bytes[rec.file_id], rec.time_us, &out);
     // Grow the chain if this access reaches beyond it (recreation after a
     // delete, or growth past the silent preallocation).
     const std::uint64_t needed_blocks =
@@ -201,7 +198,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
         config_.block_bytes;
     if (needed_blocks > file.clusters.size()) {
       MOBISIM_CHECK(AllocateClusters(file, needed_blocks - file.clusters.size(), rec.time_us,
-                                     &out.records) &&
+                                     &out) &&
                     "FAT volume full");
     }
 
@@ -220,7 +217,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
         data.lba = data_begin() + file.clusters[run_start];
         data.block_count = static_cast<std::uint32_t>(b - run_start + 1);
         data.file_id = rec.file_id;
-        out.records.push_back(data);
+        out.push_back(data);
         if (rec.op == OpType::kRead) {
           stats_.data_blocks_read += data.block_count;
         } else {
@@ -231,7 +228,7 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     }
 
     if (rec.op == OpType::kWrite && config_.dir_update_per_write) {
-      EmitDirWrite(file, rec.time_us, &out.records);
+      EmitDirWrite(file, rec.time_us, &out);
     }
   }
 
@@ -248,7 +245,8 @@ BlockTrace FatFileSystem::Lower(const Trace& trace) {
     extents.Add(static_cast<double>(runs));
   }
   stats_.mean_extents_per_file = extents.mean();
-  return out;
+  return TraceView::FromImage(
+      TraceImage::Build(trace.name + "+fat", config_.block_bytes, total_blocks_, out));
 }
 
 }  // namespace mobisim

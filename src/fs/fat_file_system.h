@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/trace/trace_record.h"
+#include "src/trace/trace_view.h"
 
 namespace mobisim {
 
@@ -64,8 +65,9 @@ class FatFileSystem {
   // Lowers `trace` to block-level traffic, including metadata writes.
   // Files first seen via a read are treated as pre-existing (their clusters
   // are allocated silently at mount); files first seen via a write are
-  // created, with allocation traffic.
-  BlockTrace Lower(const Trace& trace);
+  // created, with allocation traffic.  The view spans the whole volume
+  // (total_blocks()).
+  TraceView Lower(const Trace& trace);
 
   const FatStats& stats() const { return stats_; }
 

@@ -363,6 +363,21 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
   return ApplyConfigAssignment(&spec->base, key, value, error);
 }
 
+bool CheckGridAxes(const ExperimentSpec& spec, std::string* error) {
+  const auto reads_ftl = [](const DeviceSpec& device) {
+    return device.kind == DeviceKind::kFlashCard || device.kind == DeviceKind::kNandSsd;
+  };
+  if (spec.ftl_policies.empty() ||
+      (spec.devices.empty() ? reads_ftl(spec.base.device)
+                            : std::any_of(spec.devices.begin(), spec.devices.end(), reads_ftl))) {
+    return true;
+  }
+  SetError(error,
+           "the ftl axis is read by no device in the grid (only flash cards and NAND "
+           "SSDs have an FTL; every device here is a disk)");
+  return false;
+}
+
 std::optional<ExperimentSpec> ParseExperimentSpec(const std::string& text,
                                                   std::string* error) {
   ExperimentSpec spec;
@@ -390,6 +405,9 @@ std::optional<ExperimentSpec> ParseExperimentSpec(const std::string& text,
       SetError(error, "line " + std::to_string(line_no) + ": " + assign_error);
       return std::nullopt;
     }
+  }
+  if (!CheckGridAxes(spec, error)) {
+    return std::nullopt;
   }
   return spec;
 }

@@ -106,7 +106,13 @@ std::vector<ExperimentPoint> FilterPoints(std::vector<ExperimentPoint> points,
 bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& key,
                          const std::string& value, std::string* error);
 
-// Parses a whole spec file ('#' comments, blank lines, `key = value`).
+// Rejects an explicit `ftl` list over a grid whose devices are all disks
+// (its points would share one simulation).  Run once every assignment has
+// landed.  False + `error` naming the axis.
+bool CheckGridAxes(const ExperimentSpec& spec, std::string* error);
+
+// Parses a whole spec file ('#' comments, blank lines, `key = value`), then
+// runs CheckGridAxes.
 std::optional<ExperimentSpec> ParseExperimentSpec(const std::string& text,
                                                   std::string* error);
 

@@ -14,15 +14,8 @@ const char* OpTypeName(OpType op) {
   return "unknown";
 }
 
-BlockTrace BlockMapper::Map(const Trace& trace) {
-  BlockTrace out;
-  out.name = trace.name;
-  out.block_bytes = trace.block_bytes;
-  out.records.reserve(trace.records.size());
-  out.total_blocks = MapEach(trace, [&out](std::size_t, const BlockRecord& rec) {
-    out.records.push_back(rec);
-  });
-  return out;
+TraceView BlockMapper::Map(const Trace& trace) {
+  return TraceView::FromImage(TraceImage::Build(trace));
 }
 
 }  // namespace mobisim

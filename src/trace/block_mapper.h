@@ -1,4 +1,4 @@
-// Lowers a file-level Trace to a block-level BlockTrace.
+// Lowers a file-level Trace to block-level records, held in a TraceView.
 //
 // Mirrors the preprocessing in section 4.1 of the paper: each file is
 // associated with a unique disk location.  We make two passes: the first
@@ -15,19 +15,21 @@
 #include <vector>
 
 #include "src/trace/trace_record.h"
+#include "src/trace/trace_view.h"
 #include "src/util/check.h"
 
 namespace mobisim {
 
 class BlockMapper {
  public:
-  // Lowers `trace` using its own block size.
-  static BlockTrace Map(const Trace& trace);
+  // Lowers `trace` using its own block size:
+  // TraceView::FromImage(TraceImage::Build(trace)).
+  static TraceView Map(const Trace& trace);
 
   // The mapping loop itself: calls `emit(i, block_record)` for each
   // trace.records[i], in order, and returns the address-space size
-  // (BlockTrace::total_blocks).  Map collects the records as rows;
-  // TraceImage::Build writes each one straight into its image's columns.
+  // (TraceView::total_blocks).  TraceImage::Build writes each record
+  // straight into its image's columns.
   template <typename Emit>
   static std::uint64_t MapEach(const Trace& trace, Emit&& emit);
 

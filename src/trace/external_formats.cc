@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <istream>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 namespace mobisim {
 
@@ -26,24 +28,56 @@ bool IsBlankOrComment(const std::string& line) {
   return true;
 }
 
-// Requests in external traces carry no file identity; synthesize one from
-// the request's neighbourhood so the seek model sees locality when requests
-// target nearby blocks.
-std::uint32_t LocalityGroup(std::uint64_t lba) {
-  return static_cast<std::uint32_t>(lba >> 6);  // 64-block neighbourhoods
+// Fills rec's lba, block_count and file_id from a request of `length` units
+// (at least one) starting at unit `start`, `units_per_block` units to a
+// block.  False when the request's end overflows or its block count does not
+// fit the 32-bit block_count column.
+bool SetBlocks(std::uint64_t start, std::uint64_t length, std::uint64_t units_per_block,
+               BlockRecord* rec) {
+  length = std::max<std::uint64_t>(length, 1);
+  if (length > std::numeric_limits<std::uint64_t>::max() - start) {
+    return false;
+  }
+  const std::uint64_t first = start / units_per_block;
+  const std::uint64_t last = (start + length - 1) / units_per_block;
+  if (last - first >= std::numeric_limits<std::uint32_t>::max()) {
+    return false;
+  }
+  rec->lba = first;
+  rec->block_count = static_cast<std::uint32_t>(last - first + 1);
+  // Requests in external traces carry no file identity; synthesize one from
+  // the request's 64-block neighbourhood so the seek model sees locality
+  // when requests target nearby blocks.
+  rec->file_id = static_cast<std::uint32_t>(first >> 6);
+  return true;
+}
+
+// Sorts the imported rows by time (stably, so equal timestamps keep file
+// order) and builds the trace's image.
+std::optional<TraceView> Finish(const char* format, const std::string& name,
+                                std::uint32_t block_bytes, std::vector<BlockRecord>* rows,
+                                std::string* error) {
+  if (rows->empty()) {
+    SetError(error, std::string(format) + " trace contained no records");
+    return std::nullopt;
+  }
+  std::stable_sort(rows->begin(), rows->end(), [](const BlockRecord& a, const BlockRecord& b) {
+    return a.time_us < b.time_us;
+  });
+  std::uint64_t total_blocks = 0;
+  for (const BlockRecord& rec : *rows) {
+    total_blocks = std::max(total_blocks, rec.lba + rec.block_count);
+  }
+  return TraceView::FromImage(TraceImage::Build(name, block_bytes, total_blocks, *rows));
 }
 
 }  // namespace
 
-std::optional<BlockTrace> ImportHplTrace(std::istream& in, const HplImportOptions& options,
-                                         std::string* error) {
-  BlockTrace trace;
-  trace.name = "hpl-import";
-  trace.block_bytes = options.block_bytes;
-
+std::optional<TraceView> ImportHplTrace(std::istream& in, const HplImportOptions& options,
+                                        std::string* error) {
+  std::vector<BlockRecord> rows;
   std::string line;
   int line_no = 0;
-  std::uint64_t max_block = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (IsBlankOrComment(line)) {
@@ -72,44 +106,24 @@ std::optional<BlockTrace> ImportHplTrace(std::istream& in, const HplImportOption
     BlockRecord rec;
     rec.time_us = UsFromSec(timestamp_sec);
     rec.op = op_char == 'r' ? OpType::kRead : OpType::kWrite;
-    if (options.offsets_in_bytes) {
-      const std::uint64_t first = start / options.block_bytes;
-      const std::uint64_t last =
-          (start + std::max<std::uint64_t>(length, 1) - 1) / options.block_bytes;
-      rec.lba = first;
-      rec.block_count = static_cast<std::uint32_t>(last - first + 1);
-    } else {
-      rec.lba = start;
-      rec.block_count = static_cast<std::uint32_t>(std::max<std::uint64_t>(length, 1));
+    if (!SetBlocks(start, length, options.offsets_in_bytes ? options.block_bytes : 1, &rec)) {
+      SetError(error, "hpl line " + std::to_string(line_no) + ": length " +
+                          std::to_string(length) + " does not fit a 32-bit block count");
+      return std::nullopt;
     }
-    rec.file_id = LocalityGroup(rec.lba);
-    max_block = std::max(max_block, rec.lba + rec.block_count);
-    trace.records.push_back(rec);
+    rows.push_back(rec);
   }
-  if (trace.records.empty()) {
-    SetError(error, "hpl trace contained no records");
-    return std::nullopt;
-  }
-  std::stable_sort(trace.records.begin(), trace.records.end(),
-                   [](const BlockRecord& a, const BlockRecord& b) {
-                     return a.time_us < b.time_us;
-                   });
-  trace.total_blocks = max_block;
-  return trace;
+  return Finish("hpl", "hpl-import", options.block_bytes, &rows, error);
 }
 
-std::optional<BlockTrace> ImportDiskSimTrace(std::istream& in,
-                                             const DiskSimImportOptions& options,
-                                             std::string* error) {
-  BlockTrace trace;
-  trace.name = "disksim-import";
-  trace.block_bytes = options.block_bytes;
+std::optional<TraceView> ImportDiskSimTrace(std::istream& in,
+                                            const DiskSimImportOptions& options,
+                                            std::string* error) {
   const std::uint64_t scale = std::max<std::uint64_t>(
       1, options.block_bytes / options.disksim_block_bytes);
-
+  std::vector<BlockRecord> rows;
   std::string line;
   int line_no = 0;
-  std::uint64_t max_block = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (IsBlankOrComment(line)) {
@@ -132,25 +146,14 @@ std::optional<BlockTrace> ImportDiskSimTrace(std::istream& in,
     BlockRecord rec;
     rec.time_us = UsFromMs(timestamp_ms);
     rec.op = (flags & 1u) != 0 ? OpType::kRead : OpType::kWrite;  // DiskSim: bit 0 = read
-    const std::uint64_t first = blkno / scale;
-    const std::uint64_t last =
-        (blkno + std::max<std::uint64_t>(size_blocks, 1) - 1) / scale;
-    rec.lba = first;
-    rec.block_count = static_cast<std::uint32_t>(last - first + 1);
-    rec.file_id = LocalityGroup(rec.lba);
-    max_block = std::max(max_block, rec.lba + rec.block_count);
-    trace.records.push_back(rec);
+    if (!SetBlocks(blkno, size_blocks, scale, &rec)) {
+      SetError(error, "disksim line " + std::to_string(line_no) + ": size " +
+                          std::to_string(size_blocks) + " does not fit a 32-bit block count");
+      return std::nullopt;
+    }
+    rows.push_back(rec);
   }
-  if (trace.records.empty()) {
-    SetError(error, "disksim trace contained no records");
-    return std::nullopt;
-  }
-  std::stable_sort(trace.records.begin(), trace.records.end(),
-                   [](const BlockRecord& a, const BlockRecord& b) {
-                     return a.time_us < b.time_us;
-                   });
-  trace.total_blocks = max_block;
-  return trace;
+  return Finish("disksim", "disksim-import", options.block_bytes, &rows, error);
 }
 
 }  // namespace mobisim

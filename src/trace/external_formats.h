@@ -13,10 +13,12 @@
 //        <timestamp-ms> <devno> <blkno> <size-in-blocks> <flags>
 //    where bit 0 of flags set means a read (DiskSim convention).
 //
-// Both importers produce a BlockTrace directly (these are disk-level traces;
-// like the paper's hp trace they should be simulated without a DRAM cache).
+// Both importers produce a TraceView directly (these are disk-level traces;
+// like the paper's hp trace they should be simulated without a DRAM cache):
+// they collect the rows, sort them by time and build the image once.
 // Requests for devices other than `device_filter` are dropped when the
-// filter is >= 0.
+// filter is >= 0.  A request whose length spans more blocks than the 32-bit
+// block count holds fails the import, naming its line.
 #ifndef MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_
 #define MOBISIM_SRC_TRACE_EXTERNAL_FORMATS_H_
 
@@ -24,7 +26,7 @@
 #include <optional>
 #include <string>
 
-#include "src/trace/trace_record.h"
+#include "src/trace/trace_view.h"
 
 namespace mobisim {
 
@@ -34,8 +36,8 @@ struct HplImportOptions {
   int device_filter = -1;  // -1 = accept all devices
 };
 
-std::optional<BlockTrace> ImportHplTrace(std::istream& in, const HplImportOptions& options,
-                                         std::string* error = nullptr);
+std::optional<TraceView> ImportHplTrace(std::istream& in, const HplImportOptions& options,
+                                        std::string* error = nullptr);
 
 struct DiskSimImportOptions {
   std::uint32_t disksim_block_bytes = 512;  // DiskSim's block unit
@@ -43,9 +45,9 @@ struct DiskSimImportOptions {
   int device_filter = -1;
 };
 
-std::optional<BlockTrace> ImportDiskSimTrace(std::istream& in,
-                                             const DiskSimImportOptions& options,
-                                             std::string* error = nullptr);
+std::optional<TraceView> ImportDiskSimTrace(std::istream& in,
+                                            const DiskSimImportOptions& options,
+                                            std::string* error = nullptr);
 
 }  // namespace mobisim
 

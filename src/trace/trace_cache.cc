@@ -114,10 +114,6 @@ std::string TraceCacheFingerprint(const std::string& workload, double scale,
   return HexU64(Fnv1a64(CanonicalTraceKeyText(workload, scale, seed, format_version)));
 }
 
-std::string SerializeBlockTrace(const BlockTrace& trace) {
-  return std::string(TraceImage::Build(trace).bytes());
-}
-
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
 std::string TraceCache::EntryPath(const std::string& fingerprint) const {

@@ -51,9 +51,6 @@ std::string TraceCacheFingerprint(const std::string& workload, double scale,
                                   std::uint64_t seed,
                                   std::uint32_t format_version = kTraceCacheFormatVersion);
 
-// The entry bytes of a mapped trace: TraceImage::Build(trace), as a string.
-std::string SerializeBlockTrace(const BlockTrace& trace);
-
 // Counts are per lookup.  A sweep (RunSweep) looks a trace up once per
 // residency, not once per distinct trace: up front, and again at each use
 // that re-maps it after it was dropped.  So a sweep whose reuses of a trace

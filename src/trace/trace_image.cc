@@ -154,12 +154,13 @@ TraceImage TraceImage::Build(const Trace& trace) {
   return writer.Finish(total_blocks);
 }
 
-TraceImage TraceImage::Build(const BlockTrace& trace) {
-  Writer writer(trace.name, trace.block_bytes, trace.records.size());
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    writer.Put(i, trace.records[i]);
+TraceImage TraceImage::Build(const std::string& name, std::uint32_t block_bytes,
+                             std::uint64_t total_blocks, std::span<const BlockRecord> rows) {
+  Writer writer(name, block_bytes, rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    writer.Put(i, rows[i]);
   }
-  return writer.Finish(trace.total_blocks);
+  return writer.Finish(total_blocks);
 }
 
 TraceImage TraceImage::Copy(std::string_view bytes) {

@@ -1,12 +1,13 @@
 // The `.mtc` v2 entry image: the one form a block trace takes, in memory and
 // on disk.
 //
-// A generated trace is built once, straight into this layout (DESIGN.md
+// Every lowered trace is built once, straight into this layout (DESIGN.md
 // section 8): a 32-byte header, the name, one column per BlockRecord field
 // and a Fnv1a64Wide footer, every piece zero-padded to 8 bytes.
 // TraceImage::Build runs BlockMapper's loop and writes each mapped record
-// into its columns; a TraceView adopts the image and walks the columns in
-// place; TraceCache::Store writes the bytes to disk as they are.  A warm
+// into its columns (or writes the rows an importer or the FAT model
+// produced); a TraceView adopts the image and walks the columns in place;
+// TraceCache::Store writes the bytes to disk as they are.  A warm
 // load maps the stored file, which is the same bytes, so both backings of a
 // view share one pointer setup (ParseEntryLayout) and every stored entry
 // passes one validator (ValidateEntry) before anything reads it.
@@ -16,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -66,10 +68,13 @@ class TraceImage {
   TraceImage() = default;
 
   // Lowers `trace` with BlockMapper, writing every record straight into its
-  // columns: the bytes equal SerializeBlockTrace(BlockMapper::Map(trace)).
+  // columns: the same bytes as the rows overload below given the rows
+  // MapEach emits.
   static TraceImage Build(const Trace& trace);
-  // The image of rows that are already mapped (imports, the row wrappers).
-  static TraceImage Build(const BlockTrace& trace);
+  // The image of rows that are already lowered (imports, FAT lowering),
+  // written in the order given; `total_blocks` is the address-space size.
+  static TraceImage Build(const std::string& name, std::uint32_t block_bytes,
+                          std::uint64_t total_blocks, std::span<const BlockRecord> rows);
   // An aligned copy of entry bytes (a file that could not be mapped in
   // place).  Validate the bytes before adopting the copy.
   static TraceImage Copy(std::string_view bytes);

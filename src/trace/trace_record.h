@@ -3,8 +3,9 @@
 // The paper's traces are file-level (which file, read/write, offset, size,
 // time) and are preprocessed into disk-level operations by assigning each
 // file a unique disk location (section 4.1).  We mirror that split: a Trace
-// holds file-level TraceRecords; BlockMapper (block_mapper.h) lowers it to a
-// BlockTrace of logical-block operations the simulator consumes.
+// holds file-level TraceRecords; BlockMapper (block_mapper.h) lowers it to
+// logical-block operations (BlockRecords) the simulator consumes, held in a
+// TraceView (trace_view.h).
 #ifndef MOBISIM_SRC_TRACE_TRACE_RECORD_H_
 #define MOBISIM_SRC_TRACE_TRACE_RECORD_H_
 
@@ -54,16 +55,6 @@ struct BlockRecord {
   // Originating file, kept so device models can apply the paper's
   // same-file-no-seek assumption (section 4.2).
   std::uint32_t file_id = 0;
-};
-
-struct BlockTrace {
-  std::string name;
-  std::uint32_t block_bytes = 1024;
-  // One past the highest LBA any record touches (the address-space size).
-  std::uint64_t total_blocks = 0;
-  std::vector<BlockRecord> records;
-
-  std::uint64_t total_bytes() const { return total_blocks * block_bytes; }
 };
 
 }  // namespace mobisim

@@ -44,19 +44,4 @@ TraceView TraceView::FromMapping(MmapFile map) {
   return Attach(std::move(storage), base, size);
 }
 
-BlockTrace TraceView::ToBlockTrace() const {
-  BlockTrace trace;
-  if (storage_ == nullptr) {
-    return trace;
-  }
-  trace.name = storage_->name;
-  trace.block_bytes = storage_->block_bytes;
-  trace.total_blocks = storage_->total_blocks;
-  trace.records.reserve(storage_->record_count);
-  for (std::size_t i = 0; i < storage_->record_count; ++i) {
-    trace.records.push_back(record(i));
-  }
-  return trace;
-}
-
 }  // namespace mobisim

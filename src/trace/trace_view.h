@@ -1,13 +1,15 @@
-// Read-only, column-oriented view of a block trace.
+// Read-only, column-oriented view of a block trace: the one in-memory form
+// of a lowered trace.
 //
 // The simulator's per-record loop reads five fields per record; a TraceView
 // hands it five parallel arrays (structure-of-arrays) instead of a vector of
 // structs.  Every view's columns live in a `.mtc` v2 entry image (see
 // trace_image.h): either an owned TraceImage (built in memory by
-// generation or FromBlockTrace, or copied from an entry file that cannot be
-// addressed in place) or an mmap'd trace-cache entry, the zero-copy path.
-// Both backings have the same layout and go through the same pointer setup,
-// so simulation results are byte-identical whichever path produced the view.
+// BlockMapper::Map, FatFileSystem::Lower or an importer, or copied from an
+// entry file that cannot be addressed in place) or an mmap'd trace-cache
+// entry, the zero-copy path.  Both backings have the same layout and go
+// through the same pointer setup, so simulation results are byte-identical
+// whichever path produced the view.
 //
 // Views are cheap to copy (one shared_ptr) and safe to share across sweep
 // worker threads — the backing is immutable after construction.  A view
@@ -59,17 +61,15 @@ class TraceView {
   // Walks a mapped entry in place (zero copy).  The caller has validated it
   // and checked ColumnsAddressableInPlace(map.data()).
   static TraceView FromMapping(MmapFile map);
-  // Builds the image of `trace` and adopts it.
-  static TraceView FromBlockTrace(const BlockTrace& trace) {
-    return FromImage(TraceImage::Build(trace));
-  }
 
   bool empty() const { return storage_ == nullptr || storage_->record_count == 0; }
   explicit operator bool() const { return storage_ != nullptr; }
 
   const std::string& name() const { return storage_->name; }
   std::uint32_t block_bytes() const { return storage_->block_bytes; }
+  // One past the highest LBA any record touches (the address-space size).
   std::uint64_t total_blocks() const { return storage_->total_blocks; }
+  std::uint64_t total_bytes() const { return total_blocks() * block_bytes(); }
   std::size_t size() const { return storage_ == nullptr ? 0 : storage_->record_count; }
   // True when the columns point into a mapped cache entry (no copy was
   // made); the one thing that tells the two backings apart.
@@ -91,9 +91,6 @@ class TraceView {
     rec.file_id = storage_->file_ids[i];
     return rec;
   }
-
-  // Materializes a row-form copy (tests, format round-trips).
-  BlockTrace ToBlockTrace() const;
 
  private:
   std::shared_ptr<const TraceViewStorage> storage_;

@@ -19,15 +19,15 @@ TEST(HplImportTest, ParsesByteOffsets) {
   std::string error;
   const auto trace = ImportHplTrace(in, options, &error);
   ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->records.size(), 3u);
-  EXPECT_EQ(trace->records[0].op, OpType::kRead);
-  EXPECT_EQ(trace->records[0].lba, 0u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
-  EXPECT_EQ(trace->records[1].op, OpType::kWrite);
-  EXPECT_EQ(trace->records[1].lba, 8u);
-  EXPECT_EQ(trace->records[1].block_count, 2u);
-  EXPECT_EQ(trace->records[1].time_us, 125000);
-  EXPECT_EQ(trace->total_blocks, 10u);
+  ASSERT_EQ(trace->size(), 3u);
+  EXPECT_EQ(trace->record(0).op, OpType::kRead);
+  EXPECT_EQ(trace->record(0).lba, 0u);
+  EXPECT_EQ(trace->record(0).block_count, 4u);
+  EXPECT_EQ(trace->record(1).op, OpType::kWrite);
+  EXPECT_EQ(trace->record(1).lba, 8u);
+  EXPECT_EQ(trace->record(1).block_count, 2u);
+  EXPECT_EQ(trace->record(1).time_us, 125000);
+  EXPECT_EQ(trace->total_blocks(), 10u);
 }
 
 TEST(HplImportTest, BlockOffsets) {
@@ -36,8 +36,8 @@ TEST(HplImportTest, BlockOffsets) {
   options.offsets_in_bytes = false;
   const auto trace = ImportHplTrace(in, options);
   ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records[0].lba, 100u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
+  EXPECT_EQ(trace->record(0).lba, 100u);
+  EXPECT_EQ(trace->record(0).block_count, 4u);
 }
 
 TEST(HplImportTest, DeviceFilter) {
@@ -49,7 +49,7 @@ TEST(HplImportTest, DeviceFilter) {
   options.device_filter = 0;
   const auto trace = ImportHplTrace(in, options);
   ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records.size(), 2u);
+  EXPECT_EQ(trace->size(), 2u);
 }
 
 TEST(HplImportTest, RejectsMalformed) {
@@ -65,14 +65,42 @@ TEST(HplImportTest, RejectsMalformed) {
   EXPECT_FALSE(ImportHplTrace(empty, HplImportOptions{}, &error).has_value());
 }
 
+// 2^45 bytes at 1 KiB blocks is 2^35 blocks: past the 32-bit block count,
+// so the import fails instead of keeping a truncated (0-block) write.
+TEST(HplImportTest, RejectsALengthPastTheBlockCount) {
+  std::istringstream in(
+      "0.0 0 0 1024 R\n"
+      "0.1 0 0 35184372088832 W\n");
+  std::string error;
+  EXPECT_FALSE(ImportHplTrace(in, HplImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("length"), std::string::npos) << error;
+
+  HplImportOptions blocks;
+  blocks.offsets_in_bytes = false;
+  std::istringstream widest("0.0 0 7 4294967295 W\n");
+  const auto trace = ImportHplTrace(widest, blocks, &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_EQ(trace->record(0).block_count, 4294967295u);
+  EXPECT_EQ(trace->total_blocks(), std::uint64_t{7} + 4294967295u);
+
+  std::istringstream one_more("0.0 0 7 4294967296 W\n");
+  EXPECT_FALSE(ImportHplTrace(one_more, blocks, &error).has_value());
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+
+  std::istringstream wraps("0.0 0 18446744073709551615 2 W\n");
+  EXPECT_FALSE(ImportHplTrace(wraps, blocks, &error).has_value());
+  EXPECT_NE(error.find("length"), std::string::npos) << error;
+}
+
 TEST(HplImportTest, SortsOutOfOrderTimestamps) {
   std::istringstream in(
       "2.0 0 0 1024 R\n"
       "1.0 0 1024 1024 W\n");
   const auto trace = ImportHplTrace(in, HplImportOptions{});
   ASSERT_TRUE(trace.has_value());
-  EXPECT_LT(trace->records[0].time_us, trace->records[1].time_us);
-  EXPECT_EQ(trace->records[0].op, OpType::kWrite);
+  EXPECT_LT(trace->record(0).time_us, trace->record(1).time_us);
+  EXPECT_EQ(trace->record(0).op, OpType::kWrite);
 }
 
 TEST(DiskSimImportTest, ParsesAndScalesBlocks) {
@@ -84,12 +112,29 @@ TEST(DiskSimImportTest, ParsesAndScalesBlocks) {
   std::string error;
   const auto trace = ImportDiskSimTrace(in, options, &error);
   ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->records.size(), 2u);
-  EXPECT_EQ(trace->records[0].op, OpType::kRead);
-  EXPECT_EQ(trace->records[0].lba, 8u);
-  EXPECT_EQ(trace->records[0].block_count, 4u);
-  EXPECT_EQ(trace->records[1].op, OpType::kWrite);
-  EXPECT_EQ(trace->records[1].time_us, 10500);
+  ASSERT_EQ(trace->size(), 2u);
+  EXPECT_EQ(trace->record(0).op, OpType::kRead);
+  EXPECT_EQ(trace->record(0).lba, 8u);
+  EXPECT_EQ(trace->record(0).block_count, 4u);
+  EXPECT_EQ(trace->record(1).op, OpType::kWrite);
+  EXPECT_EQ(trace->record(1).time_us, 10500);
+}
+
+// DiskSim sizes count 512-byte blocks, two to a 1 KiB simulator block.
+TEST(DiskSimImportTest, RejectsASizePastTheBlockCount) {
+  std::string error;
+  std::istringstream widest("0.0 0 0 8589934590 0\n");
+  const auto trace = ImportDiskSimTrace(widest, DiskSimImportOptions{}, &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_EQ(trace->record(0).block_count, 4294967295u);
+
+  std::istringstream in(
+      "0.0 0 0 2 1\n"
+      "# a comment line still counts\n"
+      "1.0 0 0 8589934592 0\n");
+  EXPECT_FALSE(ImportDiskSimTrace(in, DiskSimImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("size"), std::string::npos) << error;
 }
 
 TEST(DiskSimImportTest, LocalityGroupsShareFileIds) {
@@ -99,8 +144,8 @@ TEST(DiskSimImportTest, LocalityGroupsShareFileIds) {
       "2.0 0 4000 2 1\n");  // far away
   const auto trace = ImportDiskSimTrace(in, DiskSimImportOptions{});
   ASSERT_TRUE(trace.has_value());
-  EXPECT_EQ(trace->records[0].file_id, trace->records[1].file_id);
-  EXPECT_NE(trace->records[0].file_id, trace->records[2].file_id);
+  EXPECT_EQ(trace->record(0).file_id, trace->record(1).file_id);
+  EXPECT_NE(trace->record(0).file_id, trace->record(2).file_id);
 }
 
 }  // namespace

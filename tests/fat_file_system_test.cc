@@ -47,15 +47,19 @@ TEST(FatLayoutTest, RegionsAreDisjointAndOrdered) {
 
 TEST(FatLowerTest, CreateEmitsMetadataThenData) {
   FatFileSystem fs(SmallConfig());
-  const BlockTrace out = fs.Lower(MakeTrace({Rec(0, OpType::kWrite, 1, 0, 4096)}));
+  const TraceView out = fs.Lower(MakeTrace({Rec(0, OpType::kWrite, 1, 0, 4096)}));
   // Expected: FAT writes (chain) + data write + dir write.
   EXPECT_GT(fs.stats().fat_blocks_written, 0u);
   EXPECT_EQ(fs.stats().dir_blocks_written, 2u);  // create + per-write update
   EXPECT_EQ(fs.stats().data_blocks_written, 4u);
   EXPECT_EQ(fs.stats().files_created, 1u);
+  EXPECT_EQ(out.name(), "t+fat");
+  EXPECT_EQ(out.block_bytes(), 1024u);
+  EXPECT_EQ(out.total_blocks(), fs.total_blocks());
   // Data lands in the data region, metadata before it.
   bool saw_data = false;
-  for (const BlockRecord& rec : out.records) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const BlockRecord rec = out.record(i);
     if (rec.file_id == 1) {
       saw_data = true;
       EXPECT_GE(rec.lba, fs.data_begin());
@@ -68,27 +72,27 @@ TEST(FatLowerTest, CreateEmitsMetadataThenData) {
 
 TEST(FatLowerTest, PreexistingFilesReadWithoutMetadata) {
   FatFileSystem fs(SmallConfig());
-  const BlockTrace out = fs.Lower(MakeTrace({Rec(0, OpType::kRead, 1, 0, 4096)}));
+  const TraceView out = fs.Lower(MakeTrace({Rec(0, OpType::kRead, 1, 0, 4096)}));
   EXPECT_EQ(fs.stats().fat_blocks_written, 0u);
   EXPECT_EQ(fs.stats().dir_blocks_written, 0u);
   EXPECT_EQ(fs.stats().data_blocks_read, 4u);
-  EXPECT_EQ(out.records.size(), 1u);  // contiguous fresh allocation: one run
+  EXPECT_EQ(out.size(), 1u);  // contiguous fresh allocation: one run
 }
 
 TEST(FatLowerTest, ContiguousFileReadsAsOneRun) {
   FatFileSystem fs(SmallConfig());
-  const BlockTrace out = fs.Lower(MakeTrace({
+  const TraceView out = fs.Lower(MakeTrace({
       Rec(0, OpType::kRead, 1, 0, 16 * 1024),
   }));
-  ASSERT_EQ(out.records.size(), 1u);
-  EXPECT_EQ(out.records[0].block_count, 16u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out.record(0).block_count, 16u);
 }
 
 TEST(FatLowerTest, DeleteFreesAndReuseFragments) {
   FatFileSystem fs(SmallConfig());
   // Three files, delete the middle one, then create a file larger than the
   // hole: its clusters must fragment (hole + fresh area).
-  const BlockTrace out = fs.Lower(MakeTrace({
+  const TraceView out = fs.Lower(MakeTrace({
       Rec(0, OpType::kWrite, 1, 0, 8 * 1024),
       Rec(1, OpType::kWrite, 2, 0, 8 * 1024),
       Rec(2, OpType::kWrite, 3, 0, 8 * 1024),
@@ -131,9 +135,10 @@ TEST(FatLowerTest, FatWritesHitSmallFixedRegion) {
   for (std::uint32_t f = 0; f < 50; ++f) {
     records.push_back(Rec(f, OpType::kWrite, 100 + f, 0, 4096));
   }
-  const BlockTrace out = fs.Lower(MakeTrace(std::move(records)));
+  const TraceView out = fs.Lower(MakeTrace(std::move(records)));
   std::set<std::uint64_t> fat_lbas;
-  for (const BlockRecord& rec : out.records) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const BlockRecord rec = out.record(i);
     if (rec.lba >= fs.fat_begin() && rec.lba < fs.fat_begin() + fs.fat_blocks()) {
       fat_lbas.insert(rec.lba);
     }
@@ -166,11 +171,12 @@ TEST(FatLowerTest, MetadataShareGrowsWithSmallWrites) {
 
 TEST(FatLowerTest, TimesPreserved) {
   FatFileSystem fs(SmallConfig());
-  const BlockTrace out = fs.Lower(MakeTrace({
+  const TraceView out = fs.Lower(MakeTrace({
       Rec(1000, OpType::kWrite, 1, 0, 2048),
       Rec(2000, OpType::kRead, 1, 0, 2048),
   }));
-  for (const BlockRecord& rec : out.records) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const BlockRecord rec = out.record(i);
     EXPECT_TRUE(rec.time_us == 1000 || rec.time_us == 2000);
   }
 }

@@ -218,17 +218,17 @@ TEST(FlashCacheTest, RandomMixesMatchPinnedResults) {
 // small DRAM cache and returns what the flash cache did.
 std::string TraceFingerprint(const std::string& workload, std::uint64_t flash_kb,
                              std::uint64_t dram_kb) {
-  const BlockTrace trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.1));
+  const TraceView trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.1));
   FlashCacheConfig config;
   config.flash_bytes = flash_kb * 1024;
   config.dram_bytes = dram_kb * 1024;
-  config.block_bytes = trace.block_bytes;
+  config.block_bytes = trace.block_bytes();
   config.disk_capacity_bytes = std::max<std::uint64_t>(trace.total_bytes(), 40ull << 20);
   FlashCacheSystem system(config);
-  for (const BlockRecord& rec : trace.records) {
-    system.Handle(rec);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    system.Handle(trace.record(i));
   }
-  system.Finish(trace.records.back().time_us);
+  system.Finish(trace.times()[trace.size() - 1]);
 
   const DeviceCounters& disk = system.disk_counters();
   const DeviceCounters& flash = system.flash_counters();

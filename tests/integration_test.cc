@@ -23,8 +23,8 @@ TEST(IntegrationTest, FatLoweredTraceSimulates) {
   fat_config.capacity_bytes = 32ull * 1024 * 1024;
   fat_config.dir_entries = 1024;
   FatFileSystem fat(fat_config);
-  const BlockTrace blocks = fat.Lower(trace);
-  ASSERT_GT(blocks.records.size(), trace.records.size());  // metadata added
+  const TraceView blocks = fat.Lower(trace);
+  ASSERT_GT(blocks.size(), trace.records.size());  // metadata added
 
   for (const DeviceSpec& spec : {Cu140Datasheet(), IntelCardDatasheet()}) {
     SimConfig config = MakePaperConfig(spec, 1024 * 1024);
@@ -72,7 +72,7 @@ TEST(IntegrationTest, TraceFileRoundTripPreservesSimulation) {
 
 TEST(IntegrationTest, GeometryAndAverageModelsAgreeOnEnergyScale) {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig average = MakePaperConfig(Cu140Datasheet(), 1024 * 1024);
   SimConfig geometry = average;
   geometry.use_disk_geometry = true;

@@ -11,23 +11,13 @@
 namespace mobisim {
 namespace {
 
-using Param = std::tuple<std::string, std::string>;
+using Param = std::tuple<DeviceSpec, std::string>;
 
 class DeviceWorkloadPropertyTest : public ::testing::TestWithParam<Param> {};
 
-DeviceSpec SpecByName(const std::string& name) {
-  for (const DeviceSpec& spec : AllDeviceSpecs()) {
-    if (spec.name == name) {
-      return spec;
-    }
-  }
-  ADD_FAILURE() << "unknown device " << name;
-  return DeviceSpec{};
-}
-
 TEST_P(DeviceWorkloadPropertyTest, GlobalInvariantsHold) {
-  const auto& [device_name, workload] = GetParam();
-  SimConfig config = MakePaperConfig(SpecByName(device_name), 2 * 1024 * 1024);
+  const auto& [device, workload] = GetParam();
+  SimConfig config = MakePaperConfig(device, 2 * 1024 * 1024);
   const SimResult result = RunNamedWorkload(workload, config, /*scale=*/0.1);
 
   // Energy is positive and split into non-negative components.
@@ -61,13 +51,10 @@ TEST_P(DeviceWorkloadPropertyTest, GlobalInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DeviceWorkloadPropertyTest,
-    ::testing::Combine(::testing::Values("cu140-measured", "cu140-datasheet", "kh-datasheet",
-                                         "sdp10-measured", "sdp10-datasheet", "sdp5-datasheet",
-                                         "sdp5a-datasheet", "intel-measured",
-                                         "intel-datasheet", "intel-series2plus-datasheet"),
+    ::testing::Combine(::testing::ValuesIn(AllDeviceSpecs()),
                        ::testing::Values("mac", "dos", "hp", "synth")),
     [](const ::testing::TestParamInfo<Param>& info) {
-      std::string name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
+      std::string name = std::get<0>(info.param).name + "_" + std::get<1>(info.param);
       for (char& c : name) {
         if (c == '-') {
           c = '_';

@@ -148,6 +148,55 @@ TEST(ExperimentSpecTest, RejectsMalformedNumbersWithLineAndKey) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
+// An explicit ftl list over a grid of disks only would enumerate points
+// that all share one simulation; the parser and the sweep's overrides reject
+// it, naming the axis.  A grid with one log-structured flash device keeps it.
+TEST(ExperimentSpecTest, RejectsAnFtlAxisNoDeviceReads) {
+  std::string error;
+  for (const char* text : {
+           "devices = cu140-datasheet\nftl = greedy, page-diff\n",
+           "devices = cu140-datasheet, sdp5-datasheet, kh-datasheet\nftl = greedy\n",
+           "ftl = fat-remap\ndevices = sdp10-datasheet\n",
+           "device = cu140-datasheet\nftl = greedy, page-diff\n",
+       }) {
+    SCOPED_TRACE(text);
+    error.clear();
+    EXPECT_FALSE(ParseExperimentSpec(text, &error).has_value());
+    EXPECT_NE(error.find("ftl axis"), std::string::npos) << error;
+  }
+
+  for (const char* text : {
+           "devices = cu140-datasheet\n",
+           "ftl = greedy, page-diff\n",
+           "devices = nand-ssd-4ch\nftl = page-diff\n",
+           "devices = cu140-datasheet, kh-datasheet, sdp5-datasheet, intel-datasheet, "
+           "nand-ssd-4ch\nworkloads = mac, dos, hp\nutilizations = 0.5, 0.9\n"
+           "ftl = greedy, page-diff, fat-remap\n",
+       }) {
+    SCOPED_TRACE(text);
+    EXPECT_TRUE(ParseExperimentSpec(text, &error).has_value()) << error;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(MOBISIM_SPEC_DIR)) {
+    if (entry.path().extension() != ".spec") {
+      continue;
+    }
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_TRUE(ParseExperimentSpec(text.str(), &error).has_value())
+        << entry.path() << ": " << error;
+  }
+
+  // An override that leaves only disks fails the same check.
+  auto spec = ParseExperimentSpec("devices = intel-datasheet\nftl = greedy, page-diff\n",
+                                  &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_TRUE(CheckGridAxes(*spec, &error));
+  ASSERT_TRUE(ApplySpecAssignment(&*spec, "devices", "cu140-datasheet", &error)) << error;
+  EXPECT_FALSE(CheckGridAxes(*spec, &error));
+  EXPECT_NE(error.find("ftl axis"), std::string::npos) << error;
+}
+
 // The core guarantee of the engine: fanning a grid across threads changes
 // nothing about the numbers.  Counters must match bitwise; floats are
 // compared with a tolerance (they are in fact identical too, since each

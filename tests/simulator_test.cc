@@ -16,26 +16,26 @@
 namespace mobisim {
 namespace {
 
-BlockTrace TinyTrace() {
+TraceView TinyTrace() {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
   return BlockMapper::Map(trace);
 }
 
 TEST(SimulatorTest, WarmFractionSplitsRecords) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   config.warm_fraction = 0.25;
   const SimResult result = RunSimulation(trace, config);
-  EXPECT_EQ(result.warm_record_count, trace.records.size() / 4);
+  EXPECT_EQ(result.warm_record_count, trace.size() / 4);
   std::uint64_t post_warm_rw = 0;
-  for (std::uint64_t i = result.warm_record_count; i < trace.records.size(); ++i) {
-    post_warm_rw += trace.records[i].op != OpType::kErase ? 1 : 0;
+  for (std::uint64_t i = result.warm_record_count; i < trace.size(); ++i) {
+    post_warm_rw += static_cast<OpType>(trace.ops()[i]) != OpType::kErase ? 1 : 0;
   }
   EXPECT_EQ(result.overall_response_ms.count(), post_warm_rw);
 }
 
 TEST(SimulatorTest, PostWarmEnergyLessThanWholeRun) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
   SimConfig no_warm = config;
   no_warm.warm_fraction = 0.0;
@@ -46,7 +46,7 @@ TEST(SimulatorTest, PostWarmEnergyLessThanWholeRun) {
 }
 
 TEST(SimulatorTest, Deterministic) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   const SimResult a = RunSimulation(trace, config);
   const SimResult b = RunSimulation(trace, config);
@@ -57,7 +57,7 @@ TEST(SimulatorTest, Deterministic) {
 }
 
 TEST(SimulatorTest, DeviceModeBreakdownCoversTheRun) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
   const SimResult result = RunSimulation(trace, config);
   ASSERT_EQ(result.device_mode_seconds.size(), 5u);  // disk has 5 modes
@@ -67,7 +67,7 @@ TEST(SimulatorTest, DeviceModeBreakdownCoversTheRun) {
     total_sec += seconds;
   }
   // Mode times tile the whole run (within rounding).
-  const double span_sec = SecFromUs(trace.records.back().time_us);
+  const double span_sec = SecFromUs(trace.times()[trace.size() - 1]);
   EXPECT_NEAR(total_sec, span_sec, 0.05 * span_sec + 5.0);
   EXPECT_FALSE(result.device_energy_breakdown.empty());
 }
@@ -87,7 +87,7 @@ TEST(SimulatorTest, HpRunsWithoutDram) {
 }
 
 TEST(SimulatorTest, ResponsesSplitByOpType) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig config = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   const SimResult result = RunSimulation(trace, config);
   EXPECT_EQ(result.read_response_ms.count() + result.write_response_ms.count(),
@@ -97,7 +97,7 @@ TEST(SimulatorTest, ResponsesSplitByOpType) {
 
 // The paper's headline orderings, checked end-to-end on the synth workload.
 TEST(SimulatorOrderingTest, FlashBeatsDiskOnEnergy) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const double disk =
       RunSimulation(trace, MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024))
           .total_energy_j();
@@ -114,7 +114,7 @@ TEST(SimulatorOrderingTest, FlashBeatsDiskOnEnergy) {
 }
 
 TEST(SimulatorOrderingTest, FlashCardReadsBeatFlashDiskReads) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const SimResult flash_disk =
       RunSimulation(trace, MakePaperConfig(Sdp5Datasheet(), 0));
   const SimResult card = RunSimulation(trace, MakePaperConfig(IntelCardDatasheet(), 0));
@@ -122,7 +122,7 @@ TEST(SimulatorOrderingTest, FlashCardReadsBeatFlashDiskReads) {
 }
 
 TEST(SimulatorOrderingTest, DiskWithSramBeatsFlashOnWrites) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   const SimResult disk =
       RunSimulation(trace, MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024));
   const SimResult flash_disk =
@@ -131,7 +131,7 @@ TEST(SimulatorOrderingTest, DiskWithSramBeatsFlashOnWrites) {
 }
 
 TEST(SimulatorOrderingTest, AsyncErasureImprovesWrites) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig sync_config = MakePaperConfig(Sdp5aDatasheet(), 2 * 1024 * 1024);
   sync_config.flash_async_erasure = false;
   SimConfig async_config = MakePaperConfig(Sdp5aDatasheet(), 2 * 1024 * 1024);
@@ -142,7 +142,7 @@ TEST(SimulatorOrderingTest, AsyncErasureImprovesWrites) {
 }
 
 TEST(SimulatorOrderingTest, UtilizationRaisesFlashCardEnergy) {
-  const BlockTrace trace = TinyTrace();
+  const TraceView trace = TinyTrace();
   SimConfig low = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   low.flash_utilization = 0.40;
   low.capacity_bytes = 16 * 1024 * 1024;
@@ -204,7 +204,7 @@ bool IsLogFlash(const SimConfig& config) {
 // utilization shows only through its capacity or its pre-erased pool).
 TEST(EffectiveConfigTest, ResetFieldsNeverChangeTheRow) {
   for (const std::string workload : {"mac", "hp"}) {
-    const BlockTrace trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.05));
+    const TraceView trace = BlockMapper::Map(GenerateNamedWorkload(workload, 0.05));
     for (SimConfig base : EveryDeviceConfig()) {
       ApplyWorkloadRules(workload, &base);
       std::vector<SimConfig> variants;

@@ -41,24 +41,42 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-BlockTrace SmallTrace() {
+TraceView SmallTrace() {
   return BlockMapper::Map(GenerateNamedWorkload("synth", 0.02, 7));
 }
 
-bool SameTrace(const BlockTrace& a, const BlockTrace& b) {
-  if (a.name != b.name || a.block_bytes != b.block_bytes ||
-      a.total_blocks != b.total_blocks || a.records.size() != b.records.size()) {
-    return false;
+void ExpectSameColumns(const TraceView& a, const TraceView& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.name(), b.name());
+  EXPECT_EQ(a.block_bytes(), b.block_bytes());
+  EXPECT_EQ(a.total_blocks(), b.total_blocks());
+  const std::size_t n = a.size();
+  EXPECT_EQ(std::memcmp(a.times(), b.times(), n * sizeof(SimTime)), 0);
+  EXPECT_EQ(std::memcmp(a.lbas(), b.lbas(), n * sizeof(std::uint64_t)), 0);
+  EXPECT_EQ(std::memcmp(a.counts(), b.counts(), n * sizeof(std::uint32_t)), 0);
+  EXPECT_EQ(std::memcmp(a.file_ids(), b.file_ids(), n * sizeof(std::uint32_t)), 0);
+  EXPECT_EQ(std::memcmp(a.ops(), b.ops(), n), 0);
+}
+
+// The row path: the rows MapEach emits, collected into a vector and written
+// through TraceImage's rows entry point.
+std::string RowPathBytes(const Trace& trace) {
+  std::vector<BlockRecord> rows;
+  const std::uint64_t total_blocks = BlockMapper::MapEach(
+      trace, [&rows](std::size_t, const BlockRecord& rec) { rows.push_back(rec); });
+  return std::string(
+      TraceImage::Build(trace.name, trace.block_bytes, total_blocks, rows).bytes());
+}
+
+// A view's records read back one row at a time and written through the
+// rows entry point.
+std::string RowPathBytes(const TraceView& view) {
+  std::vector<BlockRecord> rows;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    rows.push_back(view.record(i));
   }
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const BlockRecord& x = a.records[i];
-    const BlockRecord& y = b.records[i];
-    if (x.time_us != y.time_us || x.op != y.op || x.lba != y.lba ||
-        x.block_count != y.block_count || x.file_id != y.file_id) {
-      return false;
-    }
-  }
-  return true;
+  return std::string(
+      TraceImage::Build(view.name(), view.block_bytes(), view.total_blocks(), rows).bytes());
 }
 
 std::string EntryDigest(std::string_view bytes) {
@@ -66,19 +84,19 @@ std::string EntryDigest(std::string_view bytes) {
 }
 
 TEST(TraceSerializationTest, RoundTripIsExact) {
-  const BlockTrace trace = SmallTrace();
-  const std::string data = SerializeBlockTrace(trace);
+  const TraceView trace = SmallTrace();
+  const std::string data = RowPathBytes(trace);
   std::string error;
   ASSERT_TRUE(ValidateEntry(data.data(), data.size(), &error)) << error;
-  // Decoded back to rows through an owned-image view.
-  const BlockTrace back = TraceView::FromImage(TraceImage::Copy(data)).ToBlockTrace();
-  EXPECT_TRUE(SameTrace(trace, back));
+  // Decoded back through an owned-image view.
+  const TraceView back = TraceView::FromImage(TraceImage::Copy(data));
+  ExpectSameColumns(trace, back);
   // Serialization is deterministic: same trace, same bytes.
-  EXPECT_EQ(data, SerializeBlockTrace(back));
+  EXPECT_EQ(data, RowPathBytes(back));
 }
 
 TEST(TraceSerializationTest, DetectsTruncationAndCorruption) {
-  const std::string data = SerializeBlockTrace(SmallTrace());
+  const std::string data = RowPathBytes(SmallTrace());
   std::string error;
   const auto valid = [&error](const std::string& bytes) {
     return ValidateEntry(bytes.data(), bytes.size(), &error);
@@ -164,15 +182,15 @@ TEST(TraceImageTest, TextImportWithEraseOnlyAndSparseFileIdsIsPinned) {
   ASSERT_TRUE(trace.has_value()) << error;
   const TraceImage image = TraceImage::Build(*trace);
   EXPECT_EQ(EntryDigest(image.bytes()), "ac86d9d279c3fd38");
-  EXPECT_EQ(image.bytes(), SerializeBlockTrace(BlockMapper::Map(*trace)));
-  const BlockTrace rows = TraceView::FromImage(TraceImage::Build(*trace)).ToBlockTrace();
-  EXPECT_EQ(rows.total_blocks, 18u);
-  ASSERT_EQ(rows.records.size(), 9u);
-  EXPECT_EQ(rows.records[1].op, OpType::kErase);
-  EXPECT_EQ(rows.records[1].lba, 6u);
-  EXPECT_EQ(rows.records[1].block_count, 1u);
-  EXPECT_EQ(rows.records[8].file_id, 4000000000u);
-  EXPECT_EQ(rows.records[8].block_count, 10u);
+  EXPECT_EQ(image.bytes(), RowPathBytes(*trace));
+  const TraceView view = BlockMapper::Map(*trace);
+  EXPECT_EQ(view.total_blocks(), 18u);
+  ASSERT_EQ(view.size(), 9u);
+  EXPECT_EQ(view.record(1).op, OpType::kErase);
+  EXPECT_EQ(view.record(1).lba, 6u);
+  EXPECT_EQ(view.record(1).block_count, 1u);
+  EXPECT_EQ(view.record(8).file_id, 4000000000u);
+  EXPECT_EQ(view.record(8).block_count, 10u);
 }
 
 // A random file-level trace: reads, writes and erases over a mix of dense
@@ -207,22 +225,9 @@ TEST(TraceImageTest, ColumnBuilderMatchesTheRowPathOnRandomTraces) {
     SCOPED_TRACE(seed);
     const Trace trace = RandomTrace(seed);
     const TraceImage image = TraceImage::Build(trace);
-    ASSERT_EQ(image.bytes(), SerializeBlockTrace(BlockMapper::Map(trace)));
+    ASSERT_EQ(image.bytes(), RowPathBytes(trace));
     ASSERT_TRUE(ValidateEntry(image.data(), image.size()));
   }
-}
-
-void ExpectSameColumns(const TraceView& a, const TraceView& b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.name(), b.name());
-  EXPECT_EQ(a.block_bytes(), b.block_bytes());
-  EXPECT_EQ(a.total_blocks(), b.total_blocks());
-  const std::size_t n = a.size();
-  EXPECT_EQ(std::memcmp(a.times(), b.times(), n * sizeof(SimTime)), 0);
-  EXPECT_EQ(std::memcmp(a.lbas(), b.lbas(), n * sizeof(std::uint64_t)), 0);
-  EXPECT_EQ(std::memcmp(a.counts(), b.counts(), n * sizeof(std::uint32_t)), 0);
-  EXPECT_EQ(std::memcmp(a.file_ids(), b.file_ids(), n * sizeof(std::uint32_t)), 0);
-  EXPECT_EQ(std::memcmp(a.ops(), b.ops(), n), 0);
 }
 
 TEST(TraceImageTest, OwnedAndMappedViewsDifferOnlyInZeroCopy) {
@@ -239,7 +244,7 @@ TEST(TraceImageTest, OwnedAndMappedViewsDifferOnlyInZeroCopy) {
   // as a view (the fallback backing) holds the same columns too.
   std::string file;
   ASSERT_TRUE(ReadFileToString(warm.EntryPath(TraceCacheFingerprint("dos", 0.1, 3)), &file));
-  EXPECT_EQ(file, SerializeBlockTrace(owned.ToBlockTrace()));
+  EXPECT_EQ(file, RowPathBytes(owned));
   const TraceView copied = TraceView::FromImage(TraceImage::Copy(file));
   EXPECT_FALSE(copied.zero_copy());
   ExpectSameColumns(copied, mapped);
@@ -273,29 +278,30 @@ TEST(TraceCacheTest, ColdMissStoresThenWarmHitIsBitIdentical) {
   const std::string dir = FreshDir("tc_basic");
   TraceCache cache(dir);
 
-  const BlockTrace first = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7).ToBlockTrace();
+  const TraceView first = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().stores, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
   TraceCache warm(dir);
-  const BlockTrace second = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7).ToBlockTrace();
+  const TraceView second = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7);
   EXPECT_EQ(warm.stats().hits, 1u);
   EXPECT_EQ(warm.stats().misses, 0u);
   EXPECT_EQ(warm.stats().stores, 0u);
-  EXPECT_TRUE(SameTrace(first, second));
+  ExpectSameColumns(first, second);
   // Bit-identical means the serializations match too.
-  EXPECT_EQ(SerializeBlockTrace(first), SerializeBlockTrace(second));
+  EXPECT_EQ(RowPathBytes(first), RowPathBytes(second));
   // And both match plain generation with no cache at all.
-  EXPECT_TRUE(SameTrace(LoadOrGenerateTraceView(nullptr, "synth", 0.02, 7).ToBlockTrace(),
-                        second));
-  EXPECT_TRUE(SameTrace(SmallTrace(), second));
+  ExpectSameColumns(LoadOrGenerateTraceView(nullptr, "synth", 0.02, 7), second);
+  ExpectSameColumns(SmallTrace(), second);
 }
 
 TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   const std::string dir = FreshDir("tc_corrupt");
   TraceCache cache(dir);
-  const BlockTrace original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7).ToBlockTrace();
+  // Generated cold, so owned: truncating the entry below cannot touch it.
+  const TraceView original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  ASSERT_FALSE(original.zero_copy());
   const std::string path = cache.EntryPath(TraceCacheFingerprint("synth", 0.02, 7));
   ASSERT_TRUE(std::filesystem::exists(path));
 
@@ -308,7 +314,7 @@ TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   EXPECT_EQ(reread.stats().corrupt, 1u);
   EXPECT_EQ(reread.stats().misses, 1u);
   EXPECT_EQ(reread.stats().stores, 1u);  // re-stored after regeneration
-  EXPECT_TRUE(SameTrace(original, regenerated.ToBlockTrace()));
+  ExpectSameColumns(original, regenerated);
   // The re-stored entry is whole again.
   TraceCache again(dir);
   EXPECT_FALSE(again.LoadView(TraceCacheFingerprint("synth", 0.02, 7)).empty());

@@ -63,32 +63,32 @@ TEST(TraceIoTest, RejectsMissingBlockSize) {
 }
 
 TEST(BlockMapperTest, AssignsDisjointExtents) {
-  const BlockTrace blocks = BlockMapper::Map(SmallTrace());
+  const TraceView blocks = BlockMapper::Map(SmallTrace());
   // File 1 reaches 4 KB = 4 blocks, file 2 reaches 1 block.
-  EXPECT_EQ(blocks.total_blocks, 5u);
-  EXPECT_EQ(blocks.records.size(), 5u);
+  EXPECT_EQ(blocks.total_blocks(), 5u);
+  EXPECT_EQ(blocks.size(), 5u);
   // First record: file 1 blocks 0..3.
-  EXPECT_EQ(blocks.records[0].lba, 0u);
-  EXPECT_EQ(blocks.records[0].block_count, 4u);
+  EXPECT_EQ(blocks.record(0).lba, 0u);
+  EXPECT_EQ(blocks.record(0).block_count, 4u);
   // Second: offset 1024 size 2048 -> blocks 1..2.
-  EXPECT_EQ(blocks.records[1].lba, 1u);
-  EXPECT_EQ(blocks.records[1].block_count, 2u);
+  EXPECT_EQ(blocks.record(1).lba, 1u);
+  EXPECT_EQ(blocks.record(1).block_count, 2u);
   // Third: file 2 gets the next extent.
-  EXPECT_EQ(blocks.records[2].lba, 4u);
-  EXPECT_EQ(blocks.records[2].block_count, 1u);
+  EXPECT_EQ(blocks.record(2).lba, 4u);
+  EXPECT_EQ(blocks.record(2).block_count, 1u);
 }
 
 TEST(BlockMapperTest, EraseCoversWholeExtent) {
-  const BlockTrace blocks = BlockMapper::Map(SmallTrace());
-  const BlockRecord& erase = blocks.records[3];
+  const TraceView blocks = BlockMapper::Map(SmallTrace());
+  const BlockRecord erase = blocks.record(3);
   EXPECT_EQ(erase.op, OpType::kErase);
   EXPECT_EQ(erase.lba, 0u);
   EXPECT_EQ(erase.block_count, 4u);
 }
 
 TEST(BlockMapperTest, SubBlockAccessRoundsUp) {
-  const BlockTrace blocks = BlockMapper::Map(SmallTrace());
-  const BlockRecord& read = blocks.records[4];  // 512 bytes at offset 0
+  const TraceView blocks = BlockMapper::Map(SmallTrace());
+  const BlockRecord read = blocks.record(4);  // 512 bytes at offset 0
   EXPECT_EQ(read.block_count, 1u);
 }
 
@@ -97,9 +97,9 @@ TEST(BlockMapperTest, UnalignedAccessSpansBlocks) {
   trace.block_bytes = 1024;
   // 1024 bytes starting at offset 512 touches blocks 0 and 1.
   trace.records = {{0, OpType::kRead, 1, 512, 1024}};
-  const BlockTrace blocks = BlockMapper::Map(trace);
-  EXPECT_EQ(blocks.records[0].block_count, 2u);
-  EXPECT_EQ(blocks.total_blocks, 2u);
+  const TraceView blocks = BlockMapper::Map(trace);
+  EXPECT_EQ(blocks.record(0).block_count, 2u);
+  EXPECT_EQ(blocks.total_blocks(), 2u);
 }
 
 TEST(TraceIoTest, FilePathRoundTrip) {

@@ -19,6 +19,7 @@
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/trace/trace_cache.h"
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_view.h"
 
 namespace mobisim {
@@ -31,34 +32,62 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-BlockTrace SmallTrace() {
-  return BlockMapper::Map(GenerateNamedWorkload("synth", 0.02, 7));
+Trace SmallFileTrace() { return GenerateNamedWorkload("synth", 0.02, 7); }
+
+TraceView SmallTrace() { return BlockMapper::Map(SmallFileTrace()); }
+
+// The rows MapEach emits for `trace`, collected into a vector.
+std::vector<BlockRecord> MappedRows(const Trace& trace, std::uint64_t* total_blocks) {
+  std::vector<BlockRecord> rows;
+  *total_blocks = BlockMapper::MapEach(
+      trace, [&rows](std::size_t, const BlockRecord& rec) { rows.push_back(rec); });
+  return rows;
+}
+
+// `trace` lowered through the rows entry point instead of the column
+// builder.
+TraceView ViewFromRows(const Trace& trace) {
+  std::uint64_t total_blocks = 0;
+  const std::vector<BlockRecord> rows = MappedRows(trace, &total_blocks);
+  return TraceView::FromImage(
+      TraceImage::Build(trace.name, trace.block_bytes, total_blocks, rows));
+}
+
+void ExpectSameRecord(const BlockRecord& got, const BlockRecord& want, std::size_t i) {
+  ASSERT_EQ(got.time_us, want.time_us) << "record " << i;
+  ASSERT_EQ(got.op, want.op) << "record " << i;
+  ASSERT_EQ(got.lba, want.lba) << "record " << i;
+  ASSERT_EQ(got.block_count, want.block_count) << "record " << i;
+  ASSERT_EQ(got.file_id, want.file_id) << "record " << i;
 }
 
 // Field-by-field equality of every record plus the trace-level metadata.
-void ExpectSameData(const TraceView& view, const BlockTrace& trace) {
-  ASSERT_EQ(view.size(), trace.records.size());
-  EXPECT_EQ(view.name(), trace.name);
-  EXPECT_EQ(view.block_bytes(), trace.block_bytes);
-  EXPECT_EQ(view.total_blocks(), trace.total_blocks);
-  for (std::size_t i = 0; i < trace.records.size(); ++i) {
-    const BlockRecord want = trace.records[i];
-    const BlockRecord got = view.record(i);
-    ASSERT_EQ(got.time_us, want.time_us) << "record " << i;
-    ASSERT_EQ(got.op, want.op) << "record " << i;
-    ASSERT_EQ(got.lba, want.lba) << "record " << i;
-    ASSERT_EQ(got.block_count, want.block_count) << "record " << i;
-    ASSERT_EQ(got.file_id, want.file_id) << "record " << i;
+void ExpectSameData(const TraceView& view, const TraceView& want) {
+  ASSERT_EQ(view.size(), want.size());
+  EXPECT_EQ(view.name(), want.name());
+  EXPECT_EQ(view.block_bytes(), want.block_bytes());
+  EXPECT_EQ(view.total_blocks(), want.total_blocks());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameRecord(view.record(i), want.record(i), i));
   }
 }
 
-TEST(TraceViewTest, FromBlockTraceCopiesExactly) {
-  const BlockTrace trace = SmallTrace();
-  const TraceView view = TraceView::FromBlockTrace(trace);
+TEST(TraceViewTest, RowsEntryPointCopiesExactly) {
+  const Trace trace = SmallFileTrace();
+  std::uint64_t total_blocks = 0;
+  const std::vector<BlockRecord> rows = MappedRows(trace, &total_blocks);
+  const TraceView view = ViewFromRows(trace);
   EXPECT_FALSE(view.zero_copy());
-  ExpectSameData(view, trace);
-  // The round trip back to row form is exact too.
-  EXPECT_EQ(SerializeBlockTrace(view.ToBlockTrace()), SerializeBlockTrace(trace));
+  EXPECT_EQ(view.name(), trace.name);
+  EXPECT_EQ(view.block_bytes(), trace.block_bytes);
+  EXPECT_EQ(view.total_blocks(), total_blocks);
+  EXPECT_EQ(view.total_bytes(), total_blocks * trace.block_bytes);
+  ASSERT_EQ(view.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameRecord(view.record(i), rows[i], i));
+  }
+  // The column builder writes the same records in place.
+  ExpectSameData(view, SmallTrace());
 }
 
 TEST(TraceViewTest, WarmLoadIsZeroCopyAndBitIdentical) {
@@ -89,18 +118,18 @@ TEST(TraceViewTest, SimulationResultsIdenticalAcrossBackings) {
   TraceCache cache(dir);
   LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);  // populate the entry
 
-  const BlockTrace trace = SmallTrace();
   TraceCache warm(dir);
   const TraceView view = LoadOrGenerateTraceView(&warm, "synth", 0.02, 7);
   ASSERT_TRUE(view.zero_copy());
 
   const SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  // Same simulation through the mmap view, the owned-column view, and the
-  // row-form overload: every result field must match exactly.
+  // Same simulation through the mmap view, the owned view the column
+  // builder wrote, and an owned view built from rows: every result field
+  // must match exactly.
   const std::string mapped = RowToJson(ResultToRow(RunSimulation(view, config)));
-  const std::string owned =
-      RowToJson(ResultToRow(RunSimulation(TraceView::FromBlockTrace(trace), config)));
-  const std::string rows = RowToJson(ResultToRow(RunSimulation(trace, config)));
+  const std::string owned = RowToJson(ResultToRow(RunSimulation(SmallTrace(), config)));
+  const std::string rows =
+      RowToJson(ResultToRow(RunSimulation(ViewFromRows(SmallFileTrace()), config)));
   EXPECT_EQ(mapped, owned);
   EXPECT_EQ(mapped, rows);
 }

@@ -49,7 +49,7 @@ TEST(BufferCacheDirtyTest, InvalidateClearsDirty) {
 
 TEST(WriteBackSystemTest, WritesAvoidImmediateDeviceTraffic) {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
 
   SimConfig through = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   SimConfig back = through;
@@ -68,7 +68,7 @@ TEST(WriteBackSystemTest, WritesAvoidImmediateDeviceTraffic) {
 
 TEST(WriteBackSystemTest, DirtyDataReachesDeviceEventually) {
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig config = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   config.write_back_cache = true;
   const SimResult result = RunSimulation(blocks, config);
@@ -81,7 +81,7 @@ TEST(WriteBackSystemTest, SyncIntervalBoundsLossWindow) {
   // With a short sync interval, device writes approach write-through volume;
   // with a long one, they shrink (more coalescing).
   const Trace trace = GenerateNamedWorkload("synth", 0.1);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig fast = MakePaperConfig(Sdp5Datasheet(), 2 * 1024 * 1024);
   fast.write_back_cache = true;
   fast.cache_sync_interval_us = 1 * kUsPerSec;
@@ -96,7 +96,7 @@ TEST(CleaningSeparationTest, ReducesCopyTrafficUnderMixing) {
   // With interleaved (pessimally mixed) prefill, routing cleaning copies to
   // their own segment un-mixes hot and cold data over time.
   const Trace trace = GenerateNamedWorkload("synth", 0.2);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig mixed = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   mixed.flash_utilization = 0.90;
   mixed.interleave_prefill = true;
@@ -109,7 +109,7 @@ TEST(CleaningSeparationTest, ReducesCopyTrafficUnderMixing) {
 
 TEST(WearAwarePolicyTest, NarrowsEraseDistribution) {
   const Trace trace = GenerateNamedWorkload("synth", 0.3);
-  const BlockTrace blocks = BlockMapper::Map(trace);
+  const TraceView blocks = BlockMapper::Map(trace);
   SimConfig greedy = MakePaperConfig(IntelCardDatasheet(), 2 * 1024 * 1024);
   greedy.flash_utilization = 0.90;
   SimConfig wear = greedy;
