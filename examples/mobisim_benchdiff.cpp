@@ -12,10 +12,7 @@
 // 2 usage, 3 runs could not be loaded or compared.
 //
 // Options:
-//   --metrics a,b,c     compare these columns (default: the curated set)
 //   --threshold F       fallback relative band without replicas (default 0.05)
-//   --noise-mult F      multiplier on replica spread (default 1.5)
-//   --rel-floor F       always-tolerated relative drift (default 0.01)
 //   --force             diff even when spec fingerprints differ
 //   --markdown FILE|-   also write a GitHub-flavoured Markdown report
 //   --quiet             suppress the text report (exit status only)
@@ -23,7 +20,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,21 +38,8 @@ int Usage() {
       "       mobisim_benchdiff --db DIR --spec NAME --cand-sha SHA\n"
       "                         [--base-sha SHA] [options]\n"
       "       mobisim_benchdiff --verify-db DIR\n"
-      "options: [--metrics a,b,c] [--threshold F] [--noise-mult F]\n"
-      "         [--rel-floor F] [--force] [--markdown FILE|-] [--quiet]\n");
+      "options: [--threshold F] [--force] [--markdown FILE|-] [--quiet]\n");
   return 2;
-}
-
-std::vector<std::string> SplitCommas(const std::string& value) {
-  std::vector<std::string> items;
-  std::string item;
-  std::istringstream in(value);
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) {
-      items.push_back(item);
-    }
-  }
-  return items;
 }
 
 bool ParsePositive(const std::string& text, double* out) {
@@ -104,18 +87,8 @@ int RunMain(int argc, char** argv) {
     } else if (args[i] == "--cand-sha" && next(&cand_sha)) {
     } else if (args[i] == "--verify-db" && next(&verify_root)) {
     } else if (args[i] == "--markdown" && next(&markdown_path)) {
-    } else if (args[i] == "--metrics" && next(&value)) {
-      options.metrics = SplitCommas(value);
     } else if (args[i] == "--threshold" && next(&value)) {
       if (!ParsePositive(value, &options.rel_threshold)) {
-        return Usage();
-      }
-    } else if (args[i] == "--noise-mult" && next(&value)) {
-      if (!ParsePositive(value, &options.noise_mult)) {
-        return Usage();
-      }
-    } else if (args[i] == "--rel-floor" && next(&value)) {
-      if (!ParsePositive(value, &options.min_rel_floor)) {
         return Usage();
       }
     } else if (args[i] == "--force") {

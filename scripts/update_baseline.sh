@@ -17,12 +17,11 @@ ABLATION_SPEC=specs/ablation_smoke.spec
 ABLATION_NAME=ablation
 BUILD=${1:-build}
 SWEEP=$BUILD/examples/mobisim_sweep
-BENCH=$BUILD/examples/mobisim_bench
 DIFF=$BUILD/examples/mobisim_benchdiff
 
-if [ ! -x "$SWEEP" ] || [ ! -x "$BENCH" ] || [ ! -x "$DIFF" ]; then
+if [ ! -x "$SWEEP" ] || [ ! -x "$DIFF" ]; then
   cmake -B "$BUILD" -S .
-  cmake --build "$BUILD" -j "$(nproc)" --target mobisim_sweep mobisim_bench mobisim_benchdiff
+  cmake --build "$BUILD" -j "$(nproc)" --target mobisim_sweep mobisim_benchdiff
 fi
 
 tmp=$(mktemp -d)
@@ -56,13 +55,6 @@ trap 'rm -rf "$tmp" "$stage"' EXIT
 # both bounding utilizations, gated the same way as the reference sweep.
 "$SWEEP" --spec "$ABLATION_SPEC" --db "$stage" --name "$ABLATION_NAME" \
          --sha baseline --quiet
-
-# The throughput baseline is machine-speed data, not simulator output, so it
-# skips the determinism check; run it serial and warm-cached so the recorded
-# noise band reflects timing jitter alone, not thread contention or trace
-# generation.
-"$BENCH" run throughput --jobs 1 --trace-cache "$tmp/tc" \
-         --db "$stage" --name throughput --sha baseline --quiet > /dev/null
 "$DIFF" --verify-db "$stage" --quiet
 
 # Sanity: each fresh baseline must gate itself clean.
@@ -70,9 +62,6 @@ trap 'rm -rf "$tmp" "$stage"' EXIT
         --cand "$stage/baseline/$NAME.jsonl" --quiet
 "$DIFF" --base "$stage/baseline/$ABLATION_NAME.jsonl" \
         --cand "$stage/baseline/$ABLATION_NAME.jsonl" --quiet
-"$DIFF" --base "$stage/baseline/throughput.jsonl" \
-        --cand "$stage/baseline/throughput.jsonl" \
-        --metrics ns_per_record,sec_per_point --quiet
 
 # Atomic swap: the old store is whole until the verified one replaces it.
 old=
@@ -102,4 +91,4 @@ print(f"  {path}: spec={meta.get('spec_name', '?')}"
       f" created={meta.get('created', '?')}")
 EOF
 done
-echo "update_baseline: bench_db/baseline/{$NAME,$ABLATION_NAME,throughput}.jsonl refreshed; commit bench_db/"
+echo "update_baseline: bench_db/baseline/{$NAME,$ABLATION_NAME}.jsonl refreshed; commit bench_db/"

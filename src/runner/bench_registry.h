@@ -62,10 +62,6 @@ struct BenchDef {
   std::uint64_t smoke_param = 0;
   std::string param_help;
 
-  // False for timing benches (google-benchmark): their output depends on
-  // the machine, so golden-output tests skip them.
-  bool deterministic = true;
-
   std::function<void(BenchContext&)> run;
 };
 
@@ -91,9 +87,6 @@ class BenchContext {
   std::uint64_t param() const { return param_; }
   bool smoke() const { return options_.smoke; }
   std::size_t threads() const { return options_.threads; }
-  // Persistent trace cache (null when the caller runs uncached).  For
-  // benches that drive RunSimulation directly instead of through RunGrid.
-  TraceCache* trace_cache() const { return options_.trace_cache; }
 
   // Enumerates and runs the spec's grid through RunSweep; rows stream to
   // the shared sinks tagged with the bench name, with point indices made

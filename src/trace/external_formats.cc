@@ -52,6 +52,27 @@ bool SetBlocks(std::uint64_t start, std::uint64_t length, std::uint64_t units_pe
   return true;
 }
 
+// Imported times stay below 2^62 us (about 146,000 years), so the sums of
+// times and durations the simulator forms stay well inside SimTime.
+constexpr double kMaxImportedUs = 4611686018427387904.0;
+
+// Sets rec's time from a timestamp of `value` units, `us_per_unit`
+// microseconds each.  False, with a message naming the line, for a time
+// that is negative, not a number or kMaxImportedUs or more.
+bool SetTime(double value, double us_per_unit, const char* format, int line_no,
+             const char* unit, BlockRecord* rec, std::string* error) {
+  const double us = value * us_per_unit;
+  if (!(us >= 0.0 && us < kMaxImportedUs)) {
+    std::ostringstream message;
+    message << format << " line " << line_no << ": timestamp " << value << ' ' << unit
+            << " is out of range (0 to 2^62 us)";
+    SetError(error, message.str());
+    return false;
+  }
+  rec->time_us = static_cast<SimTime>(us);
+  return true;
+}
+
 // Sorts the imported rows by time (stably, so equal timestamps keep file
 // order) and builds the trace's image.
 std::optional<TraceView> Finish(const char* format, const std::string& name,
@@ -104,7 +125,9 @@ std::optional<TraceView> ImportHplTrace(std::istream& in, const HplImportOptions
     }
 
     BlockRecord rec;
-    rec.time_us = UsFromSec(timestamp_sec);
+    if (!SetTime(timestamp_sec, kUsPerSec, "hpl", line_no, "s", &rec, error)) {
+      return std::nullopt;
+    }
     rec.op = op_char == 'r' ? OpType::kRead : OpType::kWrite;
     if (!SetBlocks(start, length, options.offsets_in_bytes ? options.block_bytes : 1, &rec)) {
       SetError(error, "hpl line " + std::to_string(line_no) + ": length " +
@@ -144,7 +167,9 @@ std::optional<TraceView> ImportDiskSimTrace(std::istream& in,
       continue;
     }
     BlockRecord rec;
-    rec.time_us = UsFromMs(timestamp_ms);
+    if (!SetTime(timestamp_ms, kUsPerMs, "disksim", line_no, "ms", &rec, error)) {
+      return std::nullopt;
+    }
     rec.op = (flags & 1u) != 0 ? OpType::kRead : OpType::kWrite;  // DiskSim: bit 0 = read
     if (!SetBlocks(blkno, size_blocks, scale, &rec)) {
       SetError(error, "disksim line " + std::to_string(line_no) + ": size " +

@@ -124,7 +124,6 @@ TEST_P(GoldenOutputTest, MatchesPreRegistryBinary) {
   const GoldenCase& test_case = GetParam();
   const BenchDef* def = FindBench(test_case.name);
   ASSERT_NE(def, nullptr) << test_case.name << " not registered";
-  ASSERT_TRUE(def->deterministic);
 
   BenchContext::Options options;
   options.scale = test_case.scale;
@@ -145,17 +144,19 @@ INSTANTIATE_TEST_SUITE_P(AllBenches, GoldenOutputTest,
                          });
 
 TEST(BenchRegistryTest, EveryHistoricalBenchIsRegistered) {
-  // One deterministic golden per converted binary, plus the timing bench.
-  EXPECT_GE(AllBenches().size(), 25u);
-  EXPECT_NE(FindBench("micro_models"), nullptr);
-  // Every golden case is registered and deterministic; micro_models is the
-  // one registered bench goldens must skip.
+  // One golden per converted binary, plus uflip, whose shapes are checked
+  // inside the bench: exactly these 25 names, nothing else.
+  std::vector<std::string> expected;
   for (const GoldenCase& test_case : kGoldenCases) {
-    const BenchDef* def = FindBench(test_case.name);
-    ASSERT_NE(def, nullptr) << test_case.name;
-    EXPECT_TRUE(def->deterministic) << test_case.name;
+    expected.push_back(test_case.name);
   }
-  EXPECT_FALSE(FindBench("micro_models")->deterministic);
+  expected.push_back("uflip");
+  std::vector<std::string> registered;
+  for (const BenchDef* def : AllBenches()) {
+    registered.push_back(def->name);
+  }
+  EXPECT_EQ(registered.size(), 25u);
+  EXPECT_EQ(registered, expected);
 }
 
 TEST(BenchRegistryTest, NamesAreSortedAndUnique) {
@@ -169,34 +170,40 @@ TEST(BenchRegistryTest, UnknownBenchIsNull) {
   EXPECT_EQ(FindBench("no_such_bench"), nullptr);
 }
 
-std::string RunForRows(const char* name, std::size_t threads,
-                       BenchContext::Options options = {}) {
-  const BenchDef* def = FindBench(name);
-  EXPECT_NE(def, nullptr) << name;
+struct SmokeRun {
+  std::string rows;  // exported rows, serialized in arrival order
+  std::string text;  // the bench's printed output
+};
+
+SmokeRun RunSmoke(const BenchDef& def, std::size_t threads, BenchContext::Options options = {}) {
   VectorSink sink;
   options.smoke = true;
   options.threads = threads;
   options.sinks = {&sink};
-  StdoutCapture capture;  // swallow the bench's human output
-  RunBench(*def, options);
-  capture.Finish();
-  return Serialize(sink.rows());
+  StdoutCapture capture;
+  RunBench(def, options);
+  const std::string text = capture.Finish();
+  return {Serialize(sink.rows()), text};
 }
 
-TEST(BenchRegistryTest, GridRowsAreIdenticalAcrossJobCounts) {
-  // fig5_sram is a pure RunGrid bench: rows must be bit-identical and in
-  // enumeration order no matter how the sweep is scheduled.
-  const std::string serial = RunForRows("fig5_sram", 1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, RunForRows("fig5_sram", 4));
+// Every bench, whether it runs grids, hand-built points or emitted
+// measurements: rows and printed output must not depend on how the sweep
+// is scheduled.
+class JobCountTest : public ::testing::TestWithParam<const BenchDef*> {};
+
+TEST_P(JobCountTest, RowsAndOutputAreIdenticalAtOneAndFourThreads) {
+  const BenchDef& def = *GetParam();
+  const SmokeRun serial = RunSmoke(def, 1);
+  const SmokeRun threaded = RunSmoke(def, 4);
+  EXPECT_FALSE(serial.rows.empty());
+  EXPECT_EQ(serial.rows, threaded.rows);
+  EXPECT_EQ(serial.text, threaded.text);
 }
 
-TEST(BenchRegistryTest, PointRowsAreIdenticalAcrossJobCounts) {
-  // table4_devices uses the point-level API (hand-built points).
-  const std::string serial = RunForRows("table4_devices", 1);
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, RunForRows("table4_devices", 4));
-}
+INSTANTIATE_TEST_SUITE_P(AllBenches, JobCountTest, ::testing::ValuesIn(AllBenches()),
+                         [](const ::testing::TestParamInfo<const BenchDef*>& info) {
+                           return info.param->name;
+                         });
 
 TEST(BenchRegistryTest, RowsCarryBenchLabelAndMonotonicPointIndex) {
   const BenchDef* def = FindBench("fig2_utilization");
@@ -256,10 +263,12 @@ TEST(BenchRegistryTest, SeedOverrideReachesEveryGridRow) {
 }
 
 TEST(BenchRegistryTest, ReplicasOverrideMultipliesGridRows) {
-  const std::string one = RunForRows("fig5_sram", 1);
+  const BenchDef* def = FindBench("fig5_sram");
+  ASSERT_NE(def, nullptr);
+  const std::string one = RunSmoke(*def, 1).rows;
   BenchContext::Options options;
   options.replicas = 2;
-  const std::string two = RunForRows("fig5_sram", 1, options);
+  const std::string two = RunSmoke(*def, 1, options).rows;
   const auto count = [](const std::string& text) {
     std::size_t lines = 0;
     for (const char c : text) {

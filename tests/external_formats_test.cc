@@ -93,6 +93,27 @@ TEST(HplImportTest, RejectsALengthPastTheBlockCount) {
   EXPECT_NE(error.find("length"), std::string::npos) << error;
 }
 
+// A time past SimTime's range or before zero fails the import with its line
+// instead of wrapping into a garbage (or negative) simulation time.
+TEST(HplImportTest, RejectsATimestampOutOfRange) {
+  std::string error;
+  std::istringstream huge(
+      "0.0 0 0 2048 W\n"
+      "1e300 0 8192 2048 W\n");
+  EXPECT_FALSE(ImportHplTrace(huge, HplImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("hpl line 2: timestamp"), std::string::npos) << error;
+
+  std::istringstream negative("-0.5 0 0 2048 W\n");
+  EXPECT_FALSE(ImportHplTrace(negative, HplImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("hpl line 1: timestamp"), std::string::npos) << error;
+
+  // 2^62 us is the first time out of range; just below it imports.
+  std::istringstream last("4611686018427.3 0 0 2048 W\n");
+  const auto trace = ImportHplTrace(last, HplImportOptions{}, &error);
+  ASSERT_TRUE(trace.has_value()) << error;
+  EXPECT_GT(trace->record(0).time_us, SimTime{4611686018427000000});
+}
+
 TEST(HplImportTest, SortsOutOfOrderTimestamps) {
   std::istringstream in(
       "2.0 0 0 1024 R\n"
@@ -135,6 +156,19 @@ TEST(DiskSimImportTest, RejectsASizePastTheBlockCount) {
   EXPECT_FALSE(ImportDiskSimTrace(in, DiskSimImportOptions{}, &error).has_value());
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
   EXPECT_NE(error.find("size"), std::string::npos) << error;
+}
+
+TEST(DiskSimImportTest, RejectsATimestampOutOfRange) {
+  std::string error;
+  std::istringstream in(
+      "0.0 0 0 2 1\n"
+      "-1.0 0 0 2 1\n");
+  EXPECT_FALSE(ImportDiskSimTrace(in, DiskSimImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("disksim line 2: timestamp"), std::string::npos) << error;
+
+  std::istringstream huge("1e16 0 0 2 1\n");  // 10^19 us
+  EXPECT_FALSE(ImportDiskSimTrace(huge, DiskSimImportOptions{}, &error).has_value());
+  EXPECT_NE(error.find("disksim line 1: timestamp"), std::string::npos) << error;
 }
 
 TEST(DiskSimImportTest, LocalityGroupsShareFileIds) {
