@@ -63,17 +63,6 @@ int Usage() {
   return 2;
 }
 
-// Collects every row (including dynamic and `_error` rows) for --db: the
-// store wants the complete run as one vector, not a stream.
-class VectorSink : public ResultSink {
- public:
-  void Write(const ResultRow& row) override { rows_.push_back(row); }
-  const std::vector<ResultRow>& rows() const { return rows_; }
-
- private:
-  std::vector<ResultRow> rows_;
-};
-
 int ListBenches() {
   const std::vector<const BenchDef*> benches = AllBenches();
   std::printf("%-24s %-13s %s\n", "NAME", "SOURCE", "DESCRIPTION");
@@ -182,7 +171,7 @@ int RunCommand(std::vector<std::string> args) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  VectorSink collected;
+  VectorResultSink collected;
 
   const std::unique_ptr<TraceCache> trace_cache = OpenTraceCache(common);
 

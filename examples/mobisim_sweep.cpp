@@ -52,6 +52,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/bench_db/bench_db.h"
@@ -278,49 +279,58 @@ int RunMain(int argc, char** argv) {
 
   const std::unique_ptr<TraceCache> trace_cache = OpenTraceCache(common);
 
+  // Only the result store and the matrix keep rows once they have left.
+  VectorResultSink collected;
   SweepOptions options;
   options.threads = common.jobs;
   options.sinks = sinks.sinks();
+  if (!common.db_root.empty() || !matrix_path.empty()) {
+    options.sinks.push_back(&collected);
+  }
   options.trace_cache = trace_cache.get();
   if (!common.quiet) {
     options.progress = &std::cerr;
   }
 
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, options);
+  // Compact human summary: one line per point on stdout would fight the CSV
+  // default, so summarize only when not writing there.
+  const bool summarize = !common.quiet && common.csv_path != "-" && common.jsonl_path != "-" &&
+                         !(common.csv_path.empty() && common.jsonl_path.empty());
+  TablePrinter table({"Point", "Workload", "Device", "Util (%)", "Energy (J)",
+                      "Write Mean (ms)", "Erases"});
+  // Failed points were exported as `_error` rows; surface them after the
+  // sweep, and make the exit status reflect that the sweep is incomplete.
+  std::vector<std::pair<std::size_t, std::string>> failures;
+  options.on_emit = [&](const SweepOutcome& outcome) {
+    if (outcome.failed) {
+      failures.emplace_back(outcome.point.index, outcome.error);
+    } else if (summarize) {
+      table.BeginRow()
+          .Cell(static_cast<std::int64_t>(outcome.point.index))
+          .Cell(outcome.point.workload)
+          .Cell(outcome.point.config.device.name)
+          .Cell(outcome.point.config.flash_utilization * 100.0, 0)
+          .Cell(outcome.result.total_energy_j(), 1)
+          .Cell(outcome.result.write_response_ms.mean(), 2)
+          .Cell(static_cast<std::int64_t>(outcome.result.counters.segment_erases));
+    }
+  };
+
+  RunSweep(points, options);
   sinks.Finish();
-  if (!matrix_path.empty()) {
-    std::vector<ResultRow> matrix_rows;
-    matrix_rows.reserve(outcomes.size());
-    for (const SweepOutcome& outcome : outcomes) {
-      matrix_rows.push_back(outcome.row);
-    }
-    if (!WriteMatrix(matrix_path, matrix_rows, common.quiet)) {
-      return 1;
-    }
+  if (!matrix_path.empty() && !WriteMatrix(matrix_path, collected.rows(), common.quiet)) {
+    return 1;
   }
   if (trace_cache != nullptr && !common.quiet) {
     std::fprintf(stderr, "mobisim_sweep: %s\n", trace_cache->StatsLine().c_str());
   }
-
-  // Failed points were exported as `_error` rows; surface them here and make
-  // the exit status reflect that the sweep is incomplete.
-  std::size_t failed = 0;
-  for (const SweepOutcome& outcome : outcomes) {
-    if (outcome.failed) {
-      ++failed;
-      std::fprintf(stderr, "mobisim_sweep: point %zu failed: %s\n",
-                   outcome.point.index, outcome.error.c_str());
-    }
+  for (const auto& [index, failure] : failures) {
+    std::fprintf(stderr, "mobisim_sweep: point %zu failed: %s\n", index, failure.c_str());
   }
 
   if (!common.db_root.empty()) {
-    std::vector<ResultRow> rows;
-    rows.reserve(outcomes.size());
-    for (const SweepOutcome& outcome : outcomes) {
-      rows.push_back(outcome.row);
-    }
     BenchDb db(common.db_root);
-    const auto stored = db.StoreRun(meta, rows, &error);
+    const auto stored = db.StoreRun(meta, collected.rows(), &error);
     if (!stored) {
       std::fprintf(stderr, "error storing run: %s\n", error.c_str());
       return 1;
@@ -331,35 +341,16 @@ int RunMain(int argc, char** argv) {
     }
   }
 
-  if (!common.quiet) {
-    // Compact human summary: one line per point on stderr-adjacent stdout
-    // would fight the CSV default, so summarize only when not writing there.
-    const bool stdout_taken = common.csv_path == "-" || common.jsonl_path == "-" ||
-                              (common.csv_path.empty() && common.jsonl_path.empty());
-    if (!stdout_taken) {
-      TablePrinter table({"Point", "Workload", "Device", "Util (%)", "Energy (J)",
-                          "Write Mean (ms)", "Erases"});
-      for (const SweepOutcome& outcome : outcomes) {
-        if (outcome.failed) {
-          continue;
-        }
-        table.BeginRow()
-            .Cell(static_cast<std::int64_t>(outcome.point.index))
-            .Cell(outcome.point.workload)
-            .Cell(outcome.point.config.device.name)
-            .Cell(outcome.point.config.flash_utilization * 100.0, 0)
-            .Cell(outcome.result.total_energy_j(), 1)
-            .Cell(outcome.result.write_response_ms.mean(), 2)
-            .Cell(static_cast<std::int64_t>(outcome.result.counters.segment_erases));
-      }
-      table.Print(std::cout);
-    }
-    std::fprintf(stderr, "mobisim_sweep: %zu points, %zu simulations done (%zu threads)%s\n",
-                 outcomes.size(), simulations,
-                 options.threads == 0 ? ThreadPool::DefaultThreadCount() : options.threads,
-                 failed > 0 ? ", with failures" : "");
+  if (summarize) {
+    table.Print(std::cout);
   }
-  return failed > 0 ? 1 : 0;
+  if (!common.quiet) {
+    std::fprintf(stderr, "mobisim_sweep: %zu points, %zu simulations done (%zu threads)%s\n",
+                 points.size(), simulations,
+                 options.threads == 0 ? ThreadPool::DefaultThreadCount() : options.threads,
+                 failures.empty() ? "" : ", with failures");
+  }
+  return failures.empty() ? 0 : 1;
 }
 
 }  // namespace

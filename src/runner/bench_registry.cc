@@ -52,7 +52,7 @@ BenchContext::BenchContext(const BenchDef& def, const Options& options)
                : (options_.smoke ? def_.smoke_param : def_.default_param);
 }
 
-std::vector<SweepOutcome> BenchContext::Dispatch(std::vector<ExperimentPoint> points) {
+std::vector<SweepOutcome> BenchContext::RunPoints(std::vector<ExperimentPoint> points) {
   // Re-index so rows from successive grids of one bench never collide: the
   // `point` column is unique (and monotonic) within the whole bench run.
   for (ExperimentPoint& point : points) {
@@ -72,12 +72,13 @@ std::vector<SweepOutcome> BenchContext::Dispatch(std::vector<ExperimentPoint> po
   for (BenchLabelSink& sink : labeled) {
     sweep_options.sinks.push_back(&sink);
   }
-  std::vector<SweepOutcome> outcomes = RunSweep(points, sweep_options);
-  for (const SweepOutcome& outcome : outcomes) {
-    if (outcome.failed) {
-      ++failed_;
-    }
-  }
+  std::vector<SweepOutcome> outcomes;
+  outcomes.reserve(points.size());
+  sweep_options.on_emit = [this, &outcomes](const SweepOutcome& outcome) {
+    failed_ += outcome.failed ? 1 : 0;
+    outcomes.push_back(outcome);
+  };
+  RunSweep(points, sweep_options);
   return outcomes;
 }
 
@@ -88,11 +89,7 @@ std::vector<SweepOutcome> BenchContext::RunGrid(ExperimentSpec spec) {
   if (options_.replicas) {
     spec.replicas = *options_.replicas;
   }
-  return Dispatch(EnumerateGrid(spec));
-}
-
-std::vector<SweepOutcome> BenchContext::RunPoints(std::vector<ExperimentPoint> points) {
-  return Dispatch(std::move(points));
+  return RunPoints(EnumerateGrid(spec));
 }
 
 void BenchContext::Emit(ResultRow row) {

@@ -91,7 +91,8 @@ class BenchContext {
   // Enumerates and runs the spec's grid through RunSweep; rows stream to
   // the shared sinks tagged with the bench name, with point indices made
   // globally unique across this bench run.  --seed/--replicas overrides
-  // apply here.
+  // apply here.  Returns the outcomes in point order, collected as they are
+  // emitted (bench grids are small).
   std::vector<SweepOutcome> RunGrid(ExperimentSpec spec);
 
   // Same, for hand-built points (the engine's point-level API).  A --seed
@@ -109,8 +110,6 @@ class BenchContext {
   std::size_t failed_points() const { return failed_; }
 
  private:
-  std::vector<SweepOutcome> Dispatch(std::vector<ExperimentPoint> points);
-
   const BenchDef& def_;
   Options options_;
   double scale_ = 1.0;

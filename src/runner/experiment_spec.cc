@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 #include "src/core/config_text.h"
@@ -31,17 +32,25 @@ std::string Trim(const std::string& s) {
   return s.substr(begin, end - begin);
 }
 
-std::vector<std::string> SplitList(const std::string& value) {
-  std::vector<std::string> items;
-  std::string item;
-  std::istringstream in(value);
-  while (std::getline(in, item, ',')) {
+// Calls `parse` on each trimmed comma-separated item of `value`, stopping at
+// the first false (`parse` then has set `error`).  An empty item would
+// silently shorten a sweep list, and an empty list would fall back to the
+// base config, so either fails here, naming `key`.
+template <typename Parse>
+bool ForEachListItem(const std::string& key, const std::string& value, std::string* error,
+                     Parse parse) {
+  std::istringstream in(value + ",");  // the added comma ends the last item
+  for (std::string item; std::getline(in, item, ',');) {
     item = Trim(item);
-    if (!item.empty()) {
-      items.push_back(item);
+    if (item.empty()) {
+      SetError(error, "empty item in " + key + " list '" + value + "'");
+      return false;
+    }
+    if (!parse(item)) {
+      return false;
     }
   }
-  return items;
+  return true;
 }
 
 // Strict fraction in [0, 1): ParseFiniteDouble rejects nan (which would
@@ -229,55 +238,56 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
 
   if (key == "devices") {
     spec->devices.clear();
-    for (const std::string& name : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& name) {
       const auto device = DeviceByName(name);
       if (!device) {
         SetError(error, "unknown device '" + name + "' in devices list");
         return false;
       }
       spec->devices.push_back(*device);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "workloads") {
-    spec->workloads = SplitList(value);
-    for (const std::string& name : spec->workloads) {
+    spec->workloads.clear();
+    return ForEachListItem(key, value, error, [&](const std::string& name) {
       if (name != "mac" && name != "dos" && name != "pc" && name != "hp" &&
           name != "synth") {
         SetError(error, "unknown workload '" + name + "' in workloads list");
         return false;
       }
-    }
-    return true;
+      spec->workloads.push_back(name);
+      return true;
+    });
   }
   if (key == "utilizations") {
     spec->utilizations.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto v = ParseFraction(item);
       if (!v) {
         SetError(error, "bad utilization '" + item + "' (want fraction in [0, 1))");
         return false;
       }
       spec->utilizations.push_back(*v);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "dram_sizes" || key == "sram_sizes") {
-    std::vector<std::uint64_t> sizes;
-    for (const std::string& item : SplitList(value)) {
+    std::vector<std::uint64_t>& sizes = key == "dram_sizes" ? spec->dram_sizes : spec->sram_sizes;
+    sizes.clear();
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto size = ParseSize(item);
       if (!size) {
         SetError(error, "bad size '" + item + "' in " + key);
         return false;
       }
       sizes.push_back(*size);
-    }
-    (key == "dram_sizes" ? spec->dram_sizes : spec->sram_sizes) = std::move(sizes);
-    return true;
+      return true;
+    });
   }
   if (key == "backends") {
     spec->backends.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       // Same lowering rule as every other name axis.
       const std::string v = NormalizeName(item);
       if (v != "average-cost" && v != "geometry") {
@@ -285,14 +295,14 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
         return false;
       }
       spec->backends.push_back(v);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "ftl") {
     // The spec-level `ftl` is always the sweep dimension, even with a single
     // value, so one key spells the whole FTL axis of an ablation matrix.
     spec->ftl_policies.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto selection = FtlSelectionByName(item);
       if (!selection) {
         SetError(error, "bad ftl '" + item +
@@ -300,12 +310,12 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
         return false;
       }
       spec->ftl_policies.push_back(*selection);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "cleaning_policies") {
     spec->cleaning_policies.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto policy = CleaningPolicyByName(item);
       if (!policy) {
         SetError(error, "bad cleaning policy '" + item +
@@ -313,12 +323,12 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
         return false;
       }
       spec->cleaning_policies.push_back(*policy);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "power_loss_intervals") {
     spec->power_loss_intervals.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto v = ParseFiniteDouble(item);
       if (!v || *v < 0.0) {
         SetError(error,
@@ -326,20 +336,20 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
         return false;
       }
       spec->power_loss_intervals.push_back(*v);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "seeds") {
     spec->seeds.clear();
-    for (const std::string& item : SplitList(value)) {
+    return ForEachListItem(key, value, error, [&](const std::string& item) {
       const auto seed = ParseU64(item);
       if (!seed) {
         SetError(error, "bad seed '" + item + "' (want unsigned integer)");
         return false;
       }
       spec->seeds.push_back(*seed);
-    }
-    return true;
+      return true;
+    });
   }
   if (key == "replicas") {
     const auto n = ParseU64(value);
@@ -364,18 +374,24 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
 }
 
 bool CheckGridAxes(const ExperimentSpec& spec, std::string* error) {
-  const auto reads_ftl = [](const DeviceSpec& device) {
-    return device.kind == DeviceKind::kFlashCard || device.kind == DeviceKind::kNandSsd;
+  const std::vector<DeviceSpec> devices =
+      spec.devices.empty() ? std::vector<DeviceSpec>{spec.base.device} : spec.devices;
+  const auto is_read = [&](const char* axis, bool listed, const char* readers, auto reads) {
+    if (!listed || std::any_of(devices.begin(), devices.end(), reads)) {
+      return true;
+    }
+    SetError(error, std::string("the ") + axis + " axis is read by no device in the grid (only " +
+                        readers + " read it)");
+    return false;
   };
-  if (spec.ftl_policies.empty() ||
-      (spec.devices.empty() ? reads_ftl(spec.base.device)
-                            : std::any_of(spec.devices.begin(), spec.devices.end(), reads_ftl))) {
-    return true;
-  }
-  SetError(error,
-           "the ftl axis is read by no device in the grid (only flash cards and NAND "
-           "SSDs have an FTL; every device here is a disk)");
-  return false;
+  const auto is_disk = [](const DeviceSpec& d) { return d.kind == DeviceKind::kMagneticDisk; };
+  const auto has_ftl = [](const DeviceSpec& d) {
+    return d.kind == DeviceKind::kFlashCard || d.kind == DeviceKind::kNandSsd;
+  };
+  return is_read("ftl", !spec.ftl_policies.empty(), "flash cards and NAND SSDs", has_ftl) &&
+         is_read("utilizations", !spec.utilizations.empty(), "flash devices",
+                 std::not_fn(is_disk)) &&
+         is_read("backends", !spec.backends.empty(), "magnetic disks", is_disk);
 }
 
 std::optional<ExperimentSpec> ParseExperimentSpec(const std::string& text,

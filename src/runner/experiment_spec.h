@@ -102,13 +102,16 @@ std::vector<ExperimentPoint> FilterPoints(std::vector<ExperimentPoint> points,
                                           const std::vector<std::size_t>& indices);
 
 // Applies one `key = value` line: sweep keys here, anything else delegated to
-// ApplyConfigAssignment on the base config.  False + `error` on bad input.
+// ApplyConfigAssignment on the base config.  False + `error` on bad input,
+// including an empty item in a sweep list (`seeds = 1,,2`, `devices =`).
 bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& key,
                          const std::string& value, std::string* error);
 
-// Rejects an explicit `ftl` list over a grid whose devices are all disks
-// (its points would share one simulation).  Run once every assignment has
-// landed.  False + `error` naming the axis.
+// Rejects an explicit list for an axis no device in the grid reads, whose
+// points would share one simulation under different labels: `ftl` when
+// every device is a disk, `utilizations` when every device is a magnetic
+// disk, `backends` when none is.  Run once every assignment has landed.
+// False + `error` naming the axis.
 bool CheckGridAxes(const ExperimentSpec& spec, std::string* error);
 
 // Parses a whole spec file ('#' comments, blank lines, `key = value`), then

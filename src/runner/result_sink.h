@@ -8,6 +8,7 @@
 
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "src/core/result_io.h"
 
@@ -64,6 +65,18 @@ class CsvResultSink : public ResultSink {
   std::string default_header_;
   std::string header_;
   bool wrote_header_ = false;
+};
+
+// Collects every row it is given, `_error` and dynamic rows included, for a
+// caller that needs the whole run at once (the result store, the ablation
+// matrix).  Attach it only then: it keeps every row until it goes.
+class VectorResultSink : public ResultSink {
+ public:
+  void Write(const ResultRow& row) override { rows_.push_back(row); }
+  const std::vector<ResultRow>& rows() const { return rows_; }
+
+ private:
+  std::vector<ResultRow> rows_;
 };
 
 }  // namespace mobisim

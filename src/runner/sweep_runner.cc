@@ -155,42 +155,37 @@ ResultRow MergePointAndResultRow(const ExperimentPoint& point, const ResultRow& 
   return row;
 }
 
-// Fills `outcome->row` from its point and either the flattened result of its
-// simulation or its error.
-void FillRow(SweepOutcome* outcome, const ResultRow& result_row) {
-  if (outcome->failed) {
-    outcome->row = PointToRow(outcome->point);
-    outcome->row.AddText("_error", outcome->error);
-  } else {
-    outcome->row = MergePointAndResultRow(outcome->point, result_row);
-  }
-}
-
 }  // namespace
 
 std::vector<std::size_t> SimulationLeaders(const std::vector<ExperimentPoint>& points) {
+  // Only points on the same trace can share a simulation, so the points are
+  // grouped by trace first; within a trace, effective configs compare
+  // memberwise.  Only one trace's leader configs are held at a time.
+  std::map<TraceKey, std::vector<std::size_t>> by_trace;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    by_trace[TraceKey{points[i].workload, points[i].scale, points[i].seed}].push_back(i);
+  }
   struct Leader {
     std::size_t position;
     SimConfig effective;
   };
-  // Only points on the same trace can share a simulation; within a trace,
-  // effective configs compare memberwise.
-  std::map<TraceKey, std::vector<Leader>> buckets;
   std::vector<std::size_t> leaders(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ExperimentPoint& point = points[i];
-    SimConfig config = point.config;
-    ApplyWorkloadRules(point.workload, &config);
-    config = EffectiveConfig(config);
-    std::vector<Leader>& bucket = buckets[TraceKey{point.workload, point.scale, point.seed}];
-    const auto same = std::find_if(bucket.begin(), bucket.end(), [&config](const Leader& l) {
-      return l.effective == config;
-    });
-    if (same == bucket.end()) {
-      leaders[i] = i;
-      bucket.push_back(Leader{i, std::move(config)});
-    } else {
-      leaders[i] = same->position;
+  std::vector<Leader> bucket;
+  for (const auto& [key, members] : by_trace) {
+    bucket.clear();
+    for (const std::size_t i : members) {
+      SimConfig config = points[i].config;
+      ApplyWorkloadRules(points[i].workload, &config);
+      config = EffectiveConfig(config);
+      const auto same = std::find_if(bucket.begin(), bucket.end(), [&config](const Leader& l) {
+        return l.effective == config;
+      });
+      if (same == bucket.end()) {
+        leaders[i] = i;
+        bucket.push_back(Leader{i, std::move(config)});
+      } else {
+        leaders[i] = same->position;
+      }
     }
   }
   return leaders;
@@ -239,14 +234,12 @@ std::string SweepCsvHeader() {
   return RowToCsvHeader(MergePointAndResult(point, result));
 }
 
-std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
-                                   const SweepOptions& options) {
-  std::vector<SweepOutcome> outcomes(points.size());
+void RunSweep(const std::vector<ExperimentPoint>& points, const SweepOptions& options) {
   if (points.empty()) {
     for (ResultSink* sink : options.sinks) {
       sink->Finish();
     }
-    return outcomes;
+    return;
   }
 
   const std::size_t threads =
@@ -257,8 +250,8 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
   }
 
   // One simulation per group of points that share a trace and an effective
-  // config: the leader simulates into its own outcome, each follower copies
-  // the leader's result under its own labels.
+  // config: the leader simulates, and every member's outcome, the leader's
+  // included, is built from that one result under the member's own labels.
   const std::vector<std::size_t> leader_of = SimulationLeaders(points);
   std::vector<std::size_t> leaders;
   std::vector<std::vector<std::size_t>> followers(points.size());
@@ -275,78 +268,81 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
   AcquireTraces(&schedule, pool.get(), options.trace_cache);
   ProgressMeter meter("sweep", points.size(), options.progress);
 
-  // Emission bookkeeping: rows leave in point order, streamed as soon as the
-  // completed prefix grows.
+  // Rows leave in point order: a finished outcome waits here only until
+  // every point before it has left, then goes to the sinks and on_emit and
+  // is freed.
   std::mutex emit_mu;
-  std::vector<bool> ready(points.size(), false);
+  std::map<std::size_t, SweepOutcome> waiting;
   std::size_t next_emit = 0;
 
-  auto publish = [&](std::size_t i) {
+  auto publish = [&](std::size_t i, SweepOutcome outcome) {
     meter.Advance();
     std::lock_guard<std::mutex> lock(emit_mu);
-    ready[i] = true;
-    while (next_emit < points.size() && ready[next_emit]) {
+    waiting.emplace(i, std::move(outcome));
+    for (auto it = waiting.begin(); it != waiting.end() && it->first == next_emit;
+         it = waiting.erase(it), ++next_emit) {
       for (ResultSink* sink : options.sinks) {
-        if (outcomes[next_emit].failed && !sink->AcceptsErrorRows()) {
+        if (it->second.failed && !sink->AcceptsErrorRows()) {
           continue;
         }
-        sink->Write(outcomes[next_emit].row);
+        sink->Write(it->second.row);
       }
       if (options.on_emit) {
-        options.on_emit(outcomes[next_emit]);
+        options.on_emit(it->second);
       }
-      ++next_emit;
     }
   };
 
   auto run_group = [&](std::size_t g) {
     const std::size_t lead = leaders[g];
-    SweepOutcome& outcome = outcomes[lead];
-    outcome.point = points[lead];
-    ApplyWorkloadRules(outcome.point.workload, &outcome.point.config);
+    SimConfig config = points[lead].config;
+    ApplyWorkloadRules(points[lead].workload, &config);
     Residency& residency = schedule.residencies[schedule.residency_of[g]];
     const SweepTrace& trace = schedule.traces[residency.trace];
 
     // A failing group (trace generation or simulation) becomes one `_error`
     // row per member instead of taking the whole sweep down with it.
-    if (!trace.acquired) {
-      outcome.failed = true;
-      outcome.error = trace.error;
-    } else {
+    bool failed = !trace.acquired;
+    std::string error = trace.error;
+    SimResult result;
+    if (!failed) {
       try {
-        outcome.result = RunSimulation(UseTrace(&residency, trace.key, options.trace_cache),
-                                       outcome.point.config);
+        result = RunSimulation(UseTrace(&residency, trace.key, options.trace_cache), config);
       } catch (const std::exception& e) {
-        outcome.failed = true;
-        outcome.error = e.what();
+        failed = true;
+        error = e.what();
       }
     }
     // The result is flattened once per group: ResultToRow sorts the
     // percentile reservoirs, which would otherwise dominate a follower's cost.
-    // The row then holds the percentiles, so the kept result (and every
-    // follower's copy) drops its samples.
+    // The row then holds the percentiles, so the result drops its samples
+    // before any member copies it.
     ResultRow result_row;
-    if (!outcome.failed) {
-      result_row = ResultToRow(outcome.result);
-      outcome.result.read_percentiles_ms.Release();
-      outcome.result.write_percentiles_ms.Release();
+    if (!failed) {
+      result_row = ResultToRow(result);
+      result.read_percentiles_ms.Release();
+      result.write_percentiles_ms.Release();
     }
-    FillRow(&outcome, result_row);
     // Each row leaves as soon as it is built, so a follower's row costs its
-    // own emission slot rather than delaying the leader's.  Emitted outcomes
-    // stay untouched, so followers may still read the leader's.
-    publish(lead);
-    for (const std::size_t f : followers[lead]) {
-      SweepOutcome& follower = outcomes[f];
-      follower.point = points[f];
-      ApplyWorkloadRules(follower.point.workload, &follower.point.config);
-      follower.failed = outcome.failed;
-      follower.error = outcome.error;
-      if (!follower.failed) {
-        follower.result = outcome.result;
+    // own emission slot rather than delaying the leader's.
+    auto publish_member = [&](std::size_t i) {
+      SweepOutcome outcome;
+      outcome.point = points[i];
+      ApplyWorkloadRules(outcome.point.workload, &outcome.point.config);
+      outcome.failed = failed;
+      outcome.error = error;
+      if (failed) {
+        outcome.row = PointToRow(outcome.point);
+        outcome.row.AddText("_error", error);
+      } else {
+        outcome.result = result;
+        outcome.row = MergePointAndResultRow(outcome.point, result_row);
       }
-      FillRow(&follower, result_row);
-      publish(f);
+      publish(i, std::move(outcome));
+    };
+    publish_member(lead);
+    for (const std::size_t f : followers[lead]) {
+      publish_member(f);
     }
   };
 
@@ -355,12 +351,6 @@ std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
   for (ResultSink* sink : options.sinks) {
     sink->Finish();
   }
-  return outcomes;
-}
-
-std::vector<SweepOutcome> RunSweep(const ExperimentSpec& spec,
-                                   const SweepOptions& options) {
-  return RunSweep(EnumerateGrid(spec), options);
 }
 
 }  // namespace mobisim

@@ -7,8 +7,12 @@
 // bit-identically from the optional persistent trace cache — and shared
 // read-only, so a parallel run produces bit-identical SimResults to a serial
 // run of the same points — scheduling order cannot leak into the numbers.
-// Rows reach the sinks strictly in enumeration order regardless of which
-// point finishes first.
+//
+// Emission is the sweep's one per-point output.  Each finished outcome goes,
+// strictly in enumeration order whichever point finishes first, to the sinks
+// and then to `on_emit`, and is freed: it waits only until every point
+// before it has left.  The sweep returns nothing, so a caller keeps only
+// what it collects there.
 //
 // Each distinct effective configuration is simulated once; rows keep their
 // own labels.  Points on the same trace whose configs differ only in fields
@@ -24,7 +28,7 @@
 // `threads` dispatch positions apart (a serial sweep counts as 1).  With a
 // persistent trace cache it is dropped after any other use and re-mapped
 // from the cache at its next one (the cache is the spill tier); without one
-// it stays until its last simulation has run.  A kept result's percentile
+// it stays until its last simulation has run.  A simulation's percentile
 // samples are released once its row is built (DESIGN.md §13).
 #ifndef MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
 #define MOBISIM_SRC_RUNNER_SWEEP_RUNNER_H_
@@ -54,14 +58,16 @@ struct SweepOptions {
   // traces are loaded from / stored to it, borrowed for the call.  Results
   // are byte-identical with the cache on, off, cold, or warm.
   TraceCache* trace_cache = nullptr;
-  // Optional per-row hook, invoked in strict emission (point) order, after
-  // the sinks have seen the row, under the emission lock — so it may touch
-  // the sinks' streams (e.g. flush a spool file so a later crash loses at
-  // most the in-flight row) and update progress counters without its own
-  // locking.  Keep it cheap: it serializes emission.
+  // The one per-point channel: invoked once per point, in strict emission
+  // (point) order, after the sinks have seen the row, under the emission
+  // lock — so it may touch the sinks' streams (e.g. flush a spool file so a
+  // later crash loses at most the in-flight row) and update counters without
+  // its own locking.  The outcome is freed when it returns; copy what you
+  // need.  Keep it cheap: it serializes emission.
   std::function<void(const SweepOutcome&)> on_emit;
 };
 
+// One point's outcome, as `on_emit` sees it.  It lives only for that call.
 struct SweepOutcome {
   ExperimentPoint point;
   // The simulation's result, with its percentile samples released
@@ -99,15 +105,11 @@ std::string SweepCsvHeader();
 // runs is the number of i with result[i] == i.
 std::vector<std::size_t> SimulationLeaders(const std::vector<ExperimentPoint>& points);
 
-// Runs the points and returns outcomes indexed by point order.  Honours the
-// paper's hp methodology (the hp trace is simulated without a DRAM cache,
-// matching RunNamedWorkload); the adjusted config is what the row reports.
-std::vector<SweepOutcome> RunSweep(const std::vector<ExperimentPoint>& points,
-                                   const SweepOptions& options);
-
-// Convenience: enumerate the spec's grid and run it.
-std::vector<SweepOutcome> RunSweep(const ExperimentSpec& spec,
-                                   const SweepOptions& options);
+// Runs the points, emitting each outcome in point order through the sinks
+// and `on_emit`, then finishes the sinks.  Honours the paper's hp
+// methodology (the hp trace is simulated without a DRAM cache, matching
+// RunNamedWorkload); the adjusted config is what the row reports.
+void RunSweep(const std::vector<ExperimentPoint>& points, const SweepOptions& options);
 
 }  // namespace mobisim
 

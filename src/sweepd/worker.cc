@@ -283,12 +283,18 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
     pending_rows = 0;
   };
 
+  // Every row this item uploaded, kept for the one 409 replay below.
+  std::string uploaded;
+  std::size_t error_rows = 0;
   SweepOptions sweep_options;
   sweep_options.threads = options.jobs;
   sweep_options.trace_cache = trace_cache;
   sweep_options.on_emit = [&](const SweepOutcome& outcome) {
-    pending += RowToJson(outcome.row) + "\n";
+    const std::string line = RowToJson(outcome.row) + "\n";
+    pending += line;
+    uploaded += line;
     ++pending_rows;
+    error_rows += IsErrorRow(outcome.row) ? 1 : 0;
     item_rows.fetch_add(1);
     const std::uint64_t total = total_rows->fetch_add(1) + 1;
     if (pending_rows >= chunk_rows) {
@@ -304,7 +310,7 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
     }
   };
 
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, sweep_options);
+  RunSweep(points, sweep_options);
   heartbeat.Stop();
   if (!upload_failed) {
     flush_chunk();
@@ -334,13 +340,9 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
       break;
     }
     if (response.status == 409 && round == 0) {
-      std::string replay;
-      for (const SweepOutcome& outcome : outcomes) {
-        replay += RowToJson(outcome.row) + "\n";
-      }
       HttpResponse replay_response;
-      if (!replay.empty() &&
-          transport->Post("/results", TokenLine(token) + replay,
+      if (!uploaded.empty() &&
+          transport->Post("/results", TokenLine(token) + uploaded,
                           &replay_response, &error) &&
           replay_response.status == 200) {
         continue;
@@ -355,15 +357,11 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
   }
 
   ++summary->items;
-  summary->rows += outcomes.size();
-  for (const SweepOutcome& outcome : outcomes) {
-    if (IsErrorRow(outcome.row)) {
-      ++summary->error_rows;
-    }
-  }
+  summary->rows += item_rows.load();
+  summary->error_rows += error_rows;
   if (options.log != nullptr) {
     *options.log << "sweepd-worker: " << item->id << " done ("
-                 << outcomes.size() << " rows)\n";
+                 << item_rows.load() << " rows)\n";
   }
 }
 

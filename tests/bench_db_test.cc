@@ -15,6 +15,7 @@
 #include "src/runner/experiment_spec.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
+#include "tests/collect_sweep.h"
 
 namespace mobisim {
 namespace {
@@ -468,7 +469,7 @@ TEST(CsvSinkTest, EmptySweepStillWritesHeader) {
   SweepOptions options;
   options.threads = 1;
   options.sinks.push_back(&sink);
-  const auto outcomes = RunSweep(std::vector<ExperimentPoint>{}, options);
+  const auto outcomes = CollectSweep(std::vector<ExperimentPoint>{}, options);
   EXPECT_TRUE(outcomes.empty());
   EXPECT_EQ(out.str(), SweepCsvHeader() + "\n");
 
@@ -482,7 +483,7 @@ TEST(CsvSinkTest, EmptySweepStillWritesHeader) {
   SweepOptions options2;
   options2.threads = 1;
   options2.sinks.push_back(&sink2);
-  RunSweep(spec, options2);
+  RunSweep(EnumerateGrid(spec), options2);
   std::istringstream lines(populated.str());
   std::string header;
   ASSERT_TRUE(std::getline(lines, header));

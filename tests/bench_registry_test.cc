@@ -59,18 +59,10 @@ class StdoutCapture {
   int saved_fd_;
 };
 
-// Collects rows in arrival order; configurable schema strictness so tests
-// can model both JSONL-like and CSV-like destinations.
-class VectorSink : public ResultSink {
+// A collector with a fixed schema, like CSV: it declines dynamic rows.
+class FixedSchemaVectorSink : public VectorResultSink {
  public:
-  explicit VectorSink(bool dynamic_ok = true) : dynamic_ok_(dynamic_ok) {}
-  void Write(const ResultRow& row) override { rows_.push_back(row); }
-  bool AcceptsDynamicRows() const override { return dynamic_ok_; }
-  const std::vector<ResultRow>& rows() const { return rows_; }
-
- private:
-  bool dynamic_ok_;
-  std::vector<ResultRow> rows_;
+  bool AcceptsDynamicRows() const override { return false; }
 };
 
 std::string Serialize(const std::vector<ResultRow>& rows) {
@@ -176,7 +168,7 @@ struct SmokeRun {
 };
 
 SmokeRun RunSmoke(const BenchDef& def, std::size_t threads, BenchContext::Options options = {}) {
-  VectorSink sink;
+  VectorResultSink sink;
   options.smoke = true;
   options.threads = threads;
   options.sinks = {&sink};
@@ -208,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenches, JobCountTest, ::testing::ValuesIn(AllBenche
 TEST(BenchRegistryTest, RowsCarryBenchLabelAndMonotonicPointIndex) {
   const BenchDef* def = FindBench("fig2_utilization");
   ASSERT_NE(def, nullptr);
-  VectorSink sink;
+  VectorResultSink sink;
   BenchContext::Options options;
   options.smoke = true;
   options.sinks = {&sink};
@@ -233,8 +225,8 @@ TEST(BenchRegistryTest, DynamicRowsSkipFixedSchemaSinks) {
   // (fixed schema) must see nothing, a JSONL-like sink everything.
   const BenchDef* def = FindBench("ablation_endurance");
   ASSERT_NE(def, nullptr);
-  VectorSink jsonl_like(/*dynamic_ok=*/true);
-  VectorSink csv_like(/*dynamic_ok=*/false);
+  VectorResultSink jsonl_like;
+  FixedSchemaVectorSink csv_like;
   BenchContext::Options options;
   options.smoke = true;
   options.sinks = {&jsonl_like, &csv_like};
@@ -248,7 +240,7 @@ TEST(BenchRegistryTest, DynamicRowsSkipFixedSchemaSinks) {
 TEST(BenchRegistryTest, SeedOverrideReachesEveryGridRow) {
   const BenchDef* def = FindBench("fig5_sram");
   ASSERT_NE(def, nullptr);
-  VectorSink sink;
+  VectorResultSink sink;
   BenchContext::Options options;
   options.smoke = true;
   options.seed = 7;

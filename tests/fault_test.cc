@@ -26,6 +26,7 @@
 #include "src/runner/sweep_runner.h"
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/collect_sweep.h"
 
 namespace mobisim {
 namespace {
@@ -352,7 +353,7 @@ TEST(SweepFaultToleranceTest, FailedPointBecomesErrorRowAndOthersFinish) {
   options.threads = 2;
   options.sinks = {&jsonl_sink, &csv_sink};
 
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, options);
+  const std::vector<SweepOutcome> outcomes = CollectSweep(points, options);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].failed);
   EXPECT_NE(outcomes[0].error.find("MOBISIM_CHECK failed"), std::string::npos);
@@ -378,7 +379,7 @@ TEST(SweepFaultToleranceTest, TraceGenerationFailureFailsOnlyItsPoints) {
 
   SweepOptions options;
   options.threads = 1;
-  const std::vector<SweepOutcome> outcomes = RunSweep(points, options);
+  const std::vector<SweepOutcome> outcomes = CollectSweep(points, options);
   EXPECT_TRUE(outcomes[0].failed);
   EXPECT_FALSE(outcomes[0].error.empty());
   EXPECT_FALSE(outcomes[1].failed);
@@ -394,8 +395,8 @@ TEST(SweepFaultToleranceTest, FaultSweepIsDeterministicAcrossThreadCounts) {
   serial.threads = 1;
   SweepOptions parallel;
   parallel.threads = 4;
-  const std::vector<SweepOutcome> a = RunSweep(points, serial);
-  const std::vector<SweepOutcome> b = RunSweep(points, parallel);
+  const std::vector<SweepOutcome> a = CollectSweep(points, serial);
+  const std::vector<SweepOutcome> b = CollectSweep(points, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(RowToJson(a[i].row), RowToJson(b[i].row)) << "point " << i;

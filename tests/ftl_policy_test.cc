@@ -17,6 +17,7 @@
 #include "src/runner/ablation.h"
 #include "src/runner/experiment_spec.h"
 #include "src/runner/sweep_runner.h"
+#include "tests/collect_sweep.h"
 
 #ifndef MOBISIM_GOLDEN_DIR
 #error "MOBISIM_GOLDEN_DIR must name the tests/golden directory"
@@ -53,7 +54,7 @@ std::vector<std::string> SweepRowsJson(const ExperimentSpec& spec) {
   SweepOptions options;
   options.threads = 1;
   std::vector<std::string> rows;
-  for (const SweepOutcome& outcome : RunSweep(EnumerateGrid(spec), options)) {
+  for (const SweepOutcome& outcome : CollectSweep(EnumerateGrid(spec), options)) {
     EXPECT_FALSE(outcome.failed) << outcome.error;
     rows.push_back(RowToJson(outcome.row));
   }

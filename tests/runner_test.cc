@@ -7,13 +7,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "src/core/result_io.h"
 #include "src/core/simulator.h"
@@ -23,6 +26,7 @@
 #include "src/runner/sweep_runner.h"
 #include "src/trace/trace_cache.h"
 #include "src/util/thread_pool.h"
+#include "tests/collect_sweep.h"
 
 // Sanitizer allocators hold freed memory (quarantine, shadow), so resident
 // size says nothing there about what a sweep keeps.
@@ -148,21 +152,59 @@ TEST(ExperimentSpecTest, RejectsMalformedNumbersWithLineAndKey) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
-// An explicit ftl list over a grid of disks only would enumerate points
-// that all share one simulation; the parser and the sweep's overrides reject
-// it, naming the axis.  A grid with one log-structured flash device keeps it.
-TEST(ExperimentSpecTest, RejectsAnFtlAxisNoDeviceReads) {
+// An empty item would silently shorten a sweep list, and an empty list would
+// silently fall back to the base config; both fail naming the key, in a spec
+// file and in mobisim_sweep's key=value overrides alike.
+TEST(ExperimentSpecTest, RejectsEmptyListItemsNamingTheKey) {
   std::string error;
-  for (const char* text : {
-           "devices = cu140-datasheet\nftl = greedy, page-diff\n",
-           "devices = cu140-datasheet, sdp5-datasheet, kh-datasheet\nftl = greedy\n",
-           "ftl = fat-remap\ndevices = sdp10-datasheet\n",
-           "device = cu140-datasheet\nftl = greedy, page-diff\n",
+  for (const auto& [text, key] : std::vector<std::pair<std::string, std::string>>{
+           {"seeds = 1,,2\n", "seeds"},
+           {"seeds = 1, 2,\n", "seeds"},
+           {"seeds =\n", "seeds"},
+           {"devices =\n", "devices"},
+           {"workloads = \n", "workloads"},
+           {"ftl =\n", "ftl"},
+           {"utilizations = , 0.5\n", "utilizations"},
        }) {
     SCOPED_TRACE(text);
     error.clear();
     EXPECT_FALSE(ParseExperimentSpec(text, &error).has_value());
-    EXPECT_NE(error.find("ftl axis"), std::string::npos) << error;
+    EXPECT_NE(error.find("empty item in " + key + " list"), std::string::npos) << error;
+  }
+  ExperimentSpec spec;
+  EXPECT_FALSE(ApplySpecAssignment(&spec, "seeds", "1,,2", &error));
+  EXPECT_NE(error.find("seeds"), std::string::npos) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&spec, "seeds", " 1 , 2 ", &error)) << error;
+  EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1, 2}));
+}
+
+// An explicit ftl list over a grid of disks only would enumerate points
+// that all share one simulation; the parser and the sweep's overrides reject
+// it, naming the axis.  A grid with one log-structured flash device keeps it.
+// Likewise a utilizations list when every device is a magnetic disk, and a
+// backends list when no device is one.
+TEST(ExperimentSpecTest, RejectsAnFtlAxisNoDeviceReads) {
+  std::string error;
+  for (const auto& [text, axis] : std::vector<std::pair<std::string, std::string>>{
+           {"devices = cu140-datasheet\nftl = greedy, page-diff\n", "ftl axis"},
+           {"devices = cu140-datasheet, sdp5-datasheet, kh-datasheet\nftl = greedy\n",
+            "ftl axis"},
+           {"ftl = fat-remap\ndevices = sdp10-datasheet\n", "ftl axis"},
+           {"device = cu140-datasheet\nftl = greedy, page-diff\n", "ftl axis"},
+           {"devices = cu140-datasheet\nutilizations = 0.5, 0.9\n", "utilizations axis"},
+           {"devices = cu140-datasheet, kh-datasheet\nutilizations = 0.5\n",
+            "utilizations axis"},
+           {"device = cu140-datasheet\nutilizations = 0.5, 0.9\n", "utilizations axis"},
+           {"devices = intel-datasheet\nbackends = geometry, average-cost\n",
+            "backends axis"},
+           {"devices = sdp5-datasheet, nand-ssd-4ch\nbackends = geometry\n",
+            "backends axis"},
+           {"backends = average-cost\n", "backends axis"},
+       }) {
+    SCOPED_TRACE(text);
+    error.clear();
+    EXPECT_FALSE(ParseExperimentSpec(text, &error).has_value());
+    EXPECT_NE(error.find(axis), std::string::npos) << error;
   }
 
   for (const char* text : {
@@ -172,6 +214,10 @@ TEST(ExperimentSpecTest, RejectsAnFtlAxisNoDeviceReads) {
            "devices = cu140-datasheet, kh-datasheet, sdp5-datasheet, intel-datasheet, "
            "nand-ssd-4ch\nworkloads = mac, dos, hp\nutilizations = 0.5, 0.9\n"
            "ftl = greedy, page-diff, fat-remap\n",
+           "devices = cu140-datasheet, sdp5-datasheet\nutilizations = 0.5, 0.9\n",
+           "devices = cu140-datasheet, intel-datasheet\nbackends = geometry, average-cost\n",
+           "device = cu140-datasheet\nbackends = geometry\n",
+           "utilizations = 0.5, 0.9\n",
        }) {
     SCOPED_TRACE(text);
     EXPECT_TRUE(ParseExperimentSpec(text, &error).has_value()) << error;
@@ -207,11 +253,12 @@ TEST(SweepRunnerTest, ParallelMatchesSerial) {
 
   SweepOptions serial;
   serial.threads = 1;
-  const std::vector<SweepOutcome> serial_outcomes = RunSweep(spec, serial);
+  const std::vector<SweepOutcome> serial_outcomes = CollectSweep(EnumerateGrid(spec), serial);
 
   SweepOptions parallel;
   parallel.threads = 4;
-  const std::vector<SweepOutcome> parallel_outcomes = RunSweep(spec, parallel);
+  const std::vector<SweepOutcome> parallel_outcomes =
+      CollectSweep(EnumerateGrid(spec), parallel);
 
   ASSERT_EQ(serial_outcomes.size(), parallel_outcomes.size());
   for (std::size_t i = 0; i < serial_outcomes.size(); ++i) {
@@ -246,7 +293,7 @@ TEST(SweepRunnerTest, SinksReceiveRowsInPointOrder) {
   SweepOptions options;
   options.threads = 4;
   options.sinks.push_back(&jsonl);
-  const std::vector<SweepOutcome> outcomes = RunSweep(spec, options);
+  const std::vector<SweepOutcome> outcomes = CollectSweep(EnumerateGrid(spec), options);
 
   std::istringstream lines(jsonl_out.str());
   std::string line;
@@ -268,7 +315,7 @@ TEST(SweepRunnerTest, HpRunsWithoutDramLikeRunNamedWorkload) {
   spec.scale = 0.002;
   SweepOptions options;
   options.threads = 1;
-  const auto outcomes = RunSweep(spec, options);
+  const auto outcomes = CollectSweep(EnumerateGrid(spec), options);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_EQ(outcomes[0].point.config.dram_bytes, 0u);
   EXPECT_EQ(outcomes[0].result.dram_hits + outcomes[0].result.dram_misses, 0u);
@@ -318,7 +365,7 @@ Exported RunExported(const std::vector<ExperimentPoint>& points, std::size_t thr
   options.threads = threads;
   options.sinks = {&jsonl, &csv};
   std::string results;
-  for (const SweepOutcome& outcome : RunSweep(points, options)) {
+  for (const SweepOutcome& outcome : CollectSweep(points, options)) {
     SimResult result = outcome.result;
     EXPECT_EQ(result.read_percentiles_ms.sample_size(), 0u);
     EXPECT_EQ(result.write_percentiles_ms.sample_size(), 0u);
@@ -383,10 +430,12 @@ TEST(SweepRunnerTest, FailingSharedSimulationFailsEveryMemberWithItsOwnLabels) {
     SweepOptions options;
     options.threads = threads;
     options.sinks = {&jsonl};
-    const std::vector<SweepOutcome> outcomes = RunSweep(points, options);
+    const std::vector<SweepOutcome> outcomes = CollectSweep(points, options);
     EXPECT_EQ(jsonl_out.str(), alone.jsonl);
+    // on_emit sees every point exactly once, in point order.
     ASSERT_EQ(outcomes.size(), points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(outcomes[i].point.index, points[i].index) << i;
       const ResultRow& row = outcomes[i].row;
       const bool broken_point = points[i].config.device.name == "broken-disk";
       EXPECT_EQ(outcomes[i].failed, broken_point) << i;
@@ -550,25 +599,26 @@ std::uint64_t ReplicasSweepPeakKb(std::size_t replicas, const std::string& cache
   options.threads = 4;
   options.trace_cache = &cache;
   std::uint64_t sampled = ProcStatusKb("VmRSS");
-  options.on_emit = [&sampled](const SweepOutcome& outcome) {
+  std::size_t emitted = 0;
+  options.on_emit = [&sampled, &emitted](const SweepOutcome& outcome) {
     EXPECT_FALSE(outcome.failed) << outcome.error;
     sampled = std::max(sampled, ProcStatusKb("VmRSS"));
+    ++emitted;
   };
   const bool reset = ResetPeakRss();
-  const std::vector<SweepOutcome> outcomes = RunSweep(EnumerateGrid(spec), options);
-  EXPECT_EQ(outcomes.size(), 4 * replicas);
+  RunSweep(EnumerateGrid(spec), options);
+  EXPECT_EQ(emitted, 4 * replicas);
   const std::uint64_t peak = reset ? std::max(sampled, ProcStatusKb("VmHWM")) : sampled;
   std::filesystem::remove_all(cache_dir);
   return peak;
 }
 
-// With a trace cache a sweep holds the traces of the points in flight and
-// the rows, not every trace and every percentile sample of the grid, so 16x
-// the points must not move its peak memory by 20%.  What still grows is the
-// returned outcomes, about 7 kB a point by size (a 59-field row is most of
-// it); at scale 0.3, as at the benchmark's full scale, the traces in flight
-// outweigh them.  Keeping every trace and every sample, 1,024 points here
-// peaked at 498 MB against 42 MB for 64.
+// With a trace cache a sweep holds the traces and outcomes of the points in
+// flight, not every trace, percentile sample and row of the grid, so 16x the
+// points must not move its peak memory by 20%.  What still grows is the
+// input points and the per-simulation bookkeeping, well under 1 kB a point.
+// Keeping every trace and every sample, 1,024 points here peaked at 498 MB
+// against 42 MB for 64.
 TEST(SweepRunnerTest, PeakMemoryDoesNotGrowWithTheGrid) {
   if (kSanitizerAllocator) {
     GTEST_SKIP() << "sanitizer allocators retain freed memory; RSS is not the sweep's";
@@ -576,9 +626,12 @@ TEST(SweepRunnerTest, PeakMemoryDoesNotGrowWithTheGrid) {
   if (ProcStatusKb("VmRSS") == 0) {
     GTEST_SKIP() << "no /proc/self/status VmRSS on this system";
   }
-  const std::string dir = ::testing::TempDir() + "mobisim_bounded_rss";
+  // Per process, so a second runner_test on the host cannot empty this cache.
+  const std::string dir = ::testing::TempDir() + "mobisim_bounded_rss_" + std::to_string(getpid());
   const std::uint64_t small = ReplicasSweepPeakKb(16, dir);    // 64 points
   const std::uint64_t large = ReplicasSweepPeakKb(256, dir);   // 1,024 points
+  std::cout << "peak RSS: 64 points " << small << " kB, 1024 points " << large << " kB ("
+            << static_cast<double>(large) / static_cast<double>(small) << "x)\n";
   EXPECT_LT(static_cast<double>(large), 1.2 * static_cast<double>(small))
       << "64 points: " << small << " kB, 1024 points: " << large << " kB";
   EXPECT_LT(static_cast<double>(small), 1.2 * static_cast<double>(large))

@@ -37,6 +37,7 @@
 #include "src/util/heartbeat.h"
 #include "src/util/http_client.h"
 #include "src/util/http_server.h"
+#include "tests/collect_sweep.h"
 
 namespace mobisim {
 namespace {
@@ -57,12 +58,13 @@ constexpr char kTinySpec[] =
     "replicas = 2\n"
     "scale = 0.05\n";
 
-// A policy-grid cross: 2 backends x 3 ftl policies at one utilization.  The
-// backend and ftl axes multiply the shard arithmetic exactly like the older
-// dimensions, and the per-point rows carry the policy columns, so a
+// A policy-grid cross: 2 devices x 2 backends x 3 ftl policies at one
+// utilization (the card reads the ftl axis, the disk the backends axis).
+// The backend and ftl axes multiply the shard arithmetic exactly like the
+// older dimensions, and the per-point rows carry the policy columns, so a
 // sharded/merged run must stay byte-identical to a serial one.
 constexpr char kPolicyGridSpec[] =
-    "devices = intel-datasheet\n"
+    "devices = intel-datasheet, cu140-datasheet\n"
     "workloads = synth\n"
     "utilizations = 0.9\n"
     "backends = average-cost, geometry\n"
@@ -89,7 +91,7 @@ std::vector<std::string> SerialRowsJson(const std::string& spec_text) {
   SweepOptions options;
   options.threads = 1;
   std::vector<std::string> rows;
-  for (const SweepOutcome& outcome : RunSweep(EnumerateGrid(*spec), options)) {
+  for (const SweepOutcome& outcome : CollectSweep(EnumerateGrid(*spec), options)) {
     rows.push_back(RowToJson(outcome.row));
   }
   return rows;
@@ -552,27 +554,27 @@ TEST_P(WorkerTest, DrainsSpoolAndMatchesSerialRun) {
 }
 
 TEST_P(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
-  // The backends x ftl cross enumerates 6 points; 4 shards exercises the
-  // uneven-split arithmetic over the new dimensions.
+  // The devices x backends x ftl cross enumerates 12 points; 5 shards
+  // exercises the uneven-split arithmetic over the new dimensions.
   std::string error;
   const auto spec = ParseExperimentSpec(kPolicyGridSpec, &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  ASSERT_EQ(GridSize(*spec), 6u);
+  ASSERT_EQ(GridSize(*spec), 12u);
 
   const std::string root = FreshDir("workerpolicygrid");
   std::filesystem::remove_all(root);
-  ASSERT_TRUE(Spool::Create(root, kPolicyGridSpec, "grid", 4, &error).has_value())
+  ASSERT_TRUE(Spool::Create(root, kPolicyGridSpec, "grid", 5, &error).has_value())
       << error;
 
   const WorkerSummary summary = RunWorkerLoop(Worker(root));
-  EXPECT_EQ(summary.items, 4u);
-  EXPECT_EQ(summary.rows, 6u);
+  EXPECT_EQ(summary.items, 5u);
+  EXPECT_EQ(summary.rows, 12u);
   EXPECT_EQ(summary.error_rows, 0u);
 
   const std::vector<std::string> merged = MergedRowsJson(root);
   EXPECT_EQ(merged, SerialRowsJson(kPolicyGridSpec));
   // The rows really carry the policy axes (the merge preserved them).
-  ASSERT_EQ(merged.size(), 6u);
+  ASSERT_EQ(merged.size(), 12u);
   EXPECT_NE(merged[0].find("\"ftl\":\"log\""), std::string::npos);
   EXPECT_NE(merged[1].find("\"ftl\":\"page-diff\""), std::string::npos);
   EXPECT_NE(merged[5].find("\"backend\":\"geometry\""), std::string::npos);

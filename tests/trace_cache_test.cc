@@ -30,6 +30,7 @@
 #include "src/util/atomic_file.h"
 #include "src/util/hash.h"
 #include "src/util/rng.h"
+#include "tests/collect_sweep.h"
 
 namespace mobisim {
 namespace {
@@ -346,14 +347,14 @@ TEST(TraceCacheTest, ParallelSweepWithSharedCacheMatchesNoCache) {
 
   SweepOptions plain_options;
   plain_options.threads = 1;
-  const std::vector<SweepOutcome> plain = RunSweep(points, plain_options);
+  const std::vector<SweepOutcome> plain = CollectSweep(points, plain_options);
 
   const std::string dir = FreshDir("tc_sweep");
   TraceCache cold(dir);
   SweepOptions cold_options;
   cold_options.threads = 4;
   cold_options.trace_cache = &cold;
-  const std::vector<SweepOutcome> cold_run = RunSweep(points, cold_options);
+  const std::vector<SweepOutcome> cold_run = CollectSweep(points, cold_options);
   // 2 distinct (workload, scale, seed) keys across the 12 points.
   EXPECT_EQ(cold.stats().misses, 2u);
   EXPECT_EQ(cold.stats().stores, 2u);
@@ -362,7 +363,7 @@ TEST(TraceCacheTest, ParallelSweepWithSharedCacheMatchesNoCache) {
   SweepOptions warm_options;
   warm_options.threads = 4;
   warm_options.trace_cache = &warm;
-  const std::vector<SweepOutcome> warm_run = RunSweep(points, warm_options);
+  const std::vector<SweepOutcome> warm_run = CollectSweep(points, warm_options);
   EXPECT_EQ(warm.stats().hits, 2u);
   EXPECT_EQ(warm.stats().misses, 0u);
   EXPECT_EQ(warm.stats().stores, 0u);
@@ -409,14 +410,14 @@ TEST(TraceCacheTest, FarReusesReMapFromTheCacheWithIdenticalRows) {
   }
   SweepOptions plain_options;
   plain_options.threads = 1;
-  const std::vector<std::string> plain = RowsOf(RunSweep(points, plain_options));
+  const std::vector<std::string> plain = RowsOf(CollectSweep(points, plain_options));
 
   const std::string dir = FreshDir("tc_remap");
   TraceCache cold(dir);
   SweepOptions cold_options;
   cold_options.threads = 4;
   cold_options.trace_cache = &cold;
-  EXPECT_EQ(RowsOf(RunSweep(points, cold_options)), plain);
+  EXPECT_EQ(RowsOf(CollectSweep(points, cold_options)), plain);
   EXPECT_EQ(cold.stats().misses, 6u);
   EXPECT_EQ(cold.stats().stores, 6u);
 
@@ -433,7 +434,7 @@ TEST(TraceCacheTest, FarReusesReMapFromTheCacheWithIdenticalRows) {
     SweepOptions warm_options;
     warm_options.threads = threads;
     warm_options.trace_cache = &warm;
-    EXPECT_EQ(RowsOf(RunSweep(points, warm_options)), plain);
+    EXPECT_EQ(RowsOf(CollectSweep(points, warm_options)), plain);
     EXPECT_EQ(warm.stats().misses, 0u);
     EXPECT_EQ(warm.stats().stores, 0u);
     EXPECT_EQ(warm.stats().copies, 0u);
@@ -446,7 +447,7 @@ TEST(TraceCacheTest, ReMapOfAVanishedEntryRegenerates) {
   const std::vector<ExperimentPoint> points = DeviceOuterPoints();
   SweepOptions plain_options;
   plain_options.threads = 1;
-  const std::vector<std::string> plain = RowsOf(RunSweep(points, plain_options));
+  const std::vector<std::string> plain = RowsOf(CollectSweep(points, plain_options));
 
   const std::string dir = FreshDir("tc_vanish");
   {
@@ -471,7 +472,7 @@ TEST(TraceCacheTest, ReMapOfAVanishedEntryRegenerates) {
       }
     }
   };
-  EXPECT_EQ(RowsOf(RunSweep(points, options)), plain);
+  EXPECT_EQ(RowsOf(CollectSweep(points, options)), plain);
   EXPECT_EQ(cache.stats().misses, 6u);
   EXPECT_EQ(cache.stats().stores, 6u);
   EXPECT_EQ(cache.stats().views, 6u + 5u);

@@ -21,6 +21,7 @@
 #include "src/trace/trace_cache.h"
 #include "src/trace/trace_image.h"
 #include "src/trace/trace_view.h"
+#include "tests/collect_sweep.h"
 
 namespace mobisim {
 namespace {
@@ -202,7 +203,7 @@ TEST(TraceViewTest, WarmSweepDeterministicAcrossThreadCounts) {
   SweepOptions prime_options;
   prime_options.threads = 1;
   prime_options.trace_cache = &prime;
-  const std::vector<SweepOutcome> serial = RunSweep(points, prime_options);
+  const std::vector<SweepOutcome> serial = CollectSweep(points, prime_options);
 
   // Warm + threaded: every distinct trace arrives as one zero-copy view
   // shared across the workers, and the rows match the serial run byte for
@@ -211,7 +212,7 @@ TEST(TraceViewTest, WarmSweepDeterministicAcrossThreadCounts) {
   SweepOptions warm_options;
   warm_options.threads = 4;
   warm_options.trace_cache = &warm;
-  const std::vector<SweepOutcome> threaded = RunSweep(points, warm_options);
+  const std::vector<SweepOutcome> threaded = CollectSweep(points, warm_options);
   EXPECT_EQ(warm.stats().views, 2u);  // 2 distinct (workload, scale, seed) keys
   EXPECT_EQ(warm.stats().copies, 0u);
   EXPECT_EQ(warm.stats().misses, 0u);
