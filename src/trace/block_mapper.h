@@ -9,6 +9,7 @@
 #define MOBISIM_SRC_TRACE_BLOCK_MAPPER_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -45,6 +46,13 @@ std::uint64_t BlockMapper::MapEach(const Trace& trace, Emit&& emit) {
   MOBISIM_CHECK(trace.block_bytes > 0);
   const std::uint64_t block = trace.block_bytes;
   const std::size_t n = trace.records.size();
+  // Byte offsets to blocks.  Every generator's block size is a power of
+  // two, where a shift gives the quotient without a 64-bit division.
+  const bool pow2 = std::has_single_bit(block);
+  const int shift = std::countr_zero(block);
+  const auto blocks_of = [&](std::uint64_t bytes) {
+    return pow2 ? bytes >> shift : bytes / block;
+  };
 
   // Each file gets a slot in order of first appearance; pass 1 looks it up
   // once per record and pass 2 reads it back from record_slots.
@@ -66,7 +74,7 @@ std::uint64_t BlockMapper::MapEach(const Trace& trace, Emit&& emit) {
     record_slots[i] = slot;
     if (rec.op != OpType::kErase) {
       const std::uint64_t end = rec.offset + rec.size_bytes;
-      const std::uint64_t blocks = (end + block - 1) / block;
+      const std::uint64_t blocks = blocks_of(end + block - 1);
       extents[slot].block_count = std::max(extents[slot].block_count, blocks);
     }
   }
@@ -90,9 +98,9 @@ std::uint64_t BlockMapper::MapEach(const Trace& trace, Emit&& emit) {
       block_rec.lba = extent.first_block;
       block_rec.block_count = static_cast<std::uint32_t>(extent.block_count);
     } else {
-      const std::uint64_t first = rec.offset / block;
-      const std::uint64_t last = (rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) - 1) /
-                                 block;
+      const std::uint64_t first = blocks_of(rec.offset);
+      const std::uint64_t last =
+          blocks_of(rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) - 1);
       MOBISIM_CHECK(last < extent.block_count);
       block_rec.lba = extent.first_block + first;
       block_rec.block_count = static_cast<std::uint32_t>(last - first + 1);

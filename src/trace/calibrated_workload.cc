@@ -1,7 +1,6 @@
 #include "src/trace/calibrated_workload.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -9,37 +8,6 @@
 #include "src/util/check.h"
 
 namespace mobisim {
-
-namespace {
-
-// Shifted geometric with a fixed mean (>= 1): support {1, 2, ...}.  The
-// denominator log(1 - 1/mean) depends only on the mean, so it is computed
-// once, not per draw.
-class GeometricBlocks {
- public:
-  explicit GeometricBlocks(double mean)
-      : constant_(mean <= 1.0), log_q_(constant_ ? 0.0 : std::log(1.0 - 1.0 / mean)) {
-    MOBISIM_DCHECK(mean >= 1.0);
-  }
-
-  std::uint32_t Draw(Rng& rng) const {
-    if (constant_) {
-      return 1;
-    }
-    double u = rng.NextDouble();
-    if (u >= 1.0) {
-      u = 1.0 - 1e-12;
-    }
-    const double k = std::floor(std::log(1.0 - u) / log_q_);
-    return 1 + static_cast<std::uint32_t>(std::min(k, 4095.0));
-  }
-
- private:
-  bool constant_;  // mean <= 1: every draw is 1 and consumes no randomness
-  double log_q_;
-};
-
-}  // namespace
 
 CalibratedWorkloadConfig MacWorkloadConfig(double scale) {
   CalibratedWorkloadConfig c;
@@ -153,8 +121,8 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
   trace.block_bytes = block;
   trace.records.reserve(op_count);
 
-  const GeometricBlocks read_sizes(config.mean_read_blocks);
-  const GeometricBlocks write_sizes(config.mean_write_blocks);
+  const GeometricDistribution read_sizes(config.mean_read_blocks);
+  const GeometricDistribution write_sizes(config.mean_write_blocks);
   SimTime now = 0;
   for (std::uint64_t i = 0; i < op_count; ++i) {
     double gap_sec;
@@ -186,8 +154,8 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
 
     const bool is_read = !file.erased && rng.Chance(config.read_fraction);
     rec.op = is_read ? OpType::kRead : OpType::kWrite;
-    const GeometricBlocks& sizes = is_read ? read_sizes : write_sizes;
-    std::uint32_t size_blocks = std::min(sizes.Draw(rng), file.size_blocks);
+    const GeometricDistribution& sizes = is_read ? read_sizes : write_sizes;
+    std::uint32_t size_blocks = std::min(sizes.Sample(rng), file.size_blocks);
 
     std::uint64_t start_block;
     if (file.erased) {

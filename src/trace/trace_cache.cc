@@ -134,13 +134,19 @@ TraceView TraceCache::LoadView(const std::string& fingerprint) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return TraceView();
   }
-  if (!ValidateEntry(bytes.data(), bytes.size())) {
-    // Torn or corrupted: drop the entry so the regenerated trace replaces
-    // it, and report the lookup as a (corrupt) miss.
-    std::remove(path.c_str());
-    corrupt_.fetch_add(1, std::memory_order_relaxed);
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return TraceView();
+  if (!map.valid() || !KnownValid(fingerprint, map.identity())) {
+    validated_.fetch_add(1, std::memory_order_relaxed);
+    if (!ValidateEntry(bytes.data(), bytes.size())) {
+      // Torn or corrupted: drop the entry so the regenerated trace replaces
+      // it, and report the lookup as a (corrupt) miss.
+      std::remove(path.c_str());
+      corrupt_.fetch_add(1, std::memory_order_relaxed);
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      return TraceView();
+    }
+    if (map.valid()) {
+      Remember(fingerprint, map.identity());
+    }
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
   if (map.valid() && ColumnsAddressableInPlace(map.data())) {
@@ -162,12 +168,25 @@ bool TraceCache::Store(const std::string& fingerprint, const TraceImage& image,
     errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (!WriteFileAtomic(EntryPath(fingerprint), image.bytes(), error)) {
+  FileIdentity identity;
+  if (!WriteFileAtomic(EntryPath(fingerprint), image.bytes(), error, &identity)) {
     errors_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  Remember(fingerprint, identity);
   stores_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+bool TraceCache::KnownValid(const std::string& fingerprint, const FileIdentity& identity) {
+  const std::lock_guard<std::mutex> lock(known_mu_);
+  const auto it = known_valid_.find(fingerprint);
+  return it != known_valid_.end() && it->second == identity;
+}
+
+void TraceCache::Remember(const std::string& fingerprint, const FileIdentity& identity) {
+  const std::lock_guard<std::mutex> lock(known_mu_);
+  known_valid_[fingerprint] = identity;
 }
 
 TraceCacheStats TraceCache::stats() const {
@@ -179,6 +198,7 @@ TraceCacheStats TraceCache::stats() const {
   s.errors = errors_.load(std::memory_order_relaxed);
   s.views = views_.load(std::memory_order_relaxed);
   s.copies = copies_.load(std::memory_order_relaxed);
+  s.validated = validated_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -188,7 +208,7 @@ std::string TraceCache::StatsLine() const {
   out << "trace-cache: hits=" << s.hits << " misses=" << s.misses
       << " stores=" << s.stores << " corrupt=" << s.corrupt
       << " errors=" << s.errors << " views=" << s.views
-      << " copies=" << s.copies << " dir=" << dir_;
+      << " copies=" << s.copies << " validated=" << s.validated << " dir=" << dir_;
   return out.str();
 }
 

@@ -23,18 +23,25 @@
 // LoadView maps a valid entry and hands its columns to the simulator in
 // place — zero copies, zero per-record parsing — as a TraceView.  An entry
 // that cannot be addressed in place is copied into an owned image instead;
-// corrupt entries are dropped and regenerated.
+// corrupt entries are dropped and regenerated.  Each entry file is hashed
+// once per cache object: a mapping whose file identity (util/atomic_file.h)
+// is the one this cache last validated, or wrote itself, under that
+// fingerprint skips the validator.  Entries are only ever replaced by
+// rename, so an unchanged identity means unchanged bytes.
 #ifndef MOBISIM_SRC_TRACE_TRACE_CACHE_H_
 #define MOBISIM_SRC_TRACE_TRACE_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/trace/trace_view.h"
+#include "src/util/atomic_file.h"
 
 namespace mobisim {
 
@@ -63,6 +70,7 @@ struct TraceCacheStats {
   std::uint64_t errors = 0;    // store failures (cache stayed best-effort)
   std::uint64_t views = 0;     // zero-copy mmap loads (no payload copy)
   std::uint64_t copies = 0;    // copying loads (LoadView's fallback)
+  std::uint64_t validated = 0;  // entries hashed by ValidateEntry
 };
 
 // The persistent cache directory.  Thread-safe: LoadView/Store may be called
@@ -77,29 +85,40 @@ class TraceCache {
   const std::string& dir() const { return dir_; }
   std::string EntryPath(const std::string& fingerprint) const;
 
-  // Maps the entry, validates it in place (ValidateEntry), and returns a
-  // TraceView whose columns point into the mapping (counts `views`).  An
-  // entry that cannot be mapped or addressed in place is read into an owned
-  // image instead — identical data, counts `copies`.  A corrupted or torn
+  // Maps the entry, validates it in place (ValidateEntry) unless this cache
+  // already validated or wrote this very file, and returns a TraceView
+  // whose columns point into the mapping (counts `views`).  An entry that
+  // cannot be mapped or addressed in place is read into an owned image
+  // instead — identical data, counts `copies`.  A corrupted or torn
   // entry is removed and reported as a (corrupt) miss; the returned view is
   // then empty, as it is for a plain miss.
   TraceView LoadView(const std::string& fingerprint);
 
   // Writes the image under the fingerprint as it is, creating the cache
-  // directory if needed.  Best-effort: returns false (and counts `errors`)
-  // on failure.
+  // directory if needed, and remembers the written file as valid.
+  // Best-effort: returns false (and counts `errors`) on failure.
   bool Store(const std::string& fingerprint, const TraceImage& image,
              std::string* error = nullptr);
 
   TraceCacheStats stats() const;
   // One-line summary for the drivers' stderr reporting, e.g.
-  //   trace-cache: hits=12 misses=0 stores=0 corrupt=0 errors=0 views=12 copies=0 dir=/x
-  // CI greps this line: `misses=0 stores=0 corrupt=0 errors=0` proves a warm
-  // run generated nothing, `copies=0` that no cached payload was copied.
+  //   trace-cache: hits=12 misses=0 stores=0 corrupt=0 errors=0 views=12 copies=0
+  //   validated=6 dir=/x
+  // (one line).  CI greps it: `misses=0 stores=0 corrupt=0 errors=0` proves
+  // a warm run generated nothing, `copies=0` that no cached payload was
+  // copied, and a `validated` no larger than the entry count that no file
+  // was hashed twice.
   std::string StatsLine() const;
 
  private:
+  // Whether `identity` is the file last validated or stored under
+  // `fingerprint`; Remember records it.
+  bool KnownValid(const std::string& fingerprint, const FileIdentity& identity);
+  void Remember(const std::string& fingerprint, const FileIdentity& identity);
+
   std::string dir_;
+  std::mutex known_mu_;
+  std::unordered_map<std::string, FileIdentity> known_valid_;  // by fingerprint
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};
@@ -107,6 +126,7 @@ class TraceCache {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> views_{0};
   std::atomic<std::uint64_t> copies_{0};
+  std::atomic<std::uint64_t> validated_{0};
 };
 
 // The one code path every consumer shares: load the (workload, scale, seed)

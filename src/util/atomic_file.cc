@@ -9,6 +9,7 @@
 #include <atomic>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace mobisim {
@@ -31,8 +32,18 @@ std::string TempName(const std::string& path) {
 
 }  // namespace
 
+FileIdentity FileIdentityOf(const struct ::stat& st) {
+  FileIdentity identity;
+  identity.dev = static_cast<std::uint64_t>(st.st_dev);
+  identity.ino = static_cast<std::uint64_t>(st.st_ino);
+  identity.size = static_cast<std::uint64_t>(st.st_size);
+  identity.mtime_ns = static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                      static_cast<std::int64_t>(st.st_mtim.tv_nsec);
+  return identity;
+}
+
 bool WriteFileAtomic(const std::string& path, std::string_view data,
-                     std::string* error) {
+                     std::string* error, FileIdentity* identity) {
   const std::string tmp = TempName(path);
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -57,8 +68,9 @@ bool WriteFileAtomic(const std::string& path, std::string_view data,
 
   // fsync before rename: otherwise the rename can be durable while the data
   // is not, which is exactly the torn state this helper exists to prevent.
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    SetError(error, "fsync/close failed for", tmp);
+  struct stat st {};
+  if (::fsync(fd) != 0 || ::fstat(fd, &st) != 0 || ::close(fd) != 0) {
+    SetError(error, "fsync/fstat/close failed for", tmp);
     ::unlink(tmp.c_str());
     return false;
   }
@@ -66,6 +78,9 @@ bool WriteFileAtomic(const std::string& path, std::string_view data,
     SetError(error, "cannot rename into", path);
     ::unlink(tmp.c_str());
     return false;
+  }
+  if (identity != nullptr) {
+    *identity = FileIdentityOf(st);
   }
   return true;
 }

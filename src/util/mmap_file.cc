@@ -27,6 +27,7 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     mapped_ = std::exchange(other.mapped_, false);
+    identity_ = std::exchange(other.identity_, FileIdentity{});
   }
   return *this;
 }
@@ -48,6 +49,7 @@ bool MmapFile::Open(const std::string& path, std::string* error) {
   if (size == 0) {
     ::close(fd);
     mapped_ = true;  // an empty file is a valid (empty) mapping
+    identity_ = FileIdentityOf(st);
     return true;
   }
   void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -59,6 +61,7 @@ bool MmapFile::Open(const std::string& path, std::string* error) {
   data_ = addr;
   size_ = size;
   mapped_ = true;
+  identity_ = FileIdentityOf(st);
   return true;
 }
 
@@ -69,6 +72,7 @@ void MmapFile::Reset() {
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
+  identity_ = FileIdentity{};
 }
 
 }  // namespace mobisim

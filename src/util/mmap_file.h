@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <string>
 
+#include "src/util/atomic_file.h"
+
 namespace mobisim {
 
 class MmapFile {
@@ -39,11 +41,14 @@ class MmapFile {
   bool valid() const { return data_ != nullptr || (mapped_ && size_ == 0); }
   const char* data() const { return static_cast<const char*>(data_); }
   std::size_t size() const { return size_; }
+  // The mapped file's identity at Open (all zero when not mapped).
+  const FileIdentity& identity() const { return identity_; }
 
  private:
   void* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
+  FileIdentity identity_;
 };
 
 }  // namespace mobisim

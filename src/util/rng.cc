@@ -14,28 +14,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) : state_(0), inc_((stream << 
   NextU32();
 }
 
-std::uint32_t Rng::NextU32() {
-  const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  const std::uint32_t xorshifted = static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  const std::uint32_t rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32 - rot) & 31));
-}
-
-std::uint64_t Rng::NextU64() {
-  return (static_cast<std::uint64_t>(NextU32()) << 32) | NextU32();
-}
-
-double Rng::NextDouble() {
-  // 53 random bits into [0, 1).
-  return static_cast<double>(NextU64() >> 11) * (1.0 / 9007199254740992.0);
-}
-
-double Rng::Uniform(double lo, double hi) {
-  MOBISIM_DCHECK(lo <= hi);
-  return lo + (hi - lo) * NextDouble();
-}
-
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
   MOBISIM_DCHECK(lo <= hi);
   const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
@@ -73,9 +51,13 @@ double Rng::Normal(double mean, double stddev) {
 
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
-bool Rng::Chance(double probability) { return NextDouble() < probability; }
-
-Rng Rng::Fork() { return Rng(NextU64(), NextU64() >> 1); }
+Rng Rng::Fork() {
+  // The stream is drawn first and the seed second: the order every trace
+  // was generated with.
+  const std::uint64_t stream = NextU64() >> 1;
+  const std::uint64_t seed = NextU64();
+  return Rng(seed, stream);
+}
 
 DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
   MOBISIM_CHECK(!weights.empty());
@@ -93,28 +75,21 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
   }
   cdf_.back() = 1.0;
 
-  while (guide_bits_ < 16 && (std::size_t{1} << guide_bits_) < cdf_.size()) {
-    ++guide_bits_;
+  int guide_bits = 1;
+  while (guide_bits < 16 && (std::size_t{1} << guide_bits) < cdf_.size()) {
+    ++guide_bits;
   }
-  const std::size_t buckets = std::size_t{1} << guide_bits_;
+  guide_scale_ = std::ldexp(1.0, guide_bits);
+  const std::size_t buckets = std::size_t{1} << guide_bits;
   guide_.resize(buckets + 1);
   std::size_t i = 0;
   for (std::size_t g = 0; g <= buckets; ++g) {
-    const double edge = std::ldexp(static_cast<double>(g), -guide_bits_);
+    const double edge = std::ldexp(static_cast<double>(g), -guide_bits);
     while (cdf_[i] < edge) {
       ++i;  // stops at the last index at the latest: cdf_.back() == 1.0
     }
     guide_[g] = static_cast<std::uint32_t>(i);
   }
-}
-
-std::size_t DiscreteDistribution::IndexOf(double u) const {
-  MOBISIM_DCHECK(u >= 0.0 && u < 1.0);
-  // Scaling by a power of two is exact, so g is floor(u * 2^b) exactly.
-  const auto g = static_cast<std::size_t>(std::ldexp(u, guide_bits_));
-  const auto first = cdf_.begin() + guide_[g];
-  const auto last = cdf_.begin() + guide_[g + 1];
-  return static_cast<std::size_t>(std::lower_bound(first, last, u) - cdf_.begin());
 }
 
 namespace {
@@ -131,5 +106,52 @@ std::vector<double> ZipfWeights(std::size_t n, double s) {
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double s)
     : DiscreteDistribution(ZipfWeights(n, s)) {}
+
+namespace {
+
+constexpr std::uint64_t kBitsEnd = std::uint64_t{1} << 53;  // m ranges over [0, 2^53)
+
+}  // namespace
+
+GeometricDistribution::GeometricDistribution(double mean)
+    : constant_(mean <= 1.0), log_q_(constant_ ? 0.0 : std::log(1.0 - 1.0 / mean)) {
+  MOBISIM_DCHECK(mean >= 1.0);
+  if (constant_) {
+    return;
+  }
+  // The first m with Rank(m) >= k: start where 1 - u = q^k, i.e.
+  // m = 2^53 (1 - q^k), which is within a few units of the boundary, then
+  // walk to it.  Rank is evaluated exactly as a draw evaluates it.
+  for (std::size_t k = 1; k <= kMaxBoundaries && Rank(kBitsEnd - 1) >= static_cast<double>(k);
+       ++k) {
+    const double tail = std::ldexp(std::exp(static_cast<double>(k) * log_q_), 53);
+    std::uint64_t m = kBitsEnd - 1;
+    if (tail >= 1.0) {
+      m = kBitsEnd - std::min<std::uint64_t>(kBitsEnd, static_cast<std::uint64_t>(tail));
+    }
+    if (count_ > 0) {
+      m = std::max(m, boundaries_[count_ - 1]);
+    }
+    while (Rank(m) < static_cast<double>(k)) {
+      ++m;  // ends by m = 2^53 - 1, whose rank reaches k
+    }
+    while (m > 0 && Rank(m - 1) >= static_cast<double>(k)) {
+      --m;
+    }
+    boundaries_[count_++] = m;
+  }
+}
+
+double GeometricDistribution::Rank(std::uint64_t m) const {
+  const double u = static_cast<double>(m) * (1.0 / 9007199254740992.0);
+  return std::floor(std::log(1.0 - u) / log_q_);
+}
+
+std::uint32_t GeometricDistribution::FromBitsByLog(std::uint64_t m) const {
+  if (constant_) {
+    return 1;
+  }
+  return 1 + static_cast<std::uint32_t>(std::min(Rank(m), 4095.0));
+}
 
 }  // namespace mobisim

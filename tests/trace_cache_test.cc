@@ -150,6 +150,11 @@ constexpr PinnedEntry kPinnedEntries[] = {
     {"hp", 0.1, 1, "76aa96d6b9955270"},     {"hp", 0.1, 7, "19dd7011ec324a17"},
     {"synth", 0.02, 1, "19a8755c498362d7"}, {"synth", 0.02, 7, "d92879896ab08652"},
     {"synth", 0.1, 1, "9914a31f3ae07514"},  {"synth", 0.1, 7, "657bc90c88c181c8"},
+    // Full scale: long enough to reach the tails of the size distributions.
+    {"mac", 1.0, 1, "55864a78727f4afe"},    {"mac", 1.0, 7, "36b5a1f1ac44fb67"},
+    {"dos", 1.0, 1, "6ed60f18df10ae8e"},    {"dos", 1.0, 7, "b1b6b6f1cd56b2c9"},
+    {"hp", 1.0, 1, "dbd34d4076910ae3"},     {"hp", 1.0, 7, "6b17900f5b5b53ba"},
+    {"synth", 1.0, 1, "3ceb7cae999b1e74"},  {"synth", 1.0, 7, "d0d8a32c0ac365c8"},
 };
 
 TEST(TraceImageTest, BuilderReproducesPinnedEntryDigests) {
@@ -322,6 +327,73 @@ TEST(TraceCacheTest, CorruptEntryIsDetectedRemovedAndRegenerated) {
   EXPECT_EQ(again.stats().hits, 1u);
 }
 
+TEST(TraceCacheTest, EachEntryFileIsHashedOncePerCache) {
+  const std::string dir = FreshDir("tc_once");
+  {
+    TraceCache fill(dir);
+    LoadOrGenerateTraceView(&fill, "synth", 0.02, 7);
+    // What this cache wrote itself it never hashes.
+    EXPECT_FALSE(fill.LoadView(TraceCacheFingerprint("synth", 0.02, 7)).empty());
+    EXPECT_EQ(fill.stats().validated, 0u);
+  }
+  TraceCache cache(dir);
+  const std::string fingerprint = TraceCacheFingerprint("synth", 0.02, 7);
+  const TraceView first = cache.LoadView(fingerprint);
+  const TraceView second = cache.LoadView(fingerprint);
+  ASSERT_FALSE(second.empty());
+  ExpectSameColumns(first, second);
+  EXPECT_EQ(cache.stats().views, 2u);
+  EXPECT_EQ(cache.stats().validated, 1u);
+  EXPECT_NE(cache.StatsLine().find(" copies=0 validated=1 dir="), std::string::npos)
+      << cache.StatsLine();
+}
+
+TEST(TraceCacheTest, AValidatedEntryRenamedOverByACorruptOneIsCaught) {
+  const std::string dir = FreshDir("tc_renamed");
+  const std::string fingerprint = TraceCacheFingerprint("synth", 0.02, 7);
+  {
+    TraceCache fill(dir);
+    LoadOrGenerateTraceView(&fill, "synth", 0.02, 7);
+  }
+  TraceCache cache(dir);
+  const TraceView original = cache.LoadView(fingerprint);
+  ASSERT_FALSE(original.empty());
+  EXPECT_EQ(cache.stats().validated, 1u);
+
+  // The same size with one payload byte flipped, published by rename as a
+  // store would publish it.
+  const std::string path = cache.EntryPath(fingerprint);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes));
+  bytes[bytes.size() / 2] ^= 0x5a;
+  ASSERT_TRUE(WriteFileAtomic(path, bytes));
+
+  const TraceView regenerated = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_EQ(cache.stats().validated, 2u);
+  ExpectSameColumns(original, regenerated);
+  // The re-stored entry is this cache's own: mapped again without a hash.
+  EXPECT_FALSE(cache.LoadView(fingerprint).empty());
+  EXPECT_EQ(cache.stats().validated, 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST(TraceCacheTest, AStoredEntryTruncatedInPlaceIsCaught) {
+  const std::string dir = FreshDir("tc_truncated");
+  TraceCache cache(dir);
+  const TraceView original = LoadOrGenerateTraceView(&cache, "synth", 0.02, 7);
+  const std::string fingerprint = TraceCacheFingerprint("synth", 0.02, 7);
+  std::filesystem::resize_file(cache.EntryPath(fingerprint), 17);
+
+  EXPECT_TRUE(cache.LoadView(fingerprint).empty());
+  EXPECT_EQ(cache.stats().corrupt, 1u);
+  EXPECT_EQ(cache.stats().validated, 1u);
+  EXPECT_FALSE(std::filesystem::exists(cache.EntryPath(fingerprint)));
+  ExpectSameColumns(original, LoadOrGenerateTraceView(&cache, "synth", 0.02, 7));
+}
+
 TEST(TraceCacheTest, UnwritableDirectoryDegradesToGeneration) {
   // A path that cannot be created (parent is a file) must not fail the run.
   const std::string dir = FreshDir("tc_unwritable");
@@ -420,6 +492,7 @@ TEST(TraceCacheTest, FarReusesReMapFromTheCacheWithIdenticalRows) {
   EXPECT_EQ(RowsOf(CollectSweep(points, cold_options)), plain);
   EXPECT_EQ(cold.stats().misses, 6u);
   EXPECT_EQ(cold.stats().stores, 6u);
+  EXPECT_EQ(cold.stats().validated, 0u);  // every re-map is of its own store
 
   // Seed k's uses sit at dispatch positions k-1 and k+5, after the up-front
   // acquisition just before position 0.  A use more than `threads` positions
@@ -440,6 +513,7 @@ TEST(TraceCacheTest, FarReusesReMapFromTheCacheWithIdenticalRows) {
     EXPECT_EQ(warm.stats().copies, 0u);
     EXPECT_EQ(warm.stats().views, views);
     EXPECT_EQ(warm.stats().hits, views);
+    EXPECT_EQ(warm.stats().validated, 6u);  // once per entry file
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -115,6 +116,33 @@ TEST(RngTest, ForkIndependence) {
     same += parent.NextU32() == child.NextU32() ? 1 : 0;
   }
   EXPECT_LT(same, 5);
+}
+
+// The draw order every trace depends on: NextU64's high word is the first
+// step, and Fork draws its stream before its seed.
+TEST(RngTest, DrawOrderIsPinned) {
+  Rng rng(123);
+  EXPECT_EQ(rng.NextU64(), 0x151389e39230d53fULL);
+  EXPECT_EQ(rng.NextU64(), 0x0879145c3a108949ULL);
+  Rng parent(23);
+  EXPECT_EQ(parent.Fork().NextU64(), 0x826e9dc1df6c647cULL);
+}
+
+// NextU64 takes two PCG steps at once; it must match two sequential steps,
+// high word first, and leave the state where they leave it.
+TEST(RngTest, NextU64IsTwoSequentialSteps) {
+  for (const std::uint64_t seed : {0ULL, 1ULL, 23ULL, 0xffffffffffffffffULL}) {
+    Rng fast(seed, seed * 7 + 3);
+    Rng slow(seed, seed * 7 + 3);
+    for (int i = 0; i < 100000; ++i) {
+      const std::uint64_t high = slow.NextU32();
+      const std::uint64_t low = slow.NextU32();
+      ASSERT_EQ(fast.NextU64(), (high << 32) | low) << "seed " << seed << " draw " << i;
+      if (i % 3 == 0) {
+        ASSERT_EQ(fast.NextU32(), slow.NextU32());
+      }
+    }
+  }
 }
 
 TEST(ZipfTest, UniformWhenSkewZero) {
@@ -472,6 +500,59 @@ TEST(TablePrinterTest, CsvOutput) {
   std::ostringstream out;
   table.PrintCsv(out);
   EXPECT_EQ(out.str(), "a,b\n1,2\n");
+}
+
+// The inversion GeometricDistribution must reproduce, written out here on
+// its own: the 53 bits m as u = m / 2^53, k = floor(log(1 - u) / log q).
+std::uint32_t GeometricByLog(double mean, std::uint64_t m) {
+  const double log_q = std::log(1.0 - 1.0 / mean);
+  const double u = static_cast<double>(m) * (1.0 / 9007199254740992.0);
+  const double k = std::floor(std::log(1.0 - u) / log_q);
+  return 1 + static_cast<std::uint32_t>(std::min(k, 4095.0));
+}
+
+// Every preset's mean, one just above 1 (a table cut short by the 53 bits)
+// and one large enough that most draws fall past the table.
+TEST(GeometricTest, TableMatchesTheLogExpression) {
+  constexpr std::uint64_t kEnd = std::uint64_t{1} << 53;
+  for (const double mean : {1.2, 1.3, 3.4, 3.8, 4.3, 6.2, 1.0001, 100.0}) {
+    SCOPED_TRACE(mean);
+    const GeometricDistribution dist(mean);
+    const std::span<const std::uint64_t> bounds = dist.boundaries();
+    ASSERT_FALSE(bounds.empty());
+    ASSERT_LE(bounds.size(), 64u);
+    for (std::size_t j = 0; j < bounds.size(); ++j) {
+      // boundaries()[j] is the first m whose draw is at least j + 2.
+      ASSERT_GE(GeometricByLog(mean, bounds[j]), j + 2);
+      ASSERT_LT(GeometricByLog(mean, bounds[j] - 1), j + 2);
+      const std::uint64_t lo = bounds[j] > 20000 ? bounds[j] - 20000 : 0;
+      const std::uint64_t hi = std::min(kEnd - 1, bounds[j] + 20000);
+      for (std::uint64_t m = lo; m <= hi; ++m) {
+        ASSERT_EQ(dist.FromBits(m), GeometricByLog(mean, m)) << "m=" << m;
+      }
+    }
+    ASSERT_EQ(dist.FromBits(0), GeometricByLog(mean, 0));
+    ASSERT_EQ(dist.FromBits(kEnd - 1), GeometricByLog(mean, kEnd - 1));
+    Rng rng(47);
+    for (int i = 0; i < 10000000; ++i) {
+      const std::uint64_t m = rng.NextU64() >> 11;
+      ASSERT_EQ(dist.FromBits(m), GeometricByLog(mean, m)) << "m=" << m;
+    }
+  }
+}
+
+TEST(GeometricTest, SampleDrawsTheTopBitsOfOneNextU64) {
+  const GeometricDistribution dist(3.4);
+  Rng a(53);
+  Rng b(53);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_EQ(dist.Sample(a), dist.FromBits(b.NextU64() >> 11));
+  }
+  // A mean of 1 draws 1 and consumes nothing.
+  const GeometricDistribution one(1.0);
+  EXPECT_TRUE(one.boundaries().empty());
+  EXPECT_EQ(one.Sample(a), 1u);
+  EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 }  // namespace
