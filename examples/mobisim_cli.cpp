@@ -235,7 +235,7 @@ int RunMain(int argc, char** argv) {
   meta.points = replicas;
 
   SinkSet sinks;
-  if (!sinks.Open(common, meta, SweepCsvHeader(), &error)) {
+  if (!sinks.Open(common, meta, SweepCsvHeader(ColumnGroupsOf(config)), &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }

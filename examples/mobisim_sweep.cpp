@@ -267,14 +267,15 @@ int RunMain(int argc, char** argv) {
   meta.points = points.size();
 
   SinkSet sinks;
-  if (!sinks.Open(common, meta, SweepCsvHeader(), &error)) {
+  const std::string csv_header = SweepCsvHeader(ColumnGroupsOf(spec));
+  if (!sinks.Open(common, meta, csv_header, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
   // With no explicit sink, CSV goes to stdout so the tool is useful bare
   // (unless --db already captures the run).
   if (sinks.sinks().empty() && common.db_root.empty()) {
-    sinks.AddStdoutCsv(SweepCsvHeader());
+    sinks.AddStdoutCsv(csv_header);
   }
 
   const std::unique_ptr<TraceCache> trace_cache = OpenTraceCache(common);

@@ -22,6 +22,8 @@ fails (exit 1) when
     change run is worse than every base run by more than the bound; a
     worse median over a base that spreads wider is "unresolved", which the
     gate reports and lets pass;
+    each metric's line also counts the pairs the change won ("wins 9/10";
+    a tie counts for neither tree), which no verdict reads;
   - a per_layer metric with unit count or ratio differs between the traced
     runs while both trees pin the same output digests
     (perfbench/digests.txt); when the digests differ, the outputs were
@@ -101,10 +103,16 @@ def spread(values):
     return (q3 - q1) / abs(median)
 
 
+def wins(metric, base, change):
+    """Pairs in which the change did better than the base; ties count for neither."""
+    sign = 1 if metric["better"] == "lower" else -1
+    return sum(sign * (b - c) > 0 for b, c in zip(base, change))
+
+
 def compare_end_to_end(workload, spec, values, failures, unresolved):
     print(f"\n{workload}: medians of {PAIRS} untraced runs per tree")
     print(f"  {'metric':<16} {'base':>12} {'change':>12} {'worse by':>9} {'bound':>6} "
-          f"{'base spread':>11}")
+          f"{'base spread':>11} {'wins':>10}")
     for metric in spec["end_to_end"]:
         name = metric["name"]
         base = values["base"].get(name)
@@ -123,8 +131,10 @@ def compare_end_to_end(workload, spec, values, failures, unresolved):
         verdict = "ok"
         if worse > metric["bound"]:
             verdict = "FAIL" if base_spread <= metric["bound"] or separated else "unresolved"
+        won = f"wins {wins(metric, base, change)}/{min(len(base), len(change))}"
         print(f"  {name:<16} {base_median:>12.6g} {change_median:>12.6g} "
-              f"{worse:>+8.1%} {metric['bound']:>6.0%} {base_spread:>11.1%} {verdict}")
+              f"{worse:>+8.1%} {metric['bound']:>6.0%} {base_spread:>11.1%} "
+              f"{won:>10} {verdict}")
         if verdict != "ok":
             runs = "; ".join(side + " " + " ".join(f"{v:.6g}" for v in values[side][name])
                              for side in ("base", "change"))

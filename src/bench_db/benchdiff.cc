@@ -6,28 +6,31 @@
 #include <map>
 #include <sstream>
 
+#include "src/runner/sweep_runner.h"
+
 namespace mobisim {
 
 namespace {
 
 constexpr double kEps = 1e-12;
 
-// Columns that identify a grid cell independent of the seed: two rows that
-// agree on all of these are replicas of the same experiment.
-const char* kGroupColumns[] = {
-    "workload",   "device",     "scale",          "utilization",
-    "dram_bytes", "sram_bytes", "capacity_bytes", "auto_capacity",
-    "cleaning_policy", "ftl", "backend", "power_loss_interval_sec",
-};
-
 // Rows written for failed sweep points carry only metadata plus `_error`.
 bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
 
+// Two rows that agree on every point column but point, seed and replica
+// (every optional group on) are replicas of the same experiment.
 std::string GroupKey(const ResultRow& row) {
+  static const ResultRow columns = [] {
+    ExperimentPoint point;
+    point.config.export_columns = ColumnGroups().With(ColumnGroup::kFtl).With(ColumnGroup::kFault);
+    return PointToRow(point);
+  }();
   std::string key;
-  for (const char* column : kGroupColumns) {
-    key += row.Text(column, "?");
-    key += '|';
+  for (const ResultField& column : columns.fields) {
+    if (column.key != "point" && column.key != "seed" && column.key != "replica") {
+      key += row.Text(column.key, "?");
+      key += '|';
+    }
   }
   return key;
 }

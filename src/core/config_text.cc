@@ -211,7 +211,7 @@ bool ApplyConfigAssignment(SimConfig* config, const std::string& raw_key,
       SetError(error, "bad boolean '" + value + "' for " + key);
       return false;
     }
-    config->export_ftl_metrics = *v;
+    config->export_columns = config->export_columns.With(ColumnGroup::kFtl, *v);
     return true;
   }
   if (key.rfind("nand.", 0) == 0) {

@@ -404,9 +404,9 @@ ResultRow ResultToRow(const SimResult& result) {
   row.AddNumber("max_segment_erases", result.max_segment_erases);
   row.AddNumber("mean_segment_erases", result.mean_segment_erases);
 
-  // FTL counters are gated like the fault block below: only sweeps that name
-  // an FTL (or export explicitly) carry them, so pre-FTL output is unchanged.
-  if (result.ftl_enabled) {
+  // Optional groups keep their frozen places: FTL counters before
+  // mode_seconds, the fault block after it.
+  if (result.columns.Has(ColumnGroup::kFtl)) {
     row.AddInt("diff_writes", c.diff_writes);
     row.AddInt("diff_merges", c.diff_merges);
     row.AddInt("diff_merge_reads", c.diff_merge_reads);
@@ -429,11 +429,7 @@ ResultRow ResultToRow(const SimResult& result) {
   }
   row.AddText("mode_seconds", modes);
 
-  // Fault metrics are gated so healthy runs keep the exact pre-fault schema
-  // (the committed bench_db baseline depends on it).  The sweep runner sets
-  // fault.export_metrics uniformly across a grid, so fault sweeps still
-  // produce one consistent schema per file.
-  if (result.fault_enabled) {
+  if (result.columns.Has(ColumnGroup::kFault)) {
     row.AddInt("power_losses", result.power_losses);
     row.AddInt("lost_acked_writes", result.lost_acked_writes);
     row.AddInt("io_retries", result.io_retries);

@@ -45,7 +45,7 @@ struct ResultRow {
 
 // Flattens the full SimResult: energy split, response-time statistics,
 // percentiles, counters, cache behaviour, endurance, and per-mode device
-// seconds (as mode_<name>_sec).
+// seconds (as mode_<name>_sec); FTL and fault columns per result.columns.
 ResultRow ResultToRow(const SimResult& result);
 
 // --- Run metadata (JSONL header line) ---

@@ -14,6 +14,26 @@
 
 namespace mobisim {
 
+// Optional column groups of an exported row (DESIGN.md §17).  A row carries
+// the FTL or fault columns only when its run uses that feature, so older rows
+// and spec fingerprints stay byte-identical.  ColumnGroupsOf decides (for a
+// SimConfig or an ExperimentSpec); every writer asks Has().
+enum class ColumnGroup : std::uint8_t { kFtl = 1, kFault = 2 };
+
+struct ColumnGroups {
+  std::uint8_t bits = 0;
+
+  bool Has(ColumnGroup group) const { return (bits & static_cast<std::uint8_t>(group)) != 0; }
+  ColumnGroups With(ColumnGroup group, bool on = true) const {
+    const auto bit = static_cast<std::uint8_t>(group);
+    return {static_cast<std::uint8_t>(on ? bits | bit : bits & ~bit)};
+  }
+  ColumnGroups operator|(ColumnGroups other) const {
+    return {static_cast<std::uint8_t>(bits | other.bits)};
+  }
+  bool operator==(const ColumnGroups&) const = default;
+};
+
 struct SimConfig {
   DeviceSpec device;
 
@@ -58,10 +78,6 @@ struct SimConfig {
   // Flash translation policy.  The log-structured default is the paper's
   // MFFS model; page-diff and fat-remap are FTL ablations.
   FtlPolicyKind ftl_policy = FtlPolicyKind::kLogStructured;
-  // Emit the ftl/backend columns and FTL counters even for the default
-  // policy; rows from historical (pre-FTL) sweeps stay byte-identical while
-  // this is off and the policy is the default.
-  bool export_ftl_metrics = false;
   // eNVy-style hot/cold separation of cleaning copies (ablation; the MFFS
   // card mixes them).
   bool separate_cleaning_segment = false;
@@ -85,10 +101,23 @@ struct SimConfig {
   // model healthy hardware; the layer is then a strict no-op.
   FaultConfig fault;
 
+  // Optional column groups to export even when unused (`export_ftl` sets
+  // kFtl; a grid stamps its own).  Read them through ColumnGroupsOf.
+  ColumnGroups export_columns;
+
   // Memberwise, so a field added later joins the comparison (and two configs
   // that differ in it count as distinct simulations) without further edits.
   bool operator==(const SimConfig&) const = default;
 };
+
+// The one rule for a run's optional column groups: export_columns, plus FTL
+// off the paper's log-structured policy and fault when a mechanism can fire.
+inline ColumnGroups ColumnGroupsOf(const SimConfig& config) {
+  return config.export_columns |
+         ColumnGroups()
+             .With(ColumnGroup::kFtl, config.ftl_policy != FtlPolicyKind::kLogStructured)
+             .With(ColumnGroup::kFault, config.fault.enabled());
+}
 
 // Convenience constructors for the paper's standard configurations.
 // `sram_bytes` of 0 keeps the catalog default for the device class.

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/sim_config.h"
 #include "src/device/storage_device.h"
 #include "src/util/stats.h"
 
@@ -55,13 +56,11 @@ struct SimResult {
   std::vector<std::pair<std::string, double>> device_mode_seconds;
   std::string device_energy_breakdown;
 
-  // FTL policy columns and counters are exported only when ftl_enabled, so
-  // sweeps that never name an FTL keep their historical output schema.
-  bool ftl_enabled = false;
+  // Optional column groups the row carries: ColumnGroupsOf(config).
+  ColumnGroups columns;
 
-  // -- Fault injection and recovery (exported only when fault_enabled so
-  // healthy runs keep their pre-fault output schema byte-identical) --------
-  bool fault_enabled = false;
+  // -- Fault injection and recovery (filled and exported only with the
+  // kFault group) ----------------------------------------------------------
   std::uint64_t power_losses = 0;
   // Host write blocks acknowledged but lost to power failures.
   std::uint64_t lost_acked_writes = 0;

@@ -115,11 +115,8 @@ SimResult RunSimulation(const TraceView& trace, const SimConfig& config) {
   result.max_segment_erases = result.counters.segment_erase_stats.max();
   result.mean_segment_erases = result.counters.segment_erase_stats.mean();
 
-  result.ftl_enabled = config.export_ftl_metrics ||
-                       config.ftl_policy != FtlPolicyKind::kLogStructured;
-
-  result.fault_enabled = config.fault.enabled() || config.fault.export_metrics;
-  if (result.fault_enabled) {
+  result.columns = ColumnGroupsOf(config);
+  if (result.columns.Has(ColumnGroup::kFault)) {
     const FaultStats& fs = system.fault_stats();
     result.power_losses = fs.power_losses;
     result.lost_acked_writes = fs.lost_acked_blocks;
@@ -157,9 +154,7 @@ SimConfig EffectiveConfig(const SimConfig& config) {
   }
   const SimConfig defaults;
   SimConfig effective = config;
-  if (effective.ftl_policy != defaults.ftl_policy) {
-    effective.export_ftl_metrics = true;
-  }
+  effective.export_columns = ColumnGroupsOf(config);
   effective.ftl_policy = defaults.ftl_policy;
   effective.cleaning_policy = defaults.cleaning_policy;
   effective.background_cleaning = defaults.background_cleaning;

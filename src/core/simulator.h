@@ -53,9 +53,10 @@ void ApplyWorkloadRules(const std::string& workload, SimConfig* config);
 //     sizes their capacity and pre-erased pool.
 //   - Magnetic disks also reset flash_utilization, auto_capacity and
 //     flash_async_erasure.
-// Resetting a non-default ftl_policy sets export_ftl_metrics, so the result
-// keeps its ftl columns.  The fault block is never touched.  RunSimulation
-// of the result equals RunSimulation of `config` byte for byte.
+// A reset never changes a run's columns: export_columns takes
+// ColumnGroupsOf(config) before any field resets.  The fault block is never
+// touched.  RunSimulation of the result equals RunSimulation of `config`
+// byte for byte.
 SimConfig EffectiveConfig(const SimConfig& config);
 
 // Convenience: generate the named workload ("mac", "dos", "hp", "synth"),

@@ -63,12 +63,6 @@ struct FaultConfig {
   std::uint32_t max_retries = 3;
   SimTime retry_backoff_us = 500;
 
-  // Export-only flag: when set, fault metrics columns are emitted even for
-  // points whose knobs are all default.  The sweep runner sets this uniformly
-  // across a grid that sweeps any fault dimension so every row shares one
-  // schema.  Not a fault switch and excluded from enabled().
-  bool export_metrics = false;
-
   // True when any fault mechanism can actually fire.
   bool enabled() const {
     return power_loss_interval_us > 0 || transient_error_rate > 0.0 ||

@@ -103,6 +103,14 @@ std::size_t GridSize(const ExperimentSpec& spec) {
          (spec.replicas == 0 ? 1 : spec.replicas);
 }
 
+ColumnGroups ColumnGroupsOf(const ExperimentSpec& spec) {
+  // A listed axis turns on the group whose columns show its values.
+  return ColumnGroupsOf(spec.base) |
+         ColumnGroups()
+             .With(ColumnGroup::kFtl, !spec.ftl_policies.empty() || !spec.backends.empty())
+             .With(ColumnGroup::kFault, !spec.power_loss_intervals.empty());
+}
+
 std::vector<ExperimentPoint> EnumerateGrid(const ExperimentSpec& spec) {
   // Materialize each dimension with its fallback so the nest below is uniform.
   const std::vector<DeviceSpec> devices =
@@ -138,15 +146,8 @@ std::vector<ExperimentPoint> EnumerateGrid(const ExperimentSpec& spec) {
   const std::vector<std::uint64_t> seeds =
       spec.seeds.empty() ? std::vector<std::uint64_t>{1} : spec.seeds;
   const std::size_t replicas = spec.replicas == 0 ? 1 : spec.replicas;
-  // Any fault activity anywhere in the grid turns metric export on for every
-  // point, so a sweep's rows all share one column schema.
-  const bool export_fault =
-      !spec.power_loss_intervals.empty() || spec.base.fault.enabled();
-  // Same rule for the FTL/backend schema block.
-  const bool export_ftl =
-      !spec.ftl_policies.empty() || !spec.backends.empty() ||
-      spec.base.ftl_policy != FtlPolicyKind::kLogStructured ||
-      spec.base.export_ftl_metrics;
+  // Every point exports the grid's groups: one schema per sweep.
+  const ColumnGroups columns = ColumnGroupsOf(spec);
 
   std::vector<ExperimentPoint> points;
   points.reserve(GridSize(spec));
@@ -181,14 +182,9 @@ std::vector<ExperimentPoint> EnumerateGrid(const ExperimentSpec& spec) {
                         if (ftl.cleaner) {
                           point.config.cleaning_policy = *ftl.cleaner;
                         }
-                        if (export_ftl) {
-                          point.config.export_ftl_metrics = true;
-                        }
                         point.config.fault.power_loss_interval_us =
                             UsFromSec(power_loss_sec);
-                        if (export_fault) {
-                          point.config.fault.export_metrics = true;
-                        }
+                        point.config.export_columns = columns;
                         points.push_back(std::move(point));
                       }
                     }
@@ -497,46 +493,29 @@ void AppendDeviceFields(std::ostringstream& out, const std::string& prefix,
   }
 }
 
+// `key =` then each of `values` as `render` spells it, one space before each.
+template <typename T, typename Render>
+void AppendList(std::ostringstream& out, const char* key, const std::vector<T>& values,
+                Render render) {
+  out << key << " =";
+  for (const T& value : values) {
+    out << " " << render(value);
+  }
+  out << "\n";
+}
+
 }  // namespace
 
 std::string CanonicalSpecText(const ExperimentSpec& spec) {
   std::ostringstream out;
-
-  out << "devices =";
-  for (const DeviceSpec& d : spec.devices) {
-    out << " " << d.name;
-  }
-  out << "\n";
-  out << "workloads =";
-  for (const std::string& w : spec.workloads) {
-    out << " " << w;
-  }
-  out << "\n";
-  out << "utilizations =";
-  for (const double u : spec.utilizations) {
-    out << " " << CanonNumber(u);
-  }
-  out << "\n";
-  out << "dram_sizes =";
-  for (const std::uint64_t b : spec.dram_sizes) {
-    out << " " << b;
-  }
-  out << "\n";
-  out << "sram_sizes =";
-  for (const std::uint64_t b : spec.sram_sizes) {
-    out << " " << b;
-  }
-  out << "\n";
-  out << "cleaning_policies =";
-  for (const CleaningPolicy p : spec.cleaning_policies) {
-    out << " " << CleaningPolicyName(p);
-  }
-  out << "\n";
-  out << "seeds =";
-  for (const std::uint64_t s : spec.seeds) {
-    out << " " << s;
-  }
-  out << "\n";
+  const auto same = [](const auto& v) { return v; };
+  AppendList(out, "devices", spec.devices, [](const DeviceSpec& d) { return d.name; });
+  AppendList(out, "workloads", spec.workloads, same);
+  AppendList(out, "utilizations", spec.utilizations, CanonNumber);
+  AppendList(out, "dram_sizes", spec.dram_sizes, same);
+  AppendList(out, "sram_sizes", spec.sram_sizes, same);
+  AppendList(out, "cleaning_policies", spec.cleaning_policies, CleaningPolicyName);
+  AppendList(out, "seeds", spec.seeds, same);
   out << "scale = " << CanonNumber(spec.scale) << "\n";
   out << "replicas = " << spec.replicas << "\n";
 
@@ -561,14 +540,11 @@ std::string CanonicalSpecText(const ExperimentSpec& spec) {
       << "base.warm_fraction = " << CanonNumber(c.warm_fraction) << "\n"
       << "base.write_back_cache = " << (c.write_back_cache ? 1 : 0) << "\n"
       << "base.cache_sync_interval_us = " << c.cache_sync_interval_us << "\n";
-  // Fault block only when the spec actually uses faults, so the fingerprints
-  // of all pre-existing (fault-free) specs are unchanged.
-  if (c.fault.enabled() || !spec.power_loss_intervals.empty()) {
-    out << "power_loss_intervals =";
-    for (const double v : spec.power_loss_intervals) {
-      out << " " << CanonNumber(v);
-    }
-    out << "\n";
+  // The optional groups' blocks, so specs that use neither keep their
+  // fingerprints; fault comes before FTL here.
+  const ColumnGroups columns = ColumnGroupsOf(spec);
+  if (columns.Has(ColumnGroup::kFault)) {
+    AppendList(out, "power_loss_intervals", spec.power_loss_intervals, CanonNumber);
     out << "base.fault.seed = " << c.fault.seed << "\n"
         << "base.fault.power_loss_interval_us = " << c.fault.power_loss_interval_us
         << "\n"
@@ -582,23 +558,14 @@ std::string CanonicalSpecText(const ExperimentSpec& spec) {
         << "base.fault.max_retries = " << c.fault.max_retries << "\n"
         << "base.fault.retry_backoff_us = " << c.fault.retry_backoff_us << "\n";
   }
-  // FTL/backend block only when the spec uses those dimensions (or a
-  // non-default base FTL), preserving pre-FTL spec fingerprints.
-  if (!spec.ftl_policies.empty() || !spec.backends.empty() ||
-      c.ftl_policy != FtlPolicyKind::kLogStructured || c.export_ftl_metrics) {
-    out << "backends =";
-    for (const std::string& b : spec.backends) {
-      out << " " << b;
-    }
-    out << "\n";
-    out << "ftl =";
-    for (const FtlSelection& f : spec.ftl_policies) {
-      out << " " << (f.cleaner ? CleaningPolicyName(*f.cleaner)
-                               : FtlPolicyKindName(f.kind));
-    }
-    out << "\n";
+  if (columns.Has(ColumnGroup::kFtl)) {
+    AppendList(out, "backends", spec.backends, same);
+    AppendList(out, "ftl", spec.ftl_policies, [](const FtlSelection& f) {
+      return f.cleaner ? CleaningPolicyName(*f.cleaner) : FtlPolicyKindName(f.kind);
+    });
     out << "base.ftl_policy = " << FtlPolicyKindName(c.ftl_policy) << "\n"
-        << "base.export_ftl_metrics = " << (c.export_ftl_metrics ? 1 : 0) << "\n";
+        << "base.export_ftl_metrics = " << (c.export_columns.Has(ColumnGroup::kFtl) ? 1 : 0)
+        << "\n";
   }
   return out.str();
 }

@@ -50,8 +50,7 @@ struct ExperimentSpec {
   // `backends` key.  Empty keeps base.use_disk_geometry.
   std::vector<std::string> backends;
   // FTL policy dimension (`ftl` key): cleaner names sweep the log-structured
-  // cleaners, FTL names swap the translation layer.  Any use of this
-  // dimension turns on FTL metric export for the whole sweep.
+  // cleaners, FTL names swap the translation layer.
   std::vector<FtlSelection> ftl_policies;
   std::vector<CleaningPolicy> cleaning_policies;
   std::vector<double> power_loss_intervals;
@@ -80,12 +79,16 @@ std::uint64_t ReplicaSeed(std::uint64_t seed, std::size_t replica);
 // Number of points the spec enumerates (empty dimensions count as 1).
 std::size_t GridSize(const ExperimentSpec& spec);
 
+// The optional column groups every row of the grid carries:
+// ColumnGroupsOf(spec.base), plus kFtl when the `ftl` or `backends` axis is
+// listed and kFault when `power_loss_intervals` is.
+ColumnGroups ColumnGroupsOf(const ExperimentSpec& spec);
+
 // Expands the cross product.  Enumeration order nests, outermost first:
 // device, workload, utilization, dram, sram, backend, ftl, cleaning policy,
-// power-loss interval, seed — i.e. the seed varies fastest.  When any fault
-// dimension or base fault knob is active, every enumerated config exports
-// fault metrics so all rows in a sweep share one schema; likewise any use of
-// the backend/ftl dimensions turns on FTL metric export everywhere.
+// power-loss interval, seed — i.e. the seed varies fastest.  Every point's
+// config.export_columns is ColumnGroupsOf(spec), so all rows in a sweep
+// share one schema.
 std::vector<ExperimentPoint> EnumerateGrid(const ExperimentSpec& spec);
 
 // Keeps only the points of shard `shard` out of `shards` (index % shards ==

@@ -49,7 +49,7 @@ class JsonlResultSink : public ResultSink {
 // `default_header` covers the zero-row case: when no row ever arrives,
 // Finish() emits it so the file is still a well-formed (empty) table and
 // downstream readers never special-case header-less files.  Sweep callers
-// pass SweepCsvHeader(); an empty default keeps the old emit-nothing
+// pass SweepCsvHeader(groups); an empty default keeps the old emit-nothing
 // behaviour.
 class CsvResultSink : public ResultSink {
  public:

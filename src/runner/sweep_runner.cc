@@ -205,16 +205,13 @@ ResultRow PointToRow(const ExperimentPoint& point) {
   row.AddInt("capacity_bytes", point.config.capacity_bytes);
   row.AddInt("auto_capacity", point.config.auto_capacity ? 1 : 0);
   row.AddText("cleaning_policy", CleaningPolicyName(point.config.cleaning_policy));
-  // FTL/backend columns join the metadata only when the FTL layer is in play
-  // (swept or explicitly exported) so historical sweeps keep their schema.
-  if (point.config.export_ftl_metrics ||
-      point.config.ftl_policy != FtlPolicyKind::kLogStructured) {
+  // Optional groups in their frozen order: FTL, then fault.
+  const ColumnGroups columns = ColumnGroupsOf(point.config);
+  if (columns.Has(ColumnGroup::kFtl)) {
     row.AddText("ftl", FtlPolicyKindName(point.config.ftl_policy));
     row.AddText("backend", point.config.use_disk_geometry ? "geometry" : "average-cost");
   }
-  // Fault dimensions join the metadata only on fault runs so fault-free
-  // sweeps keep their historical schema byte-for-byte.
-  if (point.config.fault.enabled() || point.config.fault.export_metrics) {
+  if (columns.Has(ColumnGroup::kFault)) {
     row.AddNumber("power_loss_interval_sec",
                   SecFromUs(point.config.fault.power_loss_interval_us));
   }
@@ -225,12 +222,13 @@ ResultRow MergePointAndResult(const ExperimentPoint& point, const SimResult& res
   return MergePointAndResultRow(point, ResultToRow(result));
 }
 
-std::string SweepCsvHeader() {
-  // The schema depends only on field *names*, never on data, so a
-  // default-constructed point and result enumerate exactly the columns a
-  // real sweep row carries.
-  const ExperimentPoint point;
-  const SimResult result;
+std::string SweepCsvHeader(ColumnGroups columns) {
+  // The schema depends only on field *names* and the groups, never on data,
+  // so a default point and result enumerate exactly a real row's columns.
+  ExperimentPoint point;
+  point.config.export_columns = columns;
+  SimResult result;
+  result.columns = columns;
   return RowToCsvHeader(MergePointAndResult(point, result));
 }
 

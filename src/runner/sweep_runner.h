@@ -85,7 +85,8 @@ struct SweepOutcome {
 };
 
 // Metadata columns (point, workload, seed, replica, scale, device,
-// utilization, sizes, cleaning policy) prepended to every exported row.
+// utilization, sizes, cleaning policy, then its groups' ftl, backend and
+// power_loss_interval_sec) prepended to every exported row.
 ResultRow PointToRow(const ExperimentPoint& point);
 
 // The full export schema: PointToRow columns followed by the ResultToRow
@@ -93,10 +94,11 @@ ResultRow PointToRow(const ExperimentPoint& point);
 // point, so sweep rows always share one schema.
 ResultRow MergePointAndResult(const ExperimentPoint& point, const SimResult& result);
 
-// CSV header of the sweep export schema.  The schema is fixed (it does not
-// depend on the data), so an empty sweep can still emit a valid header —
-// pass this as CsvResultSink's default header.
-std::string SweepCsvHeader();
+// CSV header of the sweep export schema for rows carrying `columns`.  It
+// does not depend on the data, so an empty sweep or shard still writes its
+// siblings' header: pass this, with the grid's ColumnGroupsOf, as
+// CsvResultSink's default header.
+std::string SweepCsvHeader(ColumnGroups columns = {});
 
 // For each point, the position in `points` of the point whose simulation it
 // shares: the lowest-positioned point with the same trace (workload, scale,

@@ -148,9 +148,10 @@ std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
 
 std::optional<MergedRun> MergeShardDir(const std::string& dir, std::string* error) {
   std::error_code ec;
-  // A spool root points at its done/ directory; anything else is taken as a
-  // flat directory of shard JSONL files.
+  // A spool root points at its done/ directory and holds the grid's spec;
+  // anything else is taken as a flat directory of shard JSONL files.
   std::string scan = dir;
+  const auto spec = Spool(dir).LoadSpec(nullptr);
   if (fs::is_directory(dir + "/done", ec)) {
     scan = dir + "/done";
   }
@@ -170,7 +171,11 @@ std::optional<MergedRun> MergeShardDir(const std::string& dir, std::string* erro
     return std::nullopt;
   }
   std::sort(files.begin(), files.end());
-  return MergeShardFiles(files, error);
+  auto run = MergeShardFiles(files, error);
+  if (run && spec) {
+    run->columns = ColumnGroupsOf(*spec);
+  }
+  return run;
 }
 
 MergedRun MergeSpoolLive(const Spool& spool) {
@@ -221,7 +226,7 @@ int ExportMergedRun(const MergedRun& merged, const CliOptions& common,
   }
 
   SinkSet sinks;
-  if (!sinks.Open(common, meta, SweepCsvHeader(), &error)) {
+  if (!sinks.Open(common, meta, SweepCsvHeader(merged.columns), &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }

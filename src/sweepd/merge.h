@@ -63,6 +63,7 @@ struct MergedRun {
   std::string spec_hash;  // consistent across all inputs that declared one
   std::vector<ResultRow> rows;  // global point-index order
   MergeStats stats;
+  ColumnGroups columns;  // from a spool's spec: the header of a CSV with no rows
 };
 
 // Merges complete shard run files (each an optional metadata header plus
@@ -70,9 +71,9 @@ struct MergedRun {
 std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
                                          std::string* error);
 
-// Merges a directory of shard outputs: a spool root (its done/*.jsonl), a
-// spool's done/ directory itself, or a flat directory of
-// `mobisim_sweep --shard` JSONL files.
+// Merges a directory of shard outputs: a spool root (its done/*.jsonl, and
+// `columns` from its spec), a spool's done/ directory itself, or a flat
+// directory of `mobisim_sweep --shard` JSONL files.
 std::optional<MergedRun> MergeShardDir(const std::string& dir, std::string* error);
 
 // Live view of a spool mid-run: done rows plus the streamed partial rows of

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -459,6 +460,62 @@ TEST(BenchdiffTest, AbsentMetricsAreSkippedNotMisread) {
   EXPECT_EQ(report.summaries[0].metric, "total_energy_j");
   ASSERT_EQ(report.skipped_metrics.size(), 1u);
   EXPECT_EQ(report.skipped_metrics[0], "no_such_metric");
+}
+
+TEST(BenchdiffTest, OptionalGroupColumnsSeparateCells) {
+  // Replicas differing only in an optional group's point column are
+  // different experiments: no replica band forms across them.
+  for (const char* column : {"ftl", "backend", "power_loss_interval_sec"}) {
+    SCOPED_TRACE(column);
+    for (const bool differ : {false, true}) {
+      std::vector<ResultRow> rows = MakeReplicatedRows();
+      for (ResultRow& row : rows) {
+        row.AddText(column, differ ? std::to_string(*row.Uint("replica")) : "same");
+      }
+      DiffOptions options;
+      options.metrics = {"total_energy_j"};
+      const StoredRun base = MakeRun("sha1", rows);
+      const DiffReport report = DiffRuns(base, MakeRun("sha2", rows), options);
+      ASSERT_TRUE(report.comparable);
+      EXPECT_EQ(report.noise_from_replicas, !differ);
+    }
+  }
+}
+
+// The CSV header a shard of `spec` writes.
+std::string ShardCsvHeader(const ExperimentSpec& spec, std::size_t shard,
+                           std::size_t shards) {
+  std::ostringstream out;
+  CsvResultSink sink(out, SweepCsvHeader(ColumnGroupsOf(spec)));
+  SweepOptions options;
+  options.threads = 1;
+  options.sinks.push_back(&sink);
+  RunSweep(FilterShard(EnumerateGrid(spec), shard, shards), options);
+  std::istringstream lines(out.str());
+  std::string header;
+  EXPECT_TRUE(std::getline(lines, header));
+  return header;
+}
+
+TEST(CsvSinkTest, EmptyShardWritesItsPopulatedSiblingsHeader) {
+  // Two points in four shards: shard 3 gets none, yet writes the header of
+  // shard 0, optional groups included.
+  ExperimentSpec ftl;
+  std::string error;
+  ASSERT_TRUE(ApplySpecAssignment(&ftl, "workloads", "synth", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&ftl, "utilizations", "0.5", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&ftl, "scale", "0.02", &error)) << error;
+  ExperimentSpec fault = ftl;
+  ASSERT_TRUE(ApplySpecAssignment(&ftl, "ftl", "greedy, page-diff", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&fault, "power_loss_intervals", "0, 2.0", &error))
+      << error;
+  for (const auto& [spec, column] :
+       {std::pair{ftl, ",ftl,"}, std::pair{fault, ",power_loss_interval_sec,"}}) {
+    SCOPED_TRACE(column);
+    const std::string populated = ShardCsvHeader(spec, 0, 4);
+    EXPECT_NE(populated.find(column), std::string::npos);
+    EXPECT_EQ(ShardCsvHeader(spec, 3, 4), populated);
+  }
 }
 
 TEST(CsvSinkTest, EmptySweepStillWritesHeader) {

@@ -66,7 +66,7 @@ TEST(FaultNoOpTest, DefaultConfigDisablesFaults) {
 TEST(FaultNoOpTest, DefaultRunExportsNoFaultColumns) {
   SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
   const SimResult result = RunNamedWorkload("synth", config, 0.05);
-  EXPECT_FALSE(result.fault_enabled);
+  EXPECT_FALSE(result.columns.Has(ColumnGroup::kFault));
   const ResultRow row = ResultToRow(result);
   EXPECT_EQ(row.Find("power_losses"), nullptr);
   EXPECT_EQ(row.Find("lost_acked_writes"), nullptr);
@@ -83,9 +83,9 @@ TEST(FaultNoOpTest, SweepHeaderHasNoFaultColumns) {
 
 TEST(FaultNoOpTest, ExportMetricsAddsColumnsWithoutInjectingFaults) {
   SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  config.fault.export_metrics = true;
+  config.export_columns = ColumnGroups().With(ColumnGroup::kFault);
   const SimResult result = RunNamedWorkload("synth", config, 0.05);
-  EXPECT_TRUE(result.fault_enabled);
+  EXPECT_TRUE(result.columns.Has(ColumnGroup::kFault));
   EXPECT_EQ(result.power_losses, 0u);
   EXPECT_EQ(result.lost_acked_writes, 0u);
   EXPECT_EQ(result.transient_errors, 0u);
@@ -312,7 +312,7 @@ TEST(TransientErrorTest, HostileRateExhaustsRetries) {
 
 TEST(TransientErrorTest, RetriesCostSimulatedTime) {
   SimConfig base = MakePaperConfig(Cu140Datasheet(), 512 * 1024);
-  base.fault.export_metrics = true;
+  base.export_columns = ColumnGroups().With(ColumnGroup::kFault);
   const SimResult clean = RunNamedWorkload("synth", base, 0.05);
 
   SimConfig faulty = base;
@@ -495,7 +495,7 @@ TEST(FaultSpecTest, PowerLossIntervalsDimensionEnumerates) {
   // Export is uniform across the sweep, including the fault-free point, so
   // every row shares one schema.
   for (const ExperimentPoint& point : points) {
-    EXPECT_TRUE(point.config.fault.export_metrics);
+    EXPECT_TRUE(point.config.export_columns.Has(ColumnGroup::kFault));
   }
 }
 

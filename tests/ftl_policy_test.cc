@@ -94,6 +94,27 @@ TEST(FtlGoldenTest, CleaningPolicySweepIsByteIdentical) {
   EXPECT_EQ(SweepRowsJson(*spec), golden);
 }
 
+TEST(FtlGoldenTest, FtlFaultSweepIsByteIdentical) {
+  // Both optional groups on: the golden pins their columns' order (ftl,
+  // backend and power_loss_interval_sec after cleaning_policy; the FTL
+  // counters before mode_seconds, the fault block after it).
+  std::string error;
+  const auto spec = ParseExperimentSpec(
+      "devices = intel-datasheet\n"
+      "workloads = synth\n"
+      "utilizations = 0.5\n"
+      "ftl = greedy, page-diff\n"
+      "power_loss_intervals = 0, 2.0\n"
+      "seeds = 1\n"
+      "scale = 0.05\n",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  const std::vector<std::string> golden =
+      ReadLines(std::string(MOBISIM_GOLDEN_DIR) + "/ftl_fault_sweep.jsonl");
+  ASSERT_EQ(golden.size(), 4u);
+  EXPECT_EQ(SweepRowsJson(*spec), golden);
+}
+
 // Spec fingerprints gate benchdiff comparisons; the policy API must leave
 // every committed spec's fingerprint where it was.  A change here means
 // historical bench_db runs silently stop comparing — update baselines
@@ -108,6 +129,7 @@ TEST(FtlGoldenTest, CommittedSpecFingerprintsArePinned) {
       {"fault_power_loss.spec", "7c84a55605073a37"},
       {"fault_smoke.spec", "d27936fc27f6c4a2"},
       {"sweepd_error.spec", "fe6a2eb9ab61c83b"},
+      {"ablation_smoke.spec", "e465d2f7bf61ad71"},  // the FTL block
   };
   for (const auto& pin : kPins) {
     std::string error;
@@ -115,6 +137,27 @@ TEST(FtlGoldenTest, CommittedSpecFingerprintsArePinned) {
         ReadFile(std::string(MOBISIM_SPEC_DIR) + "/" + pin.file), &error);
     ASSERT_TRUE(spec.has_value()) << pin.file << ": " << error;
     EXPECT_EQ(SpecFingerprint(*spec), pin.fingerprint) << pin.file;
+  }
+  // Inline specs for the blocks no committed spec reaches alone.
+  const struct {
+    const char* text;
+    const char* fingerprint;
+  } kInlinePins[] = {
+      // The NAND device block.
+      {"device = nand-ssd-4ch\nnand.channels = 2\nworkloads = synth\n"
+       "utilizations = 0.5\nseeds = 1\nscale = 0.05\n",
+       "99ef9dfc6948aceb"},
+      // The fault block, then the FTL block.
+      {"devices = intel-datasheet\nworkloads = synth\nutilizations = 0.5\n"
+       "ftl = greedy, page-diff\npower_loss_intervals = 0, 2.0\nseeds = 1\n"
+       "scale = 0.05\n",
+       "ef5c0fe23247b66e"},
+  };
+  for (const auto& pin : kInlinePins) {
+    std::string error;
+    const auto spec = ParseExperimentSpec(pin.text, &error);
+    ASSERT_TRUE(spec.has_value()) << pin.text << ": " << error;
+    EXPECT_EQ(SpecFingerprint(*spec), pin.fingerprint) << pin.text;
   }
 }
 
@@ -334,7 +377,7 @@ TEST(FtlDimensionTest, BackendAndFtlAxesMultiplyTheGrid) {
   EXPECT_EQ(points[1].config.ftl_policy, FtlPolicyKind::kPageDiff);
   EXPECT_EQ(points[2].config.ftl_policy, FtlPolicyKind::kFatRemap);
   for (const ExperimentPoint& point : points) {
-    EXPECT_TRUE(point.config.export_ftl_metrics);
+    EXPECT_TRUE(point.config.export_columns.Has(ColumnGroup::kFtl));
   }
 
   EXPECT_FALSE(ApplySpecAssignment(&spec, "ftl", "greedy, fifo", &error));
@@ -360,6 +403,54 @@ TEST(FtlDimensionTest, FtlRowsCarryPolicyColumnsAndHistoricRowsDoNot) {
   ASSERT_NE(row.Find("ftl"), nullptr);
   EXPECT_EQ(row.Text("ftl", ""), "page-diff");
   EXPECT_EQ(row.Text("backend", ""), "average-cost");
+}
+
+// --- Optional column groups ----------------------------------------------
+
+TEST(ColumnGroupsTest, OneRuleForConfigsAndOneAxisMapForGrids) {
+  const ColumnGroups none;
+  const ColumnGroups ftl = none.With(ColumnGroup::kFtl);
+  const ColumnGroups fault = none.With(ColumnGroup::kFault);
+  const ColumnGroups both = ftl.With(ColumnGroup::kFault);
+  EXPECT_TRUE(ColumnGroupsOf(ExperimentSpec()) == none);
+
+  // A config carries a group when it uses the feature or exports it.
+  SimConfig config;
+  EXPECT_TRUE(ColumnGroupsOf(config) == none);
+  config.ftl_policy = FtlPolicyKind::kFatRemap;
+  EXPECT_TRUE(ColumnGroupsOf(config) == ftl);
+  config.fault.bad_block_rate = 0.01;
+  EXPECT_TRUE(ColumnGroupsOf(config) == both);
+  SimConfig exported;
+  std::string error;
+  ASSERT_TRUE(ApplyConfigAssignment(&exported, "export_ftl", "true", &error)) << error;
+  EXPECT_TRUE(ColumnGroupsOf(exported) == ftl);
+  exported.export_columns = exported.export_columns.With(ColumnGroup::kFault);
+  EXPECT_TRUE(ColumnGroupsOf(exported) == both);
+
+  // A grid adds the group of each listed axis, and stamps its groups on
+  // every point.
+  const struct {
+    const char* key;
+    const char* value;
+    ColumnGroups groups;
+  } kAxes[] = {
+      {"ftl", "greedy, page-diff", ftl},
+      {"backends", "average-cost, geometry", ftl},
+      {"power_loss_intervals", "0, 2.0", fault},
+      {"cleaning_policies", "greedy, cost-benefit", none},
+      {"export_ftl", "true", ftl},
+      {"fault.transient_error_rate", "0.01", fault},
+  };
+  for (const auto& axis : kAxes) {
+    SCOPED_TRACE(axis.key);
+    ExperimentSpec spec;
+    ASSERT_TRUE(ApplySpecAssignment(&spec, axis.key, axis.value, &error)) << error;
+    EXPECT_TRUE(ColumnGroupsOf(spec) == axis.groups);
+    for (const ExperimentPoint& point : EnumerateGrid(spec)) {
+      EXPECT_TRUE(point.config.export_columns == axis.groups);
+    }
+  }
 }
 
 // --- Ablation matrix rendering -------------------------------------------

@@ -251,14 +251,14 @@ TEST(EffectiveConfigTest, KeepsFlashDiskUtilizationAndFtlColumns) {
     } else if (config.device.kind == DeviceKind::kMagneticDisk) {
       EXPECT_EQ(effective.flash_utilization, defaults.flash_utilization);
     }
-    // A reset non-default FTL keeps the ftl columns in the row schema.
-    EXPECT_TRUE(effective.export_ftl_metrics ||
-                effective.ftl_policy != FtlPolicyKind::kLogStructured);
+    // A reset never changes the run's column groups.
+    EXPECT_TRUE(ColumnGroupsOf(effective) == ColumnGroupsOf(config));
+    EXPECT_TRUE(ColumnGroupsOf(effective).Has(ColumnGroup::kFtl));
   }
   SimConfig plain = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
-  EXPECT_FALSE(EffectiveConfig(plain).export_ftl_metrics);
+  EXPECT_FALSE(ColumnGroupsOf(EffectiveConfig(plain)).Has(ColumnGroup::kFtl));
   plain.cleaning_policy = CleaningPolicy::kCostBenefit;
-  EXPECT_FALSE(EffectiveConfig(plain).export_ftl_metrics);
+  EXPECT_FALSE(ColumnGroupsOf(EffectiveConfig(plain)).Has(ColumnGroup::kFtl));
 }
 
 }  // namespace

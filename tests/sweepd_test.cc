@@ -578,6 +578,12 @@ TEST_P(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   EXPECT_NE(merged[0].find("\"ftl\":\"log\""), std::string::npos);
   EXPECT_NE(merged[1].find("\"ftl\":\"page-diff\""), std::string::npos);
   EXPECT_NE(merged[5].find("\"backend\":\"geometry\""), std::string::npos);
+  // A spool merge reads its grid's column groups from the spec, for the
+  // header of a CSV that gets no rows.
+  const auto run = MergeShardDir(root, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  EXPECT_TRUE(run->columns == ColumnGroupsOf(*spec));
+  EXPECT_TRUE(run->columns.Has(ColumnGroup::kFtl));
 }
 
 TEST_P(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {
