@@ -12,7 +12,6 @@
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
 #include "src/runner/bench_registry.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/table.h"
 
@@ -50,8 +49,7 @@ void Run(BenchContext& ctx) {
               scale);
   std::printf("(mac trace, Intel datasheet card)\n\n");
 
-  const Trace trace = GenerateNamedWorkload("mac", scale);
-  const TraceView blocks = BlockMapper::Map(trace);
+  const TraceView blocks = TraceView::FromImage(LowerNamedWorkload("mac", scale));
   const std::uint64_t capacity = RequiredCapacityBytes(blocks.total_bytes(), 0.40, 128 * 1024);
 
   const std::vector<double> utils = {0.80, 0.90, 0.95};

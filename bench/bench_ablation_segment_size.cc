@@ -17,7 +17,6 @@
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
 #include "src/runner/bench_registry.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/table.h"
 
@@ -29,8 +28,7 @@ void Run(BenchContext& ctx) {
   std::printf("== Ablation: flash-card erase-segment size (mac trace, scale %.2f) ==\n", scale);
   std::printf("(erase time scaled with segment size: constant 80 KB/s erase bandwidth)\n\n");
 
-  const Trace trace = GenerateNamedWorkload("mac", scale);
-  const TraceView blocks = BlockMapper::Map(trace);
+  const TraceView blocks = TraceView::FromImage(LowerNamedWorkload("mac", scale));
 
   const std::vector<std::uint32_t> segment_kb = {8, 16, 32, 64, 128, 256};
   const std::vector<double> utils = {0.80, 0.95};

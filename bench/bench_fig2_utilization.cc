@@ -16,7 +16,6 @@
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
 #include "src/runner/bench_registry.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/ascii_plot.h"
 #include "src/util/table.h"
@@ -42,8 +41,7 @@ void Run(BenchContext& ctx) {
   for (const char* workload : {"mac", "dos", "hp"}) {
     // Fixed capacity across the sweep: big enough for the highest demand.
     // (The engine regenerates this trace internally from the same seed.)
-    const Trace trace = GenerateNamedWorkload(workload, scale);
-    const TraceView blocks = BlockMapper::Map(trace);
+    const TraceView blocks = TraceView::FromImage(LowerNamedWorkload(workload, scale));
     const std::uint64_t capacity =
         RequiredCapacityBytes(blocks.total_bytes(), utilizations.front(), 128 * 1024);
 

@@ -16,7 +16,6 @@
 #include "src/device/device_catalog.h"
 #include "src/fcache/flash_cache_system.h"
 #include "src/runner/bench_registry.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/table.h"
 
@@ -111,8 +110,7 @@ void Run(BenchContext& ctx) {
   // regime the architecture is designed for; mac and hp have working sets
   // far beyond any cache here, so compulsory misses keep the disk busy.
   for (const char* workload : workloads) {
-    const Trace trace = GenerateNamedWorkload(workload, scale);
-    const TraceView blocks = BlockMapper::Map(trace);
+    const TraceView blocks = TraceView::FromImage(LowerNamedWorkload(workload, scale));
     for (const double threshold_sec : thresholds_sec) {
     const SimTime spin_down_us = UsFromSec(threshold_sec);
 

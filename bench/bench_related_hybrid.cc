@@ -17,7 +17,6 @@
 #include "src/device/device_catalog.h"
 #include "src/hybrid/hybrid_store.h"
 #include "src/runner/bench_registry.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/table.h"
 
@@ -89,8 +88,7 @@ void Run(BenchContext& ctx) {
   std::size_t next = 0;
 
   for (const char* workload : workloads) {
-    const Trace trace = GenerateNamedWorkload(workload, scale);
-    const TraceView blocks = BlockMapper::Map(trace);
+    const TraceView blocks = TraceView::FromImage(LowerNamedWorkload(workload, scale));
     const double store_mb = 40.0;
 
     std::printf("-- %s trace --\n", workload);

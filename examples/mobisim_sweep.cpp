@@ -265,9 +265,10 @@ int RunMain(int argc, char** argv) {
   meta.created = NowUtc();
   meta.host = HostName();
   meta.points = points.size();
+  meta.columns = ColumnGroupsOf(spec);
 
   SinkSet sinks;
-  const std::string csv_header = SweepCsvHeader(ColumnGroupsOf(spec));
+  const std::string csv_header = SweepCsvHeader(meta.columns);
   if (!sinks.Open(common, meta, csv_header, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;

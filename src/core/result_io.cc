@@ -1,15 +1,25 @@
 #include "src/core/result_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <sstream>
+#include <utility>
 
 #include "src/util/parse.h"
 
 namespace mobisim {
 
 namespace {
+
+// The names RunMeta's `columns` field gives the optional column groups.
+constexpr std::pair<ColumnGroup, const char*> kColumnGroupNames[] = {
+    {ColumnGroup::kFtl, "ftl"},
+    {ColumnGroup::kFault, "fault"},
+};
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) {
@@ -468,6 +478,15 @@ ResultRow MetaToRow(const RunMeta& meta) {
   row.AddText("created", meta.created);
   row.AddText("host", meta.host);
   row.AddInt("points", meta.points);
+  std::string columns;
+  for (const auto& [group, name] : kColumnGroupNames) {
+    if (meta.columns.Has(group)) {
+      columns += (columns.empty() ? "" : ",") + std::string(name);
+    }
+  }
+  if (!columns.empty()) {
+    row.AddText("columns", columns);
+  }
   return row;
 }
 
@@ -487,6 +506,15 @@ std::optional<RunMeta> MetaFromRow(const ResultRow& row) {
       return std::nullopt;
     }
     meta.points = *points;
+  }
+  std::istringstream columns(row.Text("columns"));
+  for (std::string name; std::getline(columns, name, ',');) {
+    const auto* it = std::find_if(std::begin(kColumnGroupNames), std::end(kColumnGroupNames),
+                                  [&name](const auto& entry) { return name == entry.second; });
+    if (it == std::end(kColumnGroupNames)) {
+      return std::nullopt;
+    }
+    meta.columns = meta.columns.With(it->first);
   }
   return meta;
 }

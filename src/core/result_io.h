@@ -62,13 +62,18 @@ struct RunMeta {
   std::string created;    // ISO-8601 UTC timestamp
   std::string host;       // machine that ran the sweep
   std::uint64_t points = 0;  // data rows that follow
+  // The optional column groups of the run's grid, so a merge of its rows
+  // can write their CSV header even when no clean row survives.  Written as
+  // "columns" ("ftl", "fault" or "ftl,fault") only when a group is set.
+  ColumnGroups columns;
 };
 
 // True when the row is a metadata header (first field is "_meta").
 bool IsMetaRow(const ResultRow& row);
 ResultRow MetaToRow(const RunMeta& meta);
 // Returns nullopt when `row` is not a metadata header, or when its `points`
-// is present but not a non-negative integer.
+// is present but not a non-negative integer, or its `columns` names a group
+// that does not exist.
 std::optional<RunMeta> MetaFromRow(const ResultRow& row);
 
 // --- JSON (one flat object per row) ---

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/fault/fault.h"
-#include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 #include "src/util/check.h"
 
@@ -169,7 +168,7 @@ SimConfig EffectiveConfig(const SimConfig& config) {
 }
 
 SimResult RunNamedWorkload(const std::string& workload, const SimConfig& config, double scale) {
-  const TraceView view = BlockMapper::Map(GenerateNamedWorkload(workload, scale));
+  const TraceView view = TraceView::FromImage(LowerNamedWorkload(workload, scale));
   SimConfig adjusted = config;
   ApplyWorkloadRules(workload, &adjusted);
   return RunSimulation(view, adjusted);

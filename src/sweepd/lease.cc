@@ -68,6 +68,9 @@ LeaseService::LeaseService(const Spool* spool, SpoolMeta meta,
       meta_(std::move(meta)),
       spec_text_(std::move(spec_text)),
       options_(options) {
+  if (const auto spec = ParseExperimentSpec(spec_text_, nullptr)) {
+    columns_ = ColumnGroupsOf(*spec);
+  }
   // Owner ids must never collide with local worker pids (the dispatcher's
   // dead-owner test) or with a previous dispatcher incarnation's remote
   // owners (heartbeat files survive restarts): high bit set, seeded from
@@ -388,6 +391,7 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   run_meta.created = NowUtc();
   run_meta.host = HostName();
   run_meta.points = merged.size();
+  run_meta.columns = columns_;
   std::ostringstream out;
   out << RowToJson(MetaToRow(run_meta)) << "\n";
   for (const auto& [index, row] : merged) {

@@ -133,6 +133,9 @@ class LeaseService {
   const Spool* spool_;
   SpoolMeta meta_;
   std::string spec_text_;
+  // The grid's optional column groups, named in each done file's metadata
+  // so a merge of the done/ directory alone writes the grid's CSV header.
+  ColumnGroups columns_;
   LeaseServiceOptions options_;
 
   mutable std::mutex mu_;

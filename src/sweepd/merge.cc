@@ -117,6 +117,7 @@ std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
   std::map<std::uint64_t, ResultRow> merged;
   MergeStats stats;
   std::string spec_hash;
+  ColumnGroups columns;
   for (const std::string& file : files) {
     ++stats.files;
     std::string load_error;
@@ -135,6 +136,9 @@ std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
         return std::nullopt;
       }
     }
+    if (run->has_meta) {
+      columns = columns | run->meta.columns;
+    }
     for (ResultRow& row : run->rows) {
       std::string merge_error;
       if (!MergeRowInto(&merged, std::move(row), &stats, &merge_error)) {
@@ -143,7 +147,9 @@ std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
       }
     }
   }
-  return Finalize(std::move(merged), stats, std::move(spec_hash));
+  MergedRun run = Finalize(std::move(merged), stats, std::move(spec_hash));
+  run.columns = columns;
+  return run;
 }
 
 std::optional<MergedRun> MergeShardDir(const std::string& dir, std::string* error) {
@@ -211,6 +217,7 @@ int ExportMergedRun(const MergedRun& merged, const CliOptions& common,
   meta.created = NowUtc();
   meta.host = HostName();
   meta.points = merged.rows.size();
+  meta.columns = merged.columns;
 
   std::string error;
   if (!merged_path.empty()) {

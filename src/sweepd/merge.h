@@ -63,17 +63,21 @@ struct MergedRun {
   std::string spec_hash;  // consistent across all inputs that declared one
   std::vector<ResultRow> rows;  // global point-index order
   MergeStats stats;
-  ColumnGroups columns;  // from a spool's spec: the header of a CSV with no rows
+  // The grid's optional column groups, for the header of a CSV with no
+  // clean rows: a spool's spec's, else those the shards' metadata declare.
+  ColumnGroups columns;
 };
 
 // Merges complete shard run files (each an optional metadata header plus
-// data rows).  Files carrying different spec fingerprints refuse to merge.
+// data rows).  Files carrying different spec fingerprints refuse to merge;
+// the merged run's columns are every group a file's metadata names.
 std::optional<MergedRun> MergeShardFiles(const std::vector<std::string>& files,
                                          std::string* error);
 
 // Merges a directory of shard outputs: a spool root (its done/*.jsonl, and
 // `columns` from its spec), a spool's done/ directory itself, or a flat
-// directory of `mobisim_sweep --shard` JSONL files.
+// directory of `mobisim_sweep --shard` JSONL files (`columns` from their
+// metadata).
 std::optional<MergedRun> MergeShardDir(const std::string& dir, std::string* error);
 
 // Live view of a spool mid-run: done rows plus the streamed partial rows of

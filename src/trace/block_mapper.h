@@ -1,20 +1,28 @@
-// Lowers a file-level Trace to block-level records, held in a TraceView.
+// Lowers file-level records to block-level ones, straight into a TraceImage.
 //
 // Mirrors the preprocessing in section 4.1 of the paper: each file is
-// associated with a unique disk location.  We make two passes: the first
-// finds the maximum extent each file ever reaches; the extents are then laid
-// out contiguously in order of first appearance, and the second pass emits
-// block-level records.  Whole-file erases become trims of the file's extent.
+// associated with a unique disk location.  A BlockMapper is told the record
+// count up front and takes the records one at a time, as a generator
+// produces them.  Each record goes into the image at once: its time, op and
+// block count, its first block *within its file* in the lba column, and its
+// file's slot (the file's rank in order of first appearance) in the file-id
+// column.  Outside the image the mapper keeps only the files: each one's id
+// and its extent, the largest block count any of its records reaches.
+// Finish lays the extents out contiguously in order of first appearance and
+// makes one pass over the image that adds each file's first block to its
+// lbas, turns each whole-file erase into a trim of the file's extent, and
+// puts the file ids back.
 #ifndef MOBISIM_SRC_TRACE_BLOCK_MAPPER_H_
 #define MOBISIM_SRC_TRACE_BLOCK_MAPPER_H_
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/trace/trace_view.h"
 #include "src/util/check.h"
@@ -23,91 +31,69 @@ namespace mobisim {
 
 class BlockMapper {
  public:
+  // An image of `record_count` records; Append must be called exactly that
+  // many times before Finish.
+  BlockMapper(const std::string& name, std::uint32_t block_bytes, std::size_t record_count);
+
   // Lowers `trace` using its own block size:
   // TraceView::FromImage(TraceImage::Build(trace)).
   static TraceView Map(const Trace& trace);
 
-  // The mapping loop itself: calls `emit(i, block_record)` for each
-  // trace.records[i], in order, and returns the address-space size
-  // (TraceView::total_blocks).  TraceImage::Build writes each record
-  // straight into its image's columns.
-  template <typename Emit>
-  static std::uint64_t MapEach(const Trace& trace, Emit&& emit);
+  void Append(const TraceRecord& rec);
+  // Resolves every record to its file's extent and returns the image, whose
+  // total_blocks is the sum of the extents.
+  TraceImage Finish();
 
-  // The contiguous extent assigned to a file, in blocks.
-  struct Extent {
+ private:
+  // A file in order of first appearance.  A file whose only events are
+  // erases keeps a minimal 1-block extent.
+  struct File {
+    std::uint32_t id = 0;
     std::uint64_t first_block = 0;
-    std::uint64_t block_count = 0;
+    std::uint64_t block_count = 1;
   };
-};
 
-template <typename Emit>
-std::uint64_t BlockMapper::MapEach(const Trace& trace, Emit&& emit) {
-  MOBISIM_CHECK(trace.block_bytes > 0);
-  const std::uint64_t block = trace.block_bytes;
-  const std::size_t n = trace.records.size();
   // Byte offsets to blocks.  Every generator's block size is a power of
   // two, where a shift gives the quotient without a 64-bit division.
-  const bool pow2 = std::has_single_bit(block);
-  const int shift = std::countr_zero(block);
-  const auto blocks_of = [&](std::uint64_t bytes) {
-    return pow2 ? bytes >> shift : bytes / block;
-  };
-
-  // Each file gets a slot in order of first appearance; pass 1 looks it up
-  // once per record and pass 2 reads it back from record_slots.
-  constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  std::unordered_map<std::uint32_t, std::uint32_t> slots;
-
-  // Pass 1: every record's slot, and the maximum extent (in blocks) each
-  // file ever reaches.  A file whose only events are erases keeps a minimal
-  // 1-block extent.
-  std::vector<Extent> extents;
-  std::vector<std::uint32_t> record_slots(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceRecord& rec = trace.records[i];
-    std::uint32_t& slot = slots.try_emplace(rec.file_id, kNoSlot).first->second;
-    if (slot == kNoSlot) {
-      slot = static_cast<std::uint32_t>(extents.size());
-      extents.push_back(Extent{0, 1});
-    }
-    record_slots[i] = slot;
-    if (rec.op != OpType::kErase) {
-      const std::uint64_t end = rec.offset + rec.size_bytes;
-      const std::uint64_t blocks = blocks_of(end + block - 1);
-      extents[slot].block_count = std::max(extents[slot].block_count, blocks);
-    }
+  std::uint64_t BlocksOf(std::uint64_t bytes) const {
+    return pow2_ ? bytes >> shift_ : bytes / block_bytes_;
   }
 
-  // Extents are laid out contiguously in order of first appearance.
-  std::uint64_t next_block = 0;
-  for (Extent& extent : extents) {
-    extent.first_block = next_block;
-    next_block += extent.block_count;
-  }
+  TraceImage::Writer writer_;
+  std::uint64_t block_bytes_;
+  bool pow2_;
+  int shift_;
+  std::size_t next_ = 0;
+  std::vector<File> files_;
+  // File id to slot in files_: a hash map, since file ids read from trace
+  // files may be any 32-bit value.
+  std::unordered_map<std::uint32_t, std::uint32_t> slots_;
+};
 
-  // Pass 2: emit the block records.
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceRecord& rec = trace.records[i];
-    const Extent& extent = extents[record_slots[i]];
-    BlockRecord block_rec;
-    block_rec.time_us = rec.time_us;
-    block_rec.op = rec.op;
-    block_rec.file_id = rec.file_id;
-    if (rec.op == OpType::kErase) {
-      block_rec.lba = extent.first_block;
-      block_rec.block_count = static_cast<std::uint32_t>(extent.block_count);
-    } else {
-      const std::uint64_t first = blocks_of(rec.offset);
-      const std::uint64_t last =
-          blocks_of(rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) - 1);
-      MOBISIM_CHECK(last < extent.block_count);
-      block_rec.lba = extent.first_block + first;
-      block_rec.block_count = static_cast<std::uint32_t>(last - first + 1);
-    }
-    emit(i, block_rec);
+inline void BlockMapper::Append(const TraceRecord& rec) {
+  MOBISIM_CHECK(next_ < writer_.record_count());
+  const auto [it, inserted] =
+      slots_.try_emplace(rec.file_id, static_cast<std::uint32_t>(files_.size()));
+  if (inserted) {
+    files_.push_back(File{rec.file_id});
   }
-  return next_block;
+  const std::uint32_t slot = it->second;
+  BlockRecord out;
+  out.time_us = rec.time_us;
+  out.op = rec.op;
+  out.file_id = slot;
+  // An erase's lba and count are its extent's, known only at Finish.
+  if (rec.op != OpType::kErase) {
+    const std::uint64_t first = BlocksOf(rec.offset);
+    const std::uint64_t last =
+        BlocksOf(rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) - 1);
+    out.lba = first;
+    out.block_count = static_cast<std::uint32_t>(last - first + 1);
+    const std::uint64_t end = rec.offset + rec.size_bytes;
+    File& file = files_[slot];
+    file.block_count = std::max(file.block_count, BlocksOf(end + block_bytes_ - 1));
+  }
+  writer_.Put(next_++, out);
 }
 
 }  // namespace mobisim

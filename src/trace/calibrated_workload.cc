@@ -4,6 +4,7 @@
 #include <numeric>
 #include <vector>
 
+#include "src/trace/block_mapper.h"
 #include "src/trace/synth_workload.h"
 #include "src/util/check.h"
 
@@ -79,7 +80,19 @@ CalibratedWorkloadConfig HpWorkloadConfig(double scale) {
   return c;
 }
 
-Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
+namespace {
+
+std::uint64_t RecordCount(const CalibratedWorkloadConfig& config) {
+  const double mean_gap_sec = config.short_fraction * config.short_mean_sec +
+                              (1.0 - config.short_fraction) * config.long_mean_sec;
+  return std::max<std::uint64_t>(16,
+                                 static_cast<std::uint64_t>(config.duration_sec / mean_gap_sec));
+}
+
+// Generates the workload's RecordCount(config) records in order, handing
+// each to `emit`.
+template <typename Emit>
+void GenerateRecords(const CalibratedWorkloadConfig& config, Emit&& emit) {
   MOBISIM_CHECK(config.file_count > 0);
   MOBISIM_CHECK(config.block_bytes > 0);
   MOBISIM_CHECK(config.duration_sec > 0.0);
@@ -111,16 +124,8 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
     std::swap(rank_to_file[i], rank_to_file[j]);
   }
 
-  const double mean_gap_sec = config.short_fraction * config.short_mean_sec +
-                              (1.0 - config.short_fraction) * config.long_mean_sec;
-  const std::uint64_t op_count =
-      std::max<std::uint64_t>(16, static_cast<std::uint64_t>(config.duration_sec / mean_gap_sec));
-
-  Trace trace;
-  trace.name = config.name;
-  trace.block_bytes = block;
-  trace.records.reserve(op_count);
-
+  const std::uint64_t op_count = RecordCount(config);
+  const std::uint64_t file_count = config.file_count;
   const GeometricDistribution read_sizes(config.mean_read_blocks);
   const GeometricDistribution write_sizes(config.mean_write_blocks);
   SimTime now = 0;
@@ -137,8 +142,15 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
     const std::uint64_t drift = static_cast<std::uint64_t>(
         static_cast<double>(i) / static_cast<double>(op_count) * config.drift_cycles *
         static_cast<double>(config.file_count));
-    const std::uint32_t file_id =
-        rank_to_file[(zipf.Sample(rng) + drift) % config.file_count];
+    // (rank + drift) mod file_count.  With under one drift cycle the sum
+    // stays below twice file_count, where a subtraction does.
+    std::uint64_t rank = zipf.Sample(rng) + drift;
+    if (rank >= 2 * file_count) {
+      rank %= file_count;
+    } else if (rank >= file_count) {
+      rank -= file_count;
+    }
+    const std::uint32_t file_id = rank_to_file[rank];
     FileState& file = files[file_id];
 
     TraceRecord rec;
@@ -148,7 +160,7 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
     if (config.delete_fraction > 0.0 && !file.erased && rng.Chance(config.delete_fraction)) {
       rec.op = OpType::kErase;
       file.erased = true;
-      trace.records.push_back(rec);
+      emit(rec);
       continue;
     }
 
@@ -177,19 +189,39 @@ Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
 
     rec.offset = start_block * block;
     rec.size_bytes = size_blocks * block;
-    trace.records.push_back(rec);
+    emit(rec);
   }
+}
+
+// The records lowered into their image as they are generated, with no
+// file-level Trace.
+TraceImage LowerCalibratedWorkload(const CalibratedWorkloadConfig& config) {
+  BlockMapper mapper(config.name, config.block_bytes, RecordCount(config));
+  GenerateRecords(config, [&mapper](const TraceRecord& rec) { mapper.Append(rec); });
+  return mapper.Finish();
+}
+
+}  // namespace
+
+Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config) {
+  Trace trace;
+  trace.name = config.name;
+  trace.block_bytes = config.block_bytes;
+  trace.records.reserve(RecordCount(config));
+  GenerateRecords(config, [&trace](const TraceRecord& rec) { trace.records.push_back(rec); });
   return trace;
 }
 
-Trace GenerateNamedWorkload(const std::string& name, double scale, std::uint64_t seed) {
-  if (name == "synth") {
-    SynthWorkloadConfig config;
-    config.op_count = std::max<std::uint32_t>(
-        16, static_cast<std::uint32_t>(config.op_count * scale));
-    config.seed = seed;
-    return GenerateSynthWorkload(config);
-  }
+SynthWorkloadConfig NamedSynthConfig(double scale, std::uint64_t seed) {
+  SynthWorkloadConfig config;
+  config.op_count =
+      std::max<std::uint32_t>(16, static_cast<std::uint32_t>(config.op_count * scale));
+  config.seed = seed;
+  return config;
+}
+
+CalibratedWorkloadConfig NamedCalibratedConfig(const std::string& name, double scale,
+                                               std::uint64_t seed) {
   CalibratedWorkloadConfig config;
   if (name == "mac") {
     config = MacWorkloadConfig(scale);
@@ -202,7 +234,21 @@ Trace GenerateNamedWorkload(const std::string& name, double scale, std::uint64_t
     MOBISIM_CHECK(false && "unknown workload name");
   }
   config.seed += seed;
-  return GenerateCalibratedWorkload(config);
+  return config;
+}
+
+Trace GenerateNamedWorkload(const std::string& name, double scale, std::uint64_t seed) {
+  if (name == "synth") {
+    return GenerateSynthWorkload(NamedSynthConfig(scale, seed));
+  }
+  return GenerateCalibratedWorkload(NamedCalibratedConfig(name, scale, seed));
+}
+
+TraceImage LowerNamedWorkload(const std::string& name, double scale, std::uint64_t seed) {
+  if (name == "synth") {
+    return LowerSynthWorkload(NamedSynthConfig(scale, seed));
+  }
+  return LowerCalibratedWorkload(NamedCalibratedConfig(name, scale, seed));
 }
 
 }  // namespace mobisim

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/trace/synth_workload.h"
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/util/rng.h"
 
@@ -64,10 +66,22 @@ CalibratedWorkloadConfig HpWorkloadConfig(double scale = 1.0);
 
 Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config);
 
+// The generator configurations the named presets resolve to at (scale,
+// seed): "synth" scales its op count; "mac", "dos" (alias "pc") and "hp"
+// take their Table 3 preset, whose seed `seed` offsets.
+// NamedCalibratedConfig MOBISIM_CHECK-fails on any other name.
+SynthWorkloadConfig NamedSynthConfig(double scale, std::uint64_t seed);
+CalibratedWorkloadConfig NamedCalibratedConfig(const std::string& name, double scale,
+                                               std::uint64_t seed);
+
 // Convenience: generate one of the named presets ("mac", "dos", "hp",
 // "synth") at the given scale.  MOBISIM_CHECK-fails on unknown names.
 Trace GenerateNamedWorkload(const std::string& name, double scale = 1.0,
                             std::uint64_t seed = 1);
+// The named preset lowered as it is generated: the bytes of
+// TraceImage::Build(GenerateNamedWorkload(name, scale, seed)).
+TraceImage LowerNamedWorkload(const std::string& name, double scale = 1.0,
+                              std::uint64_t seed = 1);
 
 }  // namespace mobisim
 

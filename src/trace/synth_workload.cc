@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/trace/block_mapper.h"
 #include "src/util/check.h"
 
 namespace mobisim {
 
-Trace GenerateSynthWorkload(const SynthWorkloadConfig& config) {
+namespace {
+
+constexpr std::uint32_t kBlockBytes = 512;
+
+// Generates config.op_count records in order, handing each to `emit`.
+template <typename Emit>
+void GenerateRecords(const SynthWorkloadConfig& config, Emit&& emit) {
   MOBISIM_CHECK(config.file_bytes > 0);
   MOBISIM_CHECK(config.dataset_bytes >= config.file_bytes);
   MOBISIM_CHECK(config.read_fraction + config.write_fraction <= 1.0);
@@ -18,10 +25,6 @@ Trace GenerateSynthWorkload(const SynthWorkloadConfig& config) {
       1, static_cast<std::uint32_t>(config.hot_data_fraction * file_count));
 
   Rng rng(config.seed);
-  Trace trace;
-  trace.name = "synth";
-  trace.block_bytes = 512;
-  trace.records.reserve(config.op_count);
 
   // Tracks whether an erase emptied a file; the next write then rewrites the
   // whole file unit, as the paper specifies.
@@ -60,7 +63,7 @@ Trace GenerateSynthWorkload(const SynthWorkloadConfig& config) {
       erased[file_id] = true;
       rec.offset = 0;
       rec.size_bytes = 0;
-      trace.records.push_back(rec);
+      emit(rec);
       continue;
     }
 
@@ -86,9 +89,25 @@ Trace GenerateSynthWorkload(const SynthWorkloadConfig& config) {
           rng.UniformInt(0, static_cast<std::int64_t>(max_offset)));
       rec.size_bytes = size;
     }
-    trace.records.push_back(rec);
+    emit(rec);
   }
+}
+
+}  // namespace
+
+Trace GenerateSynthWorkload(const SynthWorkloadConfig& config) {
+  Trace trace;
+  trace.name = "synth";
+  trace.block_bytes = kBlockBytes;
+  trace.records.reserve(config.op_count);
+  GenerateRecords(config, [&trace](const TraceRecord& rec) { trace.records.push_back(rec); });
   return trace;
+}
+
+TraceImage LowerSynthWorkload(const SynthWorkloadConfig& config) {
+  BlockMapper mapper("synth", kBlockBytes, config.op_count);
+  GenerateRecords(config, [&mapper](const TraceRecord& rec) { mapper.Append(rec); });
+  return mapper.Finish();
 }
 
 }  // namespace mobisim

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "src/trace/trace_image.h"
 #include "src/trace/trace_record.h"
 #include "src/util/rng.h"
 
@@ -40,6 +41,9 @@ struct SynthWorkloadConfig {
 // Generates the workload; the trace's block size is 512 bytes (the smallest
 // access unit the workload produces).
 Trace GenerateSynthWorkload(const SynthWorkloadConfig& config);
+// The same records lowered into their image as they are generated: the
+// bytes of TraceImage::Build(GenerateSynthWorkload(config)).
+TraceImage LowerSynthWorkload(const SynthWorkloadConfig& config);
 
 }  // namespace mobisim
 

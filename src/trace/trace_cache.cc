@@ -75,32 +75,19 @@ bool IsEntryName(const std::string& name) {
 
 std::string CanonicalTraceKeyText(const std::string& workload, double scale,
                                   std::uint64_t seed, std::uint32_t format_version) {
-  // Mirrors GenerateNamedWorkload exactly: the key captures the *effective*
-  // generator configuration, so a change to any preset constant (or to how
-  // scale/seed feed in) produces a different fingerprint.
+  // The key captures the *effective* generator configuration, resolved as
+  // GenerateNamedWorkload resolves it, so a change to any preset constant
+  // (or to how scale/seed feed in) produces a different fingerprint.
   std::ostringstream out;
   out << "mobisim-trace-cache v" << format_version << "\n"
       << "workload = " << workload << "\n"
       << "scale = " << CanonicalDouble(scale) << "\n"
       << "request_seed = " << seed << "\n";
   if (workload == "synth") {
-    SynthWorkloadConfig config;
-    config.op_count = std::max<std::uint32_t>(
-        16, static_cast<std::uint32_t>(static_cast<double>(config.op_count) * scale));
-    config.seed = seed;
-    AppendSynthConfig(out, config);
+    AppendSynthConfig(out, NamedSynthConfig(scale, seed));
   } else if (workload == "mac" || workload == "dos" || workload == "pc" ||
              workload == "hp") {
-    CalibratedWorkloadConfig config;
-    if (workload == "mac") {
-      config = MacWorkloadConfig(scale);
-    } else if (workload == "hp") {
-      config = HpWorkloadConfig(scale);
-    } else {
-      config = DosWorkloadConfig(scale);
-    }
-    config.seed += seed;
-    AppendCalibratedConfig(out, config);
+    AppendCalibratedConfig(out, NamedCalibratedConfig(workload, scale, seed));
   } else {
     // Unknown names MOBISIM_CHECK-fail at generation time; the key is only
     // ever used for lookups that will fail the same way.
@@ -221,7 +208,7 @@ TraceView LoadOrGenerateTraceView(TraceCache* cache, const std::string& workload
       return view;
     }
   }
-  TraceImage image = TraceImage::Build(GenerateNamedWorkload(workload, scale, seed));
+  TraceImage image = LowerNamedWorkload(workload, scale, seed);
   if (cache != nullptr) {
     cache->Store(fingerprint, image);  // best-effort; failure only counts
   }

@@ -3,6 +3,9 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <new>
+
+#include <sys/mman.h>
 
 #include "src/trace/block_mapper.h"
 #include "src/util/check.h"
@@ -85,73 +88,41 @@ void SetError(std::string* error, const char* message) {
 
 }  // namespace
 
-// Allocates the image at its exact final size, writes the header and the
-// zero padding up front, and leaves the columns to Put.
-class TraceImage::Writer {
- public:
-  Writer(const std::string& name, std::uint32_t block_bytes, std::size_t n)
-      : layout_(LayoutFor(static_cast<std::uint32_t>(name.size()), n)),
-        size_(layout_.footer_off + kFooterBytes),
-        bytes_(std::make_unique_for_overwrite<std::byte[]>(size_)) {
-    char* base = reinterpret_cast<char*>(bytes_.get());
-    std::memcpy(base, kEntryMagic, sizeof(kEntryMagic));
-    PutLe(base + 4, kTraceCacheFormatVersion);
-    PutLe(base + 8, block_bytes);
-    PutLe(base + 12, layout_.name_len);
-    PutLe(base + 16, layout_.record_count);
-    std::memcpy(base + layout_.name_off, name.data(), name.size());
-    ZeroFill(layout_.name_off + name.size(), layout_.times_off);
-    ZeroFill(layout_.counts_off + 4 * n, layout_.file_ids_off);
-    ZeroFill(layout_.file_ids_off + 4 * n, layout_.ops_off);
-    ZeroFill(layout_.ops_off + n, layout_.footer_off);
-    std::byte* raw = bytes_.get();
-    times_ = reinterpret_cast<SimTime*>(raw + layout_.times_off);
-    lbas_ = reinterpret_cast<std::uint64_t*>(raw + layout_.lbas_off);
-    counts_ = reinterpret_cast<std::uint32_t*>(raw + layout_.counts_off);
-    file_ids_ = reinterpret_cast<std::uint32_t*>(raw + layout_.file_ids_off);
-    ops_ = reinterpret_cast<std::uint8_t*>(raw + layout_.ops_off);
-  }
+TraceImage::Writer::Writer(const std::string& name, std::uint32_t block_bytes,
+                           std::size_t record_count)
+    : layout_(LayoutFor(static_cast<std::uint32_t>(name.size()), record_count)),
+      bytes_(AllocatePages(layout_.footer_off + kFooterBytes)) {
+  char* base = reinterpret_cast<char*>(bytes_.get());
+  std::memcpy(base, kEntryMagic, sizeof(kEntryMagic));
+  PutLe(base + 4, kTraceCacheFormatVersion);
+  PutLe(base + 8, block_bytes);
+  PutLe(base + 12, layout_.name_len);
+  PutLe(base + 16, layout_.record_count);
+  std::memcpy(base + layout_.name_off, name.data(), name.size());
+  std::byte* raw = bytes_.get();
+  times_ = reinterpret_cast<SimTime*>(raw + layout_.times_off);
+  lbas_ = reinterpret_cast<std::uint64_t*>(raw + layout_.lbas_off);
+  counts_ = reinterpret_cast<std::uint32_t*>(raw + layout_.counts_off);
+  file_ids_ = reinterpret_cast<std::uint32_t*>(raw + layout_.file_ids_off);
+  ops_ = reinterpret_cast<std::uint8_t*>(raw + layout_.ops_off);
+}
 
-  // Columns are written in host order; Finish fixes the byte order.
-  void Put(std::size_t i, const BlockRecord& rec) {
-    times_[i] = rec.time_us;
-    lbas_[i] = rec.lba;
-    counts_[i] = rec.block_count;
-    file_ids_[i] = rec.file_id;
-    ops_[i] = static_cast<std::uint8_t>(rec.op);
+TraceImage TraceImage::Writer::Finish(std::uint64_t total_blocks) {
+  char* base = reinterpret_cast<char*>(bytes_.get());
+  PutLe(base + 24, total_blocks);
+  if constexpr (!kHostIsLittleEndian) {
+    SwapColumnWords(base, layout_);
   }
-
-  // Writes total_blocks and the footer hash over everything before it.
-  TraceImage Finish(std::uint64_t total_blocks) {
-    char* base = reinterpret_cast<char*>(bytes_.get());
-    PutLe(base + 24, total_blocks);
-    if constexpr (!kHostIsLittleEndian) {
-      SwapColumnWords(base, layout_);
-    }
-    PutLe(base + layout_.footer_off, Fnv1a64Wide(base, layout_.footer_off));
-    return TraceImage(std::move(bytes_), size_);
-  }
-
- private:
-  void ZeroFill(std::size_t from, std::size_t to) {
-    std::memset(bytes_.get() + from, 0, to - from);
-  }
-
-  EntryLayout layout_;
-  std::size_t size_;
-  std::unique_ptr<std::byte[]> bytes_;
-  SimTime* times_ = nullptr;
-  std::uint64_t* lbas_ = nullptr;
-  std::uint32_t* counts_ = nullptr;
-  std::uint32_t* file_ids_ = nullptr;
-  std::uint8_t* ops_ = nullptr;
-};
+  PutLe(base + layout_.footer_off, Fnv1a64Wide(base, layout_.footer_off));
+  return TraceImage(std::move(bytes_), layout_.footer_off + kFooterBytes);
+}
 
 TraceImage TraceImage::Build(const Trace& trace) {
-  Writer writer(trace.name, trace.block_bytes, trace.records.size());
-  const std::uint64_t total_blocks = BlockMapper::MapEach(
-      trace, [&writer](std::size_t i, const BlockRecord& rec) { writer.Put(i, rec); });
-  return writer.Finish(total_blocks);
+  BlockMapper mapper(trace.name, trace.block_bytes, trace.records.size());
+  for (const TraceRecord& rec : trace.records) {
+    mapper.Append(rec);
+  }
+  return mapper.Finish();
 }
 
 TraceImage TraceImage::Build(const std::string& name, std::uint32_t block_bytes,
@@ -163,8 +134,21 @@ TraceImage TraceImage::Build(const std::string& name, std::uint32_t block_bytes,
   return writer.Finish(total_blocks);
 }
 
+TraceImage::Pages TraceImage::AllocatePages(std::size_t size) {
+  // Populated up front: one call faults in every page the writer is about
+  // to fill anyway.
+  void* pages = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
+  if (pages == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return Pages(static_cast<std::byte*>(pages), UnmapImagePages{size});
+}
+
+void UnmapImagePages::operator()(std::byte* pages) const { ::munmap(pages, size); }
+
 TraceImage TraceImage::Copy(std::string_view bytes) {
-  auto copy = std::make_unique_for_overwrite<std::byte[]>(bytes.size());
+  Pages copy = AllocatePages(bytes.size());
   std::memcpy(copy.get(), bytes.data(), bytes.size());
   return TraceImage(std::move(copy), bytes.size());
 }

@@ -3,9 +3,10 @@
 // The paper's traces are file-level (which file, read/write, offset, size,
 // time) and are preprocessed into disk-level operations by assigning each
 // file a unique disk location (section 4.1).  We mirror that split: a Trace
-// holds file-level TraceRecords; BlockMapper (block_mapper.h) lowers it to
+// holds file-level TraceRecords; BlockMapper (block_mapper.h) lowers them to
 // logical-block operations (BlockRecords) the simulator consumes, held in a
-// TraceView (trace_view.h).
+// TraceView (trace_view.h).  The generators also hand their records to
+// BlockMapper one at a time, with no Trace in between.
 #ifndef MOBISIM_SRC_TRACE_TRACE_RECORD_H_
 #define MOBISIM_SRC_TRACE_TRACE_RECORD_H_
 

@@ -4,12 +4,12 @@
 // The simulator's per-record loop reads five fields per record; a TraceView
 // hands it five parallel arrays (structure-of-arrays) instead of a vector of
 // structs.  Every view's columns live in a `.mtc` v2 entry image (see
-// trace_image.h): either an owned TraceImage (built in memory by
-// BlockMapper::Map, FatFileSystem::Lower or an importer, or copied from an
-// entry file that cannot be addressed in place) or an mmap'd trace-cache
-// entry, the zero-copy path.  Both backings have the same layout and go
-// through the same pointer setup, so simulation results are byte-identical
-// whichever path produced the view.
+// trace_image.h): either an owned TraceImage (built in memory by a
+// generator lowering as it goes, BlockMapper::Map, FatFileSystem::Lower or
+// an importer, or copied from an entry file that cannot be addressed in
+// place) or an mmap'd trace-cache entry, the zero-copy path.  Both backings
+// have the same layout and go through the same pointer setup, so simulation
+// results are byte-identical whichever path produced the view.
 //
 // Views are cheap to copy (one shared_ptr) and safe to share across sweep
 // worker threads — the backing is immutable after construction.  A view

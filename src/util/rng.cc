@@ -140,6 +140,15 @@ GeometricDistribution::GeometricDistribution(double mean)
     }
     boundaries_[count_++] = m;
   }
+  // guide_[g]: the boundaries below bucket g's first m.  The last entry
+  // (bucket 2^10, past every m) counts them all.
+  std::size_t below = 0;
+  for (std::size_t g = 0; g < guide_.size(); ++g) {
+    while (below < count_ && boundaries_[below] < (std::uint64_t{g} << kGuideShift)) {
+      ++below;
+    }
+    guide_[g] = static_cast<std::uint8_t>(below);
+  }
 }
 
 double GeometricDistribution::Rank(std::uint64_t m) const {

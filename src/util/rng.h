@@ -125,9 +125,14 @@ class ZipfDistribution : public DiscreteDistribution {
 // at which it reaches k.  The constructor finds up to 64 of these
 // boundaries exactly, evaluating the expression itself at a guess from
 // exp(k log q) and walking to the first m that reaches k.  A draw then
-// counts the boundaries at or below m with integer compares; past the
-// table it evaluates the expression.  Either way it returns exactly what
-// the expression returns.  A mean <= 1 draws 1 and consumes no randomness.
+// counts the boundaries at or below m; past the table it evaluates the
+// expression.  Either way it returns exactly what the expression returns.
+// A mean <= 1 draws 1 and consumes no randomness.
+//
+// The count starts from a guide on the top 10 bits of m: guide_[g] is the
+// number of boundaries below g * 2^43, the first m of bucket g.  Every
+// boundary counted from there lies inside m's bucket, and most buckets hold
+// none, so the count usually takes no compare that depends on m.
 class GeometricDistribution {
  public:
   explicit GeometricDistribution(double mean);
@@ -140,8 +145,11 @@ class GeometricDistribution {
   }
   // The draw for the 53-bit value m: the boundary table, then the log.
   std::uint32_t FromBits(std::uint64_t m) const {
-    std::size_t k = 0;
-    while (k < count_ && m >= boundaries_[k]) {
+    MOBISIM_DCHECK(m < (std::uint64_t{1} << 53));
+    const std::size_t g = static_cast<std::size_t>(m >> kGuideShift);
+    std::size_t k = guide_[g];
+    const std::size_t end = guide_[g + 1];
+    while (k < end && m >= boundaries_[k]) {
       ++k;
     }
     if (k < count_) {
@@ -156,6 +164,8 @@ class GeometricDistribution {
 
  private:
   static constexpr std::size_t kMaxBoundaries = 64;
+  static constexpr int kGuideBits = 10;
+  static constexpr int kGuideShift = 53 - kGuideBits;
 
   double Rank(std::uint64_t m) const;  // k(m), before the cap
 
@@ -165,6 +175,7 @@ class GeometricDistribution {
   // block each would sit between the trace's large buffers.
   std::array<std::uint64_t, kMaxBoundaries> boundaries_{};
   std::size_t count_ = 0;
+  std::array<std::uint8_t, (std::size_t{1} << kGuideBits) + 1> guide_{};
 };
 
 }  // namespace mobisim

@@ -130,6 +130,32 @@ TEST(ResultIoMetaTest, MetaRowRoundTripsThroughJson) {
   }
 }
 
+TEST(ResultIoMetaTest, ColumnGroupsRoundTripAndAreOmittedWhenEmpty) {
+  RunMeta meta = MakeMeta("abc123");
+  // No group: no `columns` key, so older headers stay byte-identical.
+  EXPECT_EQ(MetaToRow(meta).Find("columns"), nullptr);
+  for (const ColumnGroups columns :
+       {ColumnGroups().With(ColumnGroup::kFtl), ColumnGroups().With(ColumnGroup::kFault),
+        ColumnGroups().With(ColumnGroup::kFtl).With(ColumnGroup::kFault)}) {
+    meta.columns = columns;
+    std::string error;
+    const auto parsed = RowFromJson(RowToJson(MetaToRow(meta)), &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    const auto back = MetaFromRow(*parsed);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(back->columns == columns);
+  }
+  EXPECT_EQ(MetaToRow(meta).Text("columns"), "ftl,fault");
+  // A group name that does not exist is not a header.
+  ResultRow bad = MetaToRow(meta);
+  for (ResultField& field : bad.fields) {
+    if (field.key == "columns") {
+      field.value = "ftl,wear";
+    }
+  }
+  EXPECT_FALSE(MetaFromRow(bad).has_value());
+}
+
 TEST(BenchDbTest, StoreLoadIndexRoundTrip) {
   const std::string root = FreshDir("store_roundtrip");
   BenchDb db(root);

@@ -4,6 +4,7 @@
 // dispatcher retry/exhaustion of poisoned points, the incremental bench_db
 // merge, and the heartbeat + HTTP status plumbing.  The worker, poisoned-
 // point and late-upload tests run over both worker transports.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -584,6 +585,65 @@ TEST_P(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
   ASSERT_TRUE(run.has_value()) << error;
   EXPECT_TRUE(run->columns == ColumnGroupsOf(*spec));
   EXPECT_TRUE(run->columns.Has(ColumnGroup::kFtl));
+}
+
+// A flat directory of `mobisim_sweep --shard` outputs whose rows are all
+// `_error` rows merges to the CSV header its shards wrote: their metadata
+// name the grid's column groups, which a spool merge reads from its spec.
+TEST(MergeTest, FlatShardsOfErrorRowsKeepTheirGridsColumns) {
+  constexpr char kSpec[] =
+      "devices = intel-datasheet\n"
+      "workloads = synth\n"
+      "capacity = 256k\n"
+      "ftl = greedy, page-diff\n"
+      "seeds = 7\n"
+      "scale = 0.05\n";
+  std::string error;
+  const auto spec = ParseExperimentSpec(kSpec, &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  const ColumnGroups columns = ColumnGroupsOf(*spec);
+  ASSERT_TRUE(columns.Has(ColumnGroup::kFtl));
+
+  // Each shard's file as mobisim_sweep --shard K/2 writes it.
+  const std::string flat = FreshDir("mergeflatcolumns");
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    const std::vector<ExperimentPoint> points = FilterShard(EnumerateGrid(*spec), shard, 2);
+    ASSERT_EQ(points.size(), 1u);
+    RunMeta meta;
+    meta.spec_name = "flat";
+    meta.spec_hash = SpecFingerprint(*spec);
+    meta.points = points.size();
+    meta.columns = columns;
+    std::ostringstream out;
+    out << RowToJson(MetaToRow(meta)) << "\n";
+    for (const SweepOutcome& outcome : CollectSweep(points, SweepOptions{})) {
+      ASSERT_TRUE(IsErrorRow(outcome.row));
+      out << RowToJson(outcome.row) << "\n";
+    }
+    const std::string path = flat + "/shard-" + std::to_string(shard) + ".jsonl";
+    ASSERT_TRUE(WriteFileAtomic(path, out.str(), &error)) << error;
+  }
+  const auto merged = MergeShardDir(flat, &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  EXPECT_EQ(merged->stats.error_rows, 2u);
+  EXPECT_TRUE(merged->columns == columns);
+  const std::string header = SweepCsvHeader(merged->columns);
+  EXPECT_EQ(std::count(header.begin(), header.end(), ',') + 1, 66);
+  EXPECT_NE(header, SweepCsvHeader());
+
+  // The same grid run through a spool merges to the same header.
+  const std::string root = FreshDir("mergespoolcolumns");
+  std::filesystem::remove_all(root);
+  ASSERT_TRUE(Spool::Create(root, kSpec, "grid", 2, &error).has_value()) << error;
+  EXPECT_EQ(RunWorkerLoop(WorkerFor(Transport::kSpool, root, 0)).error_rows, 2u);
+  const auto spooled = MergeShardDir(root, &error);
+  ASSERT_TRUE(spooled.has_value()) << error;
+  EXPECT_EQ(SweepCsvHeader(spooled->columns), header);
+  // And so does the spool's done/ directory alone, whose files carry the
+  // groups in their metadata.
+  const auto done = MergeShardDir(root + "/done", &error);
+  ASSERT_TRUE(done.has_value()) << error;
+  EXPECT_EQ(SweepCsvHeader(done->columns), header);
 }
 
 TEST_P(WorkerTest, KilledWorkerLeavesLeaseAndSuccessorResumes) {

@@ -1,15 +1,18 @@
 // Tests for the persistent fingerprint-keyed trace cache: the entry image
-// (bytes pinned against earlier builds, the column builder against the row
-// path, owned and mapped views alike), entry validation, fingerprint
+// (bytes pinned against earlier builds, the mapper against a reference
+// lowering, generators lowering as they go against their file-level traces,
+// owned and mapped views alike), entry validation, fingerprint
 // sensitivity, hit/miss/corruption accounting, byte-identical results with
 // the cache on/off/cold/warm (including under parallel sweeps), and the
 // maintenance surface (list + gc).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -59,12 +62,48 @@ void ExpectSameColumns(const TraceView& a, const TraceView& b) {
   EXPECT_EQ(std::memcmp(a.ops(), b.ops(), n), 0);
 }
 
-// The row path: the rows MapEach emits, collected into a vector and written
+// The lowering of section 4.1 written out on its own, as the reference
+// BlockMapper must reproduce: each file's extent is the most blocks any of
+// its records reaches (at least one), extents are laid out in order of first
+// appearance, and an erase trims its file's whole extent.  The rows go
 // through TraceImage's rows entry point.
-std::string RowPathBytes(const Trace& trace) {
+std::string ReferenceLoweringBytes(const Trace& trace) {
+  const std::uint64_t block = trace.block_bytes;
+  std::vector<std::uint32_t> order;
+  std::map<std::uint32_t, std::uint64_t> extent;
+  for (const TraceRecord& rec : trace.records) {
+    const auto [it, inserted] = extent.try_emplace(rec.file_id, 1);
+    if (inserted) {
+      order.push_back(rec.file_id);
+    }
+    if (rec.op != OpType::kErase) {
+      it->second = std::max(it->second, (rec.offset + rec.size_bytes + block - 1) / block);
+    }
+  }
+  std::map<std::uint32_t, std::uint64_t> base;
+  std::uint64_t total_blocks = 0;
+  for (const std::uint32_t id : order) {
+    base[id] = total_blocks;
+    total_blocks += extent[id];
+  }
   std::vector<BlockRecord> rows;
-  const std::uint64_t total_blocks = BlockMapper::MapEach(
-      trace, [&rows](std::size_t, const BlockRecord& rec) { rows.push_back(rec); });
+  for (const TraceRecord& rec : trace.records) {
+    BlockRecord row;
+    row.time_us = rec.time_us;
+    row.op = rec.op;
+    row.file_id = rec.file_id;
+    if (rec.op == OpType::kErase) {
+      row.lba = base[rec.file_id];
+      row.block_count = static_cast<std::uint32_t>(extent[rec.file_id]);
+    } else {
+      const std::uint64_t first = rec.offset / block;
+      const std::uint64_t last =
+          (rec.offset + std::max<std::uint64_t>(rec.size_bytes, 1) - 1) / block;
+      row.lba = base[rec.file_id] + first;
+      row.block_count = static_cast<std::uint32_t>(last - first + 1);
+    }
+    rows.push_back(row);
+  }
   return std::string(
       TraceImage::Build(trace.name, trace.block_bytes, total_blocks, rows).bytes());
 }
@@ -164,6 +203,29 @@ TEST(TraceImageTest, BuilderReproducesPinnedEntryDigests) {
     const TraceImage image =
         TraceImage::Build(GenerateNamedWorkload(pinned.workload, pinned.scale, pinned.seed));
     EXPECT_EQ(EntryDigest(image.bytes()), pinned.digest);
+    const TraceImage streamed = LowerNamedWorkload(pinned.workload, pinned.scale, pinned.seed);
+    EXPECT_EQ(EntryDigest(streamed.bytes()), pinned.digest);
+  }
+}
+
+// The generators lower each record as they produce it; the image must be
+// the one the file-level trace lowers to.  dos and synth carry erases.
+TEST(TraceImageTest, StreamedLoweringMatchesTheTracePath) {
+  for (const char* workload : {"mac", "dos", "pc", "hp", "synth"}) {
+    for (const double scale : {0.01, 0.3, 1.0}) {
+      for (const std::uint64_t seed : {0u, 1u, 7919u}) {
+        SCOPED_TRACE(std::string(workload) + " scale " + std::to_string(scale) + " seed " +
+                     std::to_string(seed));
+        const Trace trace = GenerateNamedWorkload(workload, scale, seed);
+        const TraceImage image = TraceImage::Build(trace);
+        ASSERT_EQ(LowerNamedWorkload(workload, scale, seed).bytes(), image.bytes());
+        const bool has_erase =
+            std::any_of(trace.records.begin(), trace.records.end(),
+                        [](const TraceRecord& rec) { return rec.op == OpType::kErase; });
+        const std::string name = workload;
+        EXPECT_EQ(has_erase, name == "dos" || name == "pc" || name == "synth");
+      }
+    }
   }
 }
 
@@ -188,7 +250,7 @@ TEST(TraceImageTest, TextImportWithEraseOnlyAndSparseFileIdsIsPinned) {
   ASSERT_TRUE(trace.has_value()) << error;
   const TraceImage image = TraceImage::Build(*trace);
   EXPECT_EQ(EntryDigest(image.bytes()), "ac86d9d279c3fd38");
-  EXPECT_EQ(image.bytes(), RowPathBytes(*trace));
+  EXPECT_EQ(image.bytes(), ReferenceLoweringBytes(*trace));
   const TraceView view = BlockMapper::Map(*trace);
   EXPECT_EQ(view.total_blocks(), 18u);
   ASSERT_EQ(view.size(), 9u);
@@ -226,12 +288,12 @@ Trace RandomTrace(std::uint64_t seed) {
   return trace;
 }
 
-TEST(TraceImageTest, ColumnBuilderMatchesTheRowPathOnRandomTraces) {
+TEST(TraceImageTest, MapperMatchesTheReferenceLoweringOnRandomTraces) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE(seed);
     const Trace trace = RandomTrace(seed);
     const TraceImage image = TraceImage::Build(trace);
-    ASSERT_EQ(image.bytes(), RowPathBytes(trace));
+    ASSERT_EQ(image.bytes(), ReferenceLoweringBytes(trace));
     ASSERT_TRUE(ValidateEntry(image.data(), image.size()));
   }
 }

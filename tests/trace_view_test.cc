@@ -33,25 +33,21 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-Trace SmallFileTrace() { return GenerateNamedWorkload("synth", 0.02, 7); }
+TraceView SmallTrace() { return BlockMapper::Map(GenerateNamedWorkload("synth", 0.02, 7)); }
 
-TraceView SmallTrace() { return BlockMapper::Map(SmallFileTrace()); }
-
-// The rows MapEach emits for `trace`, collected into a vector.
-std::vector<BlockRecord> MappedRows(const Trace& trace, std::uint64_t* total_blocks) {
+// A view's records, read back one row at a time.
+std::vector<BlockRecord> RowsOf(const TraceView& view) {
   std::vector<BlockRecord> rows;
-  *total_blocks = BlockMapper::MapEach(
-      trace, [&rows](std::size_t, const BlockRecord& rec) { rows.push_back(rec); });
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    rows.push_back(view.record(i));
+  }
   return rows;
 }
 
-// `trace` lowered through the rows entry point instead of the column
-// builder.
-TraceView ViewFromRows(const Trace& trace) {
-  std::uint64_t total_blocks = 0;
-  const std::vector<BlockRecord> rows = MappedRows(trace, &total_blocks);
+// `view` rewritten through the rows entry point instead of the mapper.
+TraceView ViewFromRows(const TraceView& view) {
   return TraceView::FromImage(
-      TraceImage::Build(trace.name, trace.block_bytes, total_blocks, rows));
+      TraceImage::Build(view.name(), view.block_bytes(), view.total_blocks(), RowsOf(view)));
 }
 
 void ExpectSameRecord(const BlockRecord& got, const BlockRecord& want, std::size_t i) {
@@ -74,21 +70,20 @@ void ExpectSameData(const TraceView& view, const TraceView& want) {
 }
 
 TEST(TraceViewTest, RowsEntryPointCopiesExactly) {
-  const Trace trace = SmallFileTrace();
-  std::uint64_t total_blocks = 0;
-  const std::vector<BlockRecord> rows = MappedRows(trace, &total_blocks);
-  const TraceView view = ViewFromRows(trace);
+  const TraceView mapped = SmallTrace();
+  const std::vector<BlockRecord> rows = RowsOf(mapped);
+  const TraceView view = ViewFromRows(mapped);
   EXPECT_FALSE(view.zero_copy());
-  EXPECT_EQ(view.name(), trace.name);
-  EXPECT_EQ(view.block_bytes(), trace.block_bytes);
-  EXPECT_EQ(view.total_blocks(), total_blocks);
-  EXPECT_EQ(view.total_bytes(), total_blocks * trace.block_bytes);
+  EXPECT_EQ(view.name(), "synth");
+  EXPECT_EQ(view.block_bytes(), 512u);
+  EXPECT_EQ(view.total_blocks(), mapped.total_blocks());
+  EXPECT_EQ(view.total_bytes(), mapped.total_blocks() * 512);
   ASSERT_EQ(view.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     ASSERT_NO_FATAL_FAILURE(ExpectSameRecord(view.record(i), rows[i], i));
   }
-  // The column builder writes the same records in place.
-  ExpectSameData(view, SmallTrace());
+  // The generator lowering as it goes writes the same records.
+  ExpectSameData(view, TraceView::FromImage(LowerNamedWorkload("synth", 0.02, 7)));
 }
 
 TEST(TraceViewTest, WarmLoadIsZeroCopyAndBitIdentical) {
@@ -124,13 +119,13 @@ TEST(TraceViewTest, SimulationResultsIdenticalAcrossBackings) {
   ASSERT_TRUE(view.zero_copy());
 
   const SimConfig config = MakePaperConfig(IntelCardDatasheet(), 512 * 1024);
-  // Same simulation through the mmap view, the owned view the column
-  // builder wrote, and an owned view built from rows: every result field
-  // must match exactly.
+  // Same simulation through the mmap view, the owned view BlockMapper
+  // wrote, and an owned view rewritten from rows: every result field must
+  // match exactly.
   const std::string mapped = RowToJson(ResultToRow(RunSimulation(view, config)));
   const std::string owned = RowToJson(ResultToRow(RunSimulation(SmallTrace(), config)));
   const std::string rows =
-      RowToJson(ResultToRow(RunSimulation(ViewFromRows(SmallFileTrace()), config)));
+      RowToJson(ResultToRow(RunSimulation(ViewFromRows(SmallTrace()), config)));
   EXPECT_EQ(mapped, owned);
   EXPECT_EQ(mapped, rows);
 }

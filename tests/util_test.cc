@@ -541,6 +541,27 @@ TEST(GeometricTest, TableMatchesTheLogExpression) {
   }
 }
 
+// The draw is exact where the count changes: at every boundary and the m
+// just below it, and at both sides of every edge of the top-bits guide.
+TEST(GeometricTest, FromBitsMatchesTheLogAtEveryBoundaryAndGuideEdge) {
+  for (const double mean : {1.2, 1.3, 3.4, 3.8, 4.3, 6.2}) {
+    SCOPED_TRACE(mean);
+    const GeometricDistribution dist(mean);
+    ASSERT_FALSE(dist.boundaries().empty());
+    for (const std::uint64_t b : dist.boundaries()) {
+      ASSERT_EQ(dist.FromBits(b), dist.FromBitsByLog(b)) << "m=" << b;
+      ASSERT_EQ(dist.FromBits(b - 1), dist.FromBitsByLog(b - 1)) << "m=" << b - 1;
+    }
+    for (std::uint64_t g = 1; g <= 1024; ++g) {
+      const std::uint64_t edge = g << 43;
+      if (edge < (std::uint64_t{1} << 53)) {
+        ASSERT_EQ(dist.FromBits(edge), dist.FromBitsByLog(edge)) << "m=" << edge;
+      }
+      ASSERT_EQ(dist.FromBits(edge - 1), dist.FromBitsByLog(edge - 1)) << "m=" << edge - 1;
+    }
+  }
+}
+
 TEST(GeometricTest, SampleDrawsTheTopBitsOfOneNextU64) {
   const GeometricDistribution dist(3.4);
   Rng a(53);
