@@ -43,6 +43,11 @@ TraceImage BlockMapper::Finish() {
   for (std::size_t i = 0; i < next_; ++i) {
     const File& file = files_[file_ids[i]];
     if (ops[i] == static_cast<std::uint8_t>(OpType::kErase)) {
+      // An erase's block count is its file's whole extent, which must fit
+      // the 32-bit count column.
+      MOBISIM_CHECK_MSG(file.block_count <= UINT32_MAX,
+                        "erase of file " + std::to_string(file.id) + " spans its extent of " +
+                            std::to_string(file.block_count) + " blocks");
       lbas[i] = file.first_block;
       counts[i] = static_cast<std::uint32_t>(file.block_count);
     } else {

@@ -41,7 +41,8 @@ class BlockMapper {
 
   void Append(const TraceRecord& rec);
   // Resolves every record to its file's extent and returns the image, whose
-  // total_blocks is the sum of the extents.
+  // total_blocks is the sum of the extents.  An erase of a file whose extent
+  // exceeds UINT32_MAX blocks fails a check naming the file and its extent.
   TraceImage Finish();
 
  private:

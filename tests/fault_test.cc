@@ -501,8 +501,8 @@ TEST(FaultSpecTest, PowerLossIntervalsDimensionEnumerates) {
 
 TEST(FaultSpecTest, FaultFreeSpecFingerprintUnchangedByFaultSupport) {
   // The canonical text of a spec with no fault configuration must not
-  // mention faults at all — that is what keeps committed baseline
-  // fingerprints valid across this feature's introduction.
+  // mention faults at all — that is what keeps committed spec fingerprints
+  // valid across this feature's introduction.
   ExperimentSpec spec;
   const std::string canon = CanonicalSpecText(spec);
   EXPECT_EQ(canon.find("fault"), std::string::npos);

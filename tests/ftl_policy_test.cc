@@ -1,5 +1,5 @@
-// Tests for the FtlPolicy layer: the extracted log cleaners reproduce the
-// pre-refactor sweeps byte-for-byte (golden JSONL equivalence), the spec
+// Tests for the FtlPolicy layer: the reference sweeps reproduce their
+// tests/golden/ rows byte-for-byte at 1 and 4 threads, the spec
 // fingerprints of every committed spec are pinned (the refactor must not
 // move them), page-diff merge-on-read and diff-page accounting behave per
 // the Kim/Whang/Song scheme, the FAT remap table wraps and flushes map
@@ -48,11 +48,12 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-// Runs the spec serially and renders each row exactly as the JSONL sink
-// does, so comparing against a golden file is a byte-level statement.
-std::vector<std::string> SweepRowsJson(const ExperimentSpec& spec) {
+// Runs the spec on `threads` workers and renders each row exactly as the
+// JSONL sink does, so comparing against a golden file is a byte-level
+// statement.
+std::vector<std::string> SweepRowsJson(const ExperimentSpec& spec, int threads) {
   SweepOptions options;
-  options.threads = 1;
+  options.threads = threads;
   std::vector<std::string> rows;
   for (const SweepOutcome& outcome : CollectSweep(EnumerateGrid(spec), options)) {
     EXPECT_FALSE(outcome.failed) << outcome.error;
@@ -61,64 +62,70 @@ std::vector<std::string> SweepRowsJson(const ExperimentSpec& spec) {
   return rows;
 }
 
-// --- Golden equivalence: the refactor must not move a single byte ---------
+// --- Reference rows: tests/golden/ is their one home ---------------------
 
-TEST(FtlGoldenTest, CiReferenceSweepIsByteIdentical) {
-  std::string error;
-  const auto spec = ParseExperimentSpec(
-      ReadFile(std::string(MOBISIM_SPEC_DIR) + "/ci_reference.spec"), &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  const std::vector<std::string> golden =
-      ReadLines(std::string(MOBISIM_GOLDEN_DIR) + "/ci_reference_sweep.jsonl");
-  ASSERT_EQ(golden.size(), 32u);
-  EXPECT_EQ(SweepRowsJson(*spec), golden);
+// Each golden holds a sweep's JSONL data rows (its `_meta` line stripped).
+// Every spec runs on 1 and on 4 workers: the rows must match the golden
+// byte for byte at both, so a result that depends on the thread count
+// fails here.  To refresh a golden after a deliberate change:
+//   mobisim_sweep --spec FILE --jsonl - --quiet | grep -v '"_meta"' > tests/golden/NAME
+TEST(FtlGoldenTest, ReferenceSweepsMatchTheirGoldens) {
+  const struct {
+    const char* spec_file;  // under specs/, or null for `spec_text`
+    const char* spec_text;
+    const char* golden;
+  } kSweeps[] = {
+      // Both storage organizations, both calibrated traces, at the two
+      // utilizations that bound the cleaning-cost curve.
+      {"ci_reference.spec", nullptr, "ci_reference_sweep.jsonl"},
+      // All three log cleaners at both utilization extremes.
+      {nullptr,
+       "device = intel-datasheet\n"
+       "workloads = synth\n"
+       "utilizations = 0.50, 0.90\n"
+       "cleaning_policies = greedy, cost-benefit, wear-aware\n"
+       "seeds = 1\n"
+       "scale = 0.2\n",
+       "cleaning_policies_sweep.jsonl"},
+      // Both optional groups on: the golden pins their columns' order (ftl,
+      // backend and power_loss_interval_sec after cleaning_policy; the FTL
+      // counters before mode_seconds, the fault block after it).
+      {nullptr,
+       "devices = intel-datasheet\n"
+       "workloads = synth\n"
+       "utilizations = 0.5\n"
+       "ftl = greedy, page-diff\n"
+       "power_loss_intervals = 0, 2.0\n"
+       "seeds = 1\n"
+       "scale = 0.05\n",
+       "ftl_fault_sweep.jsonl"},
+      // Every FTL policy, page-differential logging and FAT remapping
+      // included, on the flash card and the NAND tier.
+      {"ablation_smoke.spec", nullptr, "ablation_smoke_sweep.jsonl"},
+  };
+  for (const auto& sweep : kSweeps) {
+    SCOPED_TRACE(sweep.golden);
+    std::string error;
+    const auto spec = ParseExperimentSpec(
+        sweep.spec_file != nullptr
+            ? ReadFile(std::string(MOBISIM_SPEC_DIR) + "/" + sweep.spec_file)
+            : std::string(sweep.spec_text),
+        &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    const std::vector<std::string> golden =
+        ReadLines(std::string(MOBISIM_GOLDEN_DIR) + "/" + sweep.golden);
+    ASSERT_EQ(golden.size(), EnumerateGrid(*spec).size());
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      EXPECT_EQ(SweepRowsJson(*spec, threads), golden);
+    }
+  }
 }
 
-TEST(FtlGoldenTest, CleaningPolicySweepIsByteIdentical) {
-  // The exact grid the golden was captured from, spelled through the same
-  // parser the CLI uses: all three extracted log cleaners at both
-  // utilization extremes.
-  std::string error;
-  const auto spec = ParseExperimentSpec(
-      "device = intel-datasheet\n"
-      "workloads = synth\n"
-      "utilizations = 0.50, 0.90\n"
-      "cleaning_policies = greedy, cost-benefit, wear-aware\n"
-      "seeds = 1\n"
-      "scale = 0.2\n",
-      &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  const std::vector<std::string> golden = ReadLines(
-      std::string(MOBISIM_GOLDEN_DIR) + "/cleaning_policies_sweep.jsonl");
-  ASSERT_EQ(golden.size(), 6u);
-  EXPECT_EQ(SweepRowsJson(*spec), golden);
-}
-
-TEST(FtlGoldenTest, FtlFaultSweepIsByteIdentical) {
-  // Both optional groups on: the golden pins their columns' order (ftl,
-  // backend and power_loss_interval_sec after cleaning_policy; the FTL
-  // counters before mode_seconds, the fault block after it).
-  std::string error;
-  const auto spec = ParseExperimentSpec(
-      "devices = intel-datasheet\n"
-      "workloads = synth\n"
-      "utilizations = 0.5\n"
-      "ftl = greedy, page-diff\n"
-      "power_loss_intervals = 0, 2.0\n"
-      "seeds = 1\n"
-      "scale = 0.05\n",
-      &error);
-  ASSERT_TRUE(spec.has_value()) << error;
-  const std::vector<std::string> golden =
-      ReadLines(std::string(MOBISIM_GOLDEN_DIR) + "/ftl_fault_sweep.jsonl");
-  ASSERT_EQ(golden.size(), 4u);
-  EXPECT_EQ(SweepRowsJson(*spec), golden);
-}
-
-// Spec fingerprints gate benchdiff comparisons; the policy API must leave
-// every committed spec's fingerprint where it was.  A change here means
-// historical bench_db runs silently stop comparing — update baselines
-// deliberately, never by accident.
+// Spec fingerprints name a spec in every run's `_meta` line and in the
+// result store; the policy API must leave every committed spec's
+// fingerprint where it was.  Comments do not move a fingerprint: only a
+// change to what a spec resolves to does.
 TEST(FtlGoldenTest, CommittedSpecFingerprintsArePinned) {
   const struct {
     const char* file;

@@ -4,12 +4,14 @@
 
 #include <iterator>
 #include <sstream>
+#include <string>
 
 #include "src/trace/block_mapper.h"
 #include "src/trace/trace_image.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_record.h"
 #include "src/trace/trace_stats.h"
+#include "src/util/check.h"
 #include "src/util/hash.h"
 
 namespace mobisim {
@@ -107,9 +109,7 @@ TEST(BlockMapperTest, UnalignedAccessSpansBlocks) {
 
 TEST(BlockMapperTest, SparseIdsAndOffsetsPast32BitBlocksArePinned) {
   // File ids near 2^32 and within-file block offsets past 2^32: each file
-  // still gets its own extent, in order of first appearance.  An erase's
-  // block count is its extent's, cut to 32 bits (file 4294967295's
-  // 2^32 + 8 blocks erase as 8, file 4294967294's 5 * 2^32 + 1 as 1).
+  // still gets its own extent, in order of first appearance.
   constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
   Trace trace;
   trace.name = "sparse-wide";
@@ -117,24 +117,20 @@ TEST(BlockMapperTest, SparseIdsAndOffsetsPast32BitBlocksArePinned) {
   trace.records = {
       {0, OpType::kWrite, 4294967295u, (k32 + 5) * 1024, 3000},
       {10, OpType::kRead, 4294967294u, 0, 512},
-      {20, OpType::kErase, 4294967295u, 0, 0},
       {30, OpType::kRead, 4294967294u, 5 * k32 * 1024 + 100, 0},
       {40, OpType::kWrite, 3000000000u, 0, 4096},
       {50, OpType::kRead, 4294967295u, 1024, 1024},
-      {60, OpType::kErase, 4294967294u, 0, 0},
   };
   const TraceImage image = TraceImage::Build(trace);
-  EXPECT_EQ(HexU64(Fnv1a64Wide(image.data(), image.size())), "3ea22f2f680bf35b");
+  EXPECT_EQ(HexU64(Fnv1a64Wide(image.data(), image.size())), "c345303b6b0eddfc");
   const TraceView blocks = BlockMapper::Map(trace);
   EXPECT_EQ(blocks.total_blocks(), (k32 + 8) + (5 * k32 + 1) + 4);
   const BlockRecord want[] = {
       {0, OpType::kWrite, k32 + 5, 3, 4294967295u},
       {10, OpType::kRead, k32 + 8, 1, 4294967294u},
-      {20, OpType::kErase, 0, 8, 4294967295u},
       {30, OpType::kRead, k32 + 8 + 5 * k32, 1, 4294967294u},
       {40, OpType::kWrite, k32 + 8 + 5 * k32 + 1, 4, 3000000000u},
       {50, OpType::kRead, 1, 1, 4294967295u},
-      {60, OpType::kErase, k32 + 8, 1, 4294967294u},
   };
   ASSERT_EQ(blocks.size(), std::size(want));
   for (std::size_t i = 0; i < std::size(want); ++i) {
@@ -146,6 +142,33 @@ TEST(BlockMapperTest, SparseIdsAndOffsetsPast32BitBlocksArePinned) {
     EXPECT_EQ(got.block_count, want[i].block_count);
     EXPECT_EQ(got.file_id, want[i].file_id);
   }
+
+  // An erase takes its file's whole extent as its block count: 2^32 - 1
+  // blocks fit the 32-bit count, 2^32 fail a check naming the file and
+  // the extent rather than erasing a truncated count.
+  Trace erase;
+  erase.block_bytes = 1024;
+  erase.records = {
+      {0, OpType::kWrite, 7, (k32 - 2) * 1024, 1024},
+      {10, OpType::kErase, 7, 0, 0},
+  };
+  const TraceView fits = BlockMapper::Map(erase);
+  EXPECT_EQ(fits.total_blocks(), k32 - 1);
+  EXPECT_EQ(fits.record(1).lba, 0u);
+  EXPECT_EQ(fits.record(1).block_count, 4294967295u);
+  erase.records[0].offset = (k32 - 1) * 1024;
+  EXPECT_THROW(
+      {
+        try {
+          TraceImage::Build(erase);
+        } catch (const SimError& error) {
+          EXPECT_NE(std::string(error.what()).find("file 7 spans its extent of 4294967296 blocks"),
+                    std::string::npos)
+              << error.what();
+          throw;
+        }
+      },
+      SimError);
 }
 
 TEST(TraceIoTest, FilePathRoundTrip) {
