@@ -7,30 +7,22 @@
 // measurement write gap to "our optimistic assumption about avoiding
 // seeks".  This bench quantifies how much the simplification matters.
 //
-// The timing model is a config flag, not a spec dimension, so the bench
-// runs hand-built points through the engine.
+// Each drive takes its geometry from its catalog spec; the timing model is
+// a config flag, not a spec dimension, so the bench runs hand-built points
+// through the engine.
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
 #include "src/runner/bench_registry.h"
 #include "src/util/table.h"
 
 namespace mobisim {
 namespace {
 
-struct Drive {
-  DeviceSpec spec;
-  DiskGeometry geometry;
-};
-
-std::vector<Drive> Drives() {
-  return {Drive{Cu140Datasheet(), Cu140Geometry()},
-          Drive{KittyhawkDatasheet(), KittyhawkGeometry()}};
-}
+std::vector<DeviceSpec> Drives() { return {Cu140Datasheet(), KittyhawkDatasheet()}; }
 
 void Run(BenchContext& ctx) {
   const double scale = ctx.scale();
@@ -40,15 +32,14 @@ void Run(BenchContext& ctx) {
   const std::vector<const char*> workloads = {"mac", "dos", "hp"};
   std::vector<ExperimentPoint> points;
   for (const char* workload : workloads) {
-    for (const Drive& drive : Drives()) {
+    for (const DeviceSpec& drive : Drives()) {
       for (const bool geometric : {false, true}) {
         ExperimentPoint point;
         point.index = points.size();
         point.workload = workload;
         point.scale = scale;
-        point.config = MakePaperConfig(drive.spec, 2 * 1024 * 1024);
+        point.config = MakePaperConfig(drive, 2 * 1024 * 1024);
         point.config.use_disk_geometry = geometric;
-        point.config.disk_geometry = drive.geometry;
         points.push_back(std::move(point));
       }
     }
@@ -60,11 +51,11 @@ void Run(BenchContext& ctx) {
     std::printf("-- %s trace --\n", workload);
     TablePrinter table({"Drive", "Model", "Read Mean (ms)", "Read Max", "Write Mean (ms)",
                         "Energy (J)"});
-    for (const Drive& drive : Drives()) {
+    for (const DeviceSpec& drive : Drives()) {
       for (const bool geometric : {false, true}) {
         const SimResult& result = outcomes[next++].result;
         table.BeginRow()
-            .Cell(drive.spec.name)
+            .Cell(drive.name)
             .Cell(std::string(geometric ? "geometry" : "average"))
             .Cell(result.read_response_ms.mean(), 2)
             .Cell(result.read_response_ms.max(), 0)

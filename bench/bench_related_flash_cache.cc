@@ -131,11 +131,12 @@ void Run(BenchContext& ctx) {
           .Cell(std::string("-"));
     }
     const SimResult& all_flash_result = outcomes[next++].result;
-    const std::uint64_t dram_bytes =
-        std::string(workload) == "hp" ? 0 : 2ull * 1024 * 1024;
+    // The paper's 2-Mbyte DRAM cache, as the workload's rules leave it.
+    SimConfig rules;
+    ApplyWorkloadRules(workload, &rules);
     for (const std::uint64_t mb : sizes) {
       const RunStats stats =
-          RunFlashCache(blocks, mb * 1024 * 1024, dram_bytes, spin_down_us);
+          RunFlashCache(blocks, mb * 1024 * 1024, rules.dram_bytes, spin_down_us);
       char label[48];
       std::snprintf(label, sizeof(label), "disk + %llu-MB flash cache",
                     static_cast<unsigned long long>(mb));

@@ -42,8 +42,10 @@ std::vector<Row> Table4Devices() {
 
 void PrintTrace(const std::string& workload, const std::vector<SweepOutcome>& outcomes,
                 std::size_t* next) {
+  SimConfig rules;  // the paper's 2-Mbyte DRAM cache, as the workload's rules leave it
+  ApplyWorkloadRules(workload, &rules);
   std::printf("\nTable 4 (%s trace)%s\n", workload.c_str(),
-              workload == "hp" ? "  [no DRAM cache]" : "  [2-Mbyte DRAM cache]");
+              rules.dram_bytes == 0 ? "  [no DRAM cache]" : "  [2-Mbyte DRAM cache]");
   TablePrinter table({"Device", "Energy (J)", "Read Mean (ms)", "Read Max", "Read sd",
                       "Write Mean (ms)", "Write Max", "Write sd"});
   TablePrinter percentiles({"Device", "Read p50", "Read p95", "Read p99", "Write p50",

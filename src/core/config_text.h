@@ -20,7 +20,7 @@
 //   write_back           bool
 //   sync_interval        write-back sync period, seconds
 //   warm_fraction        leading fraction used to warm caches
-//   geometry             bool (use the geometry-based disk model)
+//   geometry             bool (time disks over their catalog geometry)
 //   fault.seed                  fault-injection RNG seed
 //   fault.power_loss_interval   mean seconds between power losses (0 = off)
 //   fault.transient_error_rate  per-I/O transient failure probability (0..1)

@@ -6,7 +6,7 @@
 
 #include "src/device/device_catalog.h"
 #include "src/device/device_spec.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/storage_device.h"
 #include "src/fault/fault.h"
 #include "src/flash/ftl_policy.h"
 #include "src/flash/segment_manager.h"
@@ -67,10 +67,9 @@ struct SimConfig {
   // reference [5].
   SpinDownPolicy spin_down_policy = SpinDownPolicy::kFixedThreshold;
 
-  // Use the detailed geometry-based disk model (seek curve + rotational
+  // Time disks over their spec's geometry (seek curve + rotational
   // position) instead of the paper's average-cost model; disks only.
   bool use_disk_geometry = false;
-  DiskGeometry disk_geometry;
 
   // Flash-card cleaning.
   bool background_cleaning = true;

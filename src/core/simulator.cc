@@ -148,11 +148,16 @@ void ApplyWorkloadRules(const std::string& workload, SimConfig* config) {
 
 SimConfig EffectiveConfig(const SimConfig& config) {
   const DeviceKind kind = config.device.kind;
-  if (kind == DeviceKind::kFlashCard || kind == DeviceKind::kNandSsd) {
-    return config;
-  }
   const SimConfig defaults;
   SimConfig effective = config;
+  if (kind != DeviceKind::kMagneticDisk) {
+    effective.spin_down_after_us = defaults.spin_down_after_us;
+    effective.spin_down_policy = defaults.spin_down_policy;
+    effective.use_disk_geometry = defaults.use_disk_geometry;
+  }
+  if (kind == DeviceKind::kFlashCard || kind == DeviceKind::kNandSsd) {
+    return effective;
+  }
   effective.export_columns = ColumnGroupsOf(config);
   effective.ftl_policy = defaults.ftl_policy;
   effective.cleaning_policy = defaults.cleaning_policy;

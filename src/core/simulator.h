@@ -46,7 +46,9 @@ void ApplyWorkloadRules(const std::string& workload, SimConfig* config);
 
 // `config` with every field its device kind never reads reset to the
 // SimConfig default, so two configs that simulate identically compare equal.
-//   - Log-structured flash (kFlashCard, kNandSsd): unchanged; it reads all.
+//   - Every device but a magnetic disk has no spindle: spin_down_after_us,
+//     spin_down_policy and use_disk_geometry reset.  Log-structured flash
+//     (kFlashCard, kNandSsd) reads every other field.
 //   - Flash and magnetic disks have no cleaner or FTL: ftl_policy,
 //     cleaning_policy, background_cleaning, separate_cleaning_segment and
 //     interleave_prefill reset.  Flash disks keep flash_utilization, which

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/device/geometric_disk.h"
 #include "src/util/check.h"
 
 namespace mobisim {
@@ -28,6 +27,7 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
   options.block_bytes = block_bytes;
   options.spin_down_after_us = config.spin_down_after_us;
   options.spin_down_policy = config.spin_down_policy;
+  options.geometry_timing = config.use_disk_geometry;
   options.background_cleaning = config.background_cleaning;
   options.cleaning_policy = config.cleaning_policy;
   options.ftl_policy = config.ftl_policy;
@@ -49,11 +49,7 @@ StorageSystem::StorageSystem(const SimConfig& config, std::uint64_t trace_blocks
     options.capacity_bytes = std::max(options.capacity_bytes, trace_bytes);
   }
 
-  if (config.device.kind == DeviceKind::kMagneticDisk && config.use_disk_geometry) {
-    device_ = std::make_unique<GeometricDisk>(config.device, config.disk_geometry, options);
-  } else {
-    device_ = CreateDevice(config.device, options);
-  }
+  device_ = CreateDevice(config.device, options);
   device_->Preload(trace_blocks, config.flash_utilization, config.interleave_prefill);
 }
 

@@ -18,6 +18,34 @@ const char* DeviceKindName(DeviceKind kind) {
   MOBISIM_CHECK(false && "DeviceKindName: corrupt DeviceKind value");
 }
 
+DiskGeometry Cu140Geometry() {
+  // 40-Mbyte 2.5-inch drive: ~980 cylinders x 4 heads x 56 sectors gives
+  // ~107 MB raw; scale cylinders down to land near 40 MB formatted.
+  DiskGeometry g;
+  g.cylinders = 368;
+  g.heads = 4;
+  g.sectors_per_track = 56;
+  g.rpm = 3600.0;
+  g.seek_a_ms = 4.0;
+  g.seek_b_ms = 1.0;
+  g.seek_c_ms = 0.02;
+  return g;
+}
+
+DiskGeometry KittyhawkGeometry() {
+  // 20-Mbyte 1.3-inch drive: fewer, shorter tracks and slower positioning.
+  DiskGeometry g;
+  g.cylinders = 560;
+  g.heads = 2;
+  g.sectors_per_track = 36;
+  g.rpm = 3200.0;
+  g.seek_a_ms = 6.0;
+  g.seek_b_ms = 1.6;
+  g.seek_c_ms = 0.03;
+  g.head_switch_ms = 1.5;
+  return g;
+}
+
 DeviceSpec Cu140Datasheet() {
   DeviceSpec s;
   s.name = "cu140-datasheet";
@@ -33,6 +61,7 @@ DeviceSpec Cu140Datasheet() {
   s.idle_w = 0.7;
   s.sleep_w = 0.0;
   s.spinup_w = 3.0;
+  s.geometry = Cu140Geometry();
   return s;
 }
 
@@ -65,6 +94,7 @@ DeviceSpec KittyhawkDatasheet() {
   s.idle_w = 0.75;
   s.sleep_w = 0.0;
   s.spinup_w = 2.5;
+  s.geometry = KittyhawkGeometry();
   return s;
 }
 

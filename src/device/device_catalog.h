@@ -15,6 +15,11 @@
 
 namespace mobisim {
 
+// Geometry presets sized to the paper's drives; the CU140 and Kittyhawk
+// specs carry them for their geometry timing.
+DiskGeometry Cu140Geometry();
+DiskGeometry KittyhawkGeometry();
+
 // Western Digital Caviar Ultralite CU140 40-Mbyte PCMCIA Type III disk.
 DeviceSpec Cu140Measured();
 DeviceSpec Cu140Datasheet();

@@ -7,6 +7,7 @@
 #ifndef MOBISIM_SRC_DEVICE_DEVICE_SPEC_H_
 #define MOBISIM_SRC_DEVICE_DEVICE_SPEC_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -43,6 +44,40 @@ struct NandTopology {
   std::uint32_t block_bytes() const { return page_bytes * pages_per_block; }
 
   bool operator==(const NandTopology&) const = default;
+};
+
+// Cylinder/head/sector layout and positioning costs of a magnetic disk, read
+// only by its geometry timing (MagneticDisk; DESIGN.md §18): LBAs map to
+// cylinder/head/sector, seeks follow an a + b*sqrt(d) + c*d curve over
+// cylinder distance, and rotational latency follows the platter's position.
+struct DiskGeometry {
+  std::uint32_t cylinders = 0;  // 0 marks a spec with no geometry
+  std::uint32_t heads = 4;
+  std::uint32_t sectors_per_track = 56;
+  std::uint32_t sector_bytes = 512;
+  double rpm = 3600.0;
+  // Seek time over a distance of d cylinders: a + b*sqrt(d) + c*d (0 for
+  // d == 0).
+  double seek_a_ms = 3.0;
+  double seek_b_ms = 0.5;
+  double seek_c_ms = 0.008;
+  double head_switch_ms = 1.0;
+  double controller_ms = 0.5;
+
+  std::uint64_t total_sectors() const {
+    return static_cast<std::uint64_t>(cylinders) * heads * sectors_per_track;
+  }
+  std::uint64_t capacity_bytes() const { return total_sectors() * sector_bytes; }
+  double revolution_ms() const { return 60000.0 / rpm; }
+  double SeekMs(std::uint32_t distance_cylinders) const {
+    if (distance_cylinders == 0) {
+      return 0.0;
+    }
+    const auto d = static_cast<double>(distance_cylinders);
+    return seek_a_ms + seek_b_ms * std::sqrt(d) + seek_c_ms * d;
+  }
+
+  bool operator==(const DiskGeometry&) const = default;
 };
 
 struct DeviceSpec {
@@ -95,6 +130,9 @@ struct DeviceSpec {
 
   // -- NAND topology (kNandSsd only; nand.channels == 0 otherwise) -----------
   NandTopology nand;
+
+  // -- Disk geometry (kMagneticDisk geometry timing; cylinders == 0: none) ---
+  DiskGeometry geometry;
 
   bool operator==(const DeviceSpec&) const = default;
 };

@@ -58,6 +58,14 @@ void ValidateDeviceSpec(const DeviceSpec& spec, const DeviceOptions& options) {
                            spec.erase_ms_per_segment > 0.0,
                        "erase_ms_per_segment");
   }
+  if (spec.kind == DeviceKind::kMagneticDisk && options.geometry_timing) {
+    const DiskGeometry& g = spec.geometry;
+    MOBISIM_SPEC_FIELD(g.cylinders > 0, "geometry.cylinders");
+    MOBISIM_SPEC_FIELD(g.heads > 0, "geometry.heads");
+    MOBISIM_SPEC_FIELD(g.sectors_per_track > 0, "geometry.sectors_per_track");
+    MOBISIM_SPEC_FIELD(g.sector_bytes > 0, "geometry.sector_bytes");
+    MOBISIM_SPEC_FIELD(std::isfinite(g.rpm) && g.rpm > 0.0, "geometry.rpm");
+  }
   if (spec.kind == DeviceKind::kNandSsd) {
     const NandTopology& n = spec.nand;
     MOBISIM_SPEC_FIELD(n.channels > 0, "nand.channels");

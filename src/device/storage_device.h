@@ -140,6 +140,9 @@ struct DeviceOptions {
   // Adaptive-policy bounds on the threshold.
   SimTime adaptive_min_us = kUsPerSec / 2;
   SimTime adaptive_max_us = 60 * kUsPerSec;
+  // Magnetic disk: time each operation over spec.geometry (seek curve and
+  // rotational position) instead of the paper's average costs.
+  bool geometry_timing = false;
   // Log-structured flash: background cleaning keeps a segment erased ahead
   // of writes; on-demand cleans only when a write finds no free slot
   // (section 4.2).
@@ -164,8 +167,9 @@ struct DeviceOptions {
 // Rejects malformed device configurations up front instead of letting them
 // surface as inf/NaN service times deep inside a sweep.  Throws SimError
 // naming the offending field (zero/negative bandwidths, zero block or erase
-// sizes, inconsistent NAND topology).  Every device constructor calls this,
-// so hand-built devices get the same protection as CreateDevice callers.
+// sizes, inconsistent NAND topology, a geometry-timed disk without a usable
+// geometry).  Every device constructor calls this, so hand-built devices get
+// the same protection as CreateDevice callers.
 void ValidateDeviceSpec(const DeviceSpec& spec, const DeviceOptions& options);
 
 std::unique_ptr<StorageDevice> CreateDevice(const DeviceSpec& spec, const DeviceOptions& options);

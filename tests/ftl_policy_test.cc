@@ -13,6 +13,7 @@
 
 #include "src/core/config_text.h"
 #include "src/core/result_io.h"
+#include "src/device/device_catalog.h"
 #include "src/flash/ftl_policy.h"
 #include "src/runner/ablation.h"
 #include "src/runner/experiment_spec.h"
@@ -410,6 +411,61 @@ TEST(FtlDimensionTest, FtlRowsCarryPolicyColumnsAndHistoricRowsDoNot) {
   ASSERT_NE(row.Find("ftl"), nullptr);
   EXPECT_EQ(row.Text("ftl", ""), "page-diff");
   EXPECT_EQ(row.Text("backend", ""), "average-cost");
+}
+
+// --- The backend axis --------------------------------------------------------
+
+// `backends = geometry` times each drive over its own catalog geometry: the
+// grid's Kittyhawk row is the one a hand-built Kittyhawk-geometry point gives,
+// and not the one the CU140's geometry gives.
+TEST(BackendAxisTest, GeometryRowsUseEachDrivesCatalogGeometry) {
+  ExperimentSpec spec;
+  std::string error;
+  ASSERT_TRUE(ApplySpecAssignment(&spec, "devices", "kh-datasheet", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&spec, "workloads", "mac", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&spec, "backends", "geometry", &error)) << error;
+  ASSERT_TRUE(ApplySpecAssignment(&spec, "scale", "0.05", &error)) << error;
+  const std::vector<ExperimentPoint> points = EnumerateGrid(spec);
+  ASSERT_EQ(points.size(), 1u);
+
+  ExperimentPoint by_hand = points[0];
+  by_hand.config.device = KittyhawkDatasheet();
+  by_hand.config.device.geometry = KittyhawkGeometry();
+  by_hand.config.use_disk_geometry = true;
+  ExperimentPoint cu140_geometry = by_hand;
+  cu140_geometry.config.device.geometry = Cu140Geometry();
+
+  const auto row = [](const ExperimentPoint& point) {
+    const std::vector<SweepOutcome> outcomes = CollectSweep({point}, SweepOptions{});
+    EXPECT_FALSE(outcomes.at(0).failed) << outcomes.at(0).error;
+    return RowToJson(outcomes.at(0).row);
+  };
+  EXPECT_EQ(row(points[0]), row(by_hand));
+  EXPECT_NE(row(points[0]), row(cu140_geometry));
+}
+
+// Only a magnetic disk reads the backend, and only log-structured flash the
+// FTL: of 18 points, the card runs once per FTL, the flash disk once and the
+// disk once per backend.
+TEST(BackendAxisTest, OnlyDisksSplitOnTheBackendAxis) {
+  ExperimentSpec spec;
+  std::string error;
+  for (const auto& [key, value] : std::vector<std::pair<std::string, std::string>>{
+           {"devices", "intel-datasheet,sdp5-datasheet,cu140-datasheet"},
+           {"workloads", "synth"},
+           {"utilizations", "0.9"},
+           {"backends", "average-cost,geometry"},
+           {"ftl", "greedy,page-diff,fat-remap"}}) {
+    ASSERT_TRUE(ApplySpecAssignment(&spec, key, value, &error)) << error;
+  }
+  const std::vector<ExperimentPoint> points = EnumerateGrid(spec);
+  ASSERT_EQ(points.size(), 18u);
+  const std::vector<std::size_t> leaders = SimulationLeaders(points);
+  std::size_t simulations = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    simulations += leaders[i] == i ? 1 : 0;
+  }
+  EXPECT_EQ(simulations, 3u + 1u + 2u);
 }
 
 // --- Optional column groups ----------------------------------------------

@@ -1,11 +1,23 @@
-// Unit tests for the geometry-based disk model.
+// Unit tests for the geometry timing of the magnetic-disk model: the seek
+// curve, rotational position and head switches, on the same spin-state
+// machine, energy modes and power-loss handling as the average-cost timing.
 #include <gtest/gtest.h>
 
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/magnetic_disk.h"
 
 namespace mobisim {
 namespace {
+
+BlockRecord Rec(SimTime t, std::uint64_t lba, std::uint32_t count, std::uint32_t file) {
+  BlockRecord rec;
+  rec.time_us = t;
+  rec.op = OpType::kRead;
+  rec.lba = lba;
+  rec.block_count = count;
+  rec.file_id = file;
+  return rec;
+}
 
 DiskGeometry SmallGeometry() {
   DiskGeometry g;
@@ -22,21 +34,19 @@ DiskGeometry SmallGeometry() {
   return g;
 }
 
-DeviceOptions TestOptions() {
+// The CU140's spec with the small geometry, timed over it.
+DeviceSpec SmallGeometryDisk() {
+  DeviceSpec spec = Cu140Datasheet();
+  spec.geometry = SmallGeometry();
+  return spec;
+}
+
+DeviceOptions GeometryOptions() {
   DeviceOptions options;
   options.block_bytes = 512;
   options.spin_down_after_us = 5 * kUsPerSec;
+  options.geometry_timing = true;
   return options;
-}
-
-BlockRecord Rec(SimTime t, std::uint64_t lba, std::uint32_t count) {
-  BlockRecord rec;
-  rec.time_us = t;
-  rec.op = OpType::kRead;
-  rec.lba = lba;
-  rec.block_count = count;
-  rec.file_id = 1;
-  return rec;
 }
 
 TEST(DiskGeometryTest, SeekCurve) {
@@ -57,8 +67,24 @@ TEST(DiskGeometryTest, CapacityArithmetic) {
   EXPECT_DOUBLE_EQ(g.revolution_ms(), 10.0);
 }
 
-TEST(GeometricDiskTest, RotationalLatencyBounded) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(DiskGeometryTest, PresetsSizedLikeTheRealDrives) {
+  EXPECT_NEAR(static_cast<double>(Cu140Geometry().capacity_bytes()) / (1024 * 1024), 40.0,
+              4.0);
+  EXPECT_NEAR(static_cast<double>(KittyhawkGeometry().capacity_bytes()) / (1024 * 1024),
+              20.0, 2.0);
+}
+
+TEST(DiskGeometryTest, CatalogDisksCarryTheirOwnPreset) {
+  EXPECT_TRUE(Cu140Datasheet().geometry == Cu140Geometry());
+  EXPECT_TRUE(Cu140Measured().geometry == Cu140Geometry());
+  EXPECT_TRUE(KittyhawkDatasheet().geometry == KittyhawkGeometry());
+  EXPECT_FALSE(Cu140Geometry() == KittyhawkGeometry());
+  // Flash specs carry none.
+  EXPECT_EQ(Sdp5Datasheet().geometry.cylinders, 0u);
+}
+
+TEST(MagneticDiskGeometryTest, RotationalLatencyBounded) {
+  MagneticDisk disk(SmallGeometryDisk(), GeometryOptions());
   // Same cylinder (sector 0, head at cylinder 0): cost is controller +
   // rotation wait (< one revolution) + 1 sector transfer.
   const SimTime t = disk.MechanicalTimeUs(0, 1, 0, 0);
@@ -67,11 +93,11 @@ TEST(GeometricDiskTest, RotationalLatencyBounded) {
   EXPECT_GE(t, 0);
 }
 
-TEST(GeometricDiskTest, MechanicalTimeDecomposes) {
+TEST(MagneticDiskGeometryTest, MechanicalTimeDecomposes) {
   // total = controller + seek + rotational wait (in [0, rev)) + transfer.
   // A longer seek can absorb rotational wait, so totals are compared via
   // their decomposition, not directly.
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+  MagneticDisk disk(SmallGeometryDisk(), GeometryOptions());
   const DiskGeometry g = SmallGeometry();
   const std::uint64_t per_cyl = g.heads * g.sectors_per_track;
   const SimTime sector_us = UsFromMs(g.revolution_ms() / g.sectors_per_track);
@@ -84,8 +110,8 @@ TEST(GeometricDiskTest, MechanicalTimeDecomposes) {
   }
 }
 
-TEST(GeometricDiskTest, TrackBoundaryPaysHeadSwitch) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(MagneticDiskGeometryTest, TrackBoundaryPaysHeadSwitch) {
+  MagneticDisk disk(SmallGeometryDisk(), GeometryOptions());
   // 8 sectors = exactly one track: no switch.  9 sectors: one head switch.
   const SimTime one_track = disk.MechanicalTimeUs(0, 8, 0, 0);
   const SimTime spill = disk.MechanicalTimeUs(0, 9, 0, 0);
@@ -93,46 +119,79 @@ TEST(GeometricDiskTest, TrackBoundaryPaysHeadSwitch) {
   EXPECT_EQ(spill - one_track, UsFromMs(g.head_switch_ms + 10.0 / 8.0));
 }
 
-TEST(GeometricDiskTest, SequentialRunFasterThanScattered) {
-  GeometricDisk seq(Cu140Datasheet(), SmallGeometry(), TestOptions());
-  GeometricDisk scattered(Cu140Datasheet(), SmallGeometry(), TestOptions());
+TEST(MagneticDiskGeometryTest, SequentialRunFasterThanScattered) {
+  MagneticDisk seq(SmallGeometryDisk(), GeometryOptions());
+  MagneticDisk scattered(SmallGeometryDisk(), GeometryOptions());
   SimTime t = 0;
   SimTime seq_total = 0;
   SimTime sc_total = 0;
   for (int i = 0; i < 8; ++i) {
-    seq_total += seq.Read(t, Rec(t, static_cast<std::uint64_t>(i), 1));
+    seq_total += seq.Read(t, Rec(t, static_cast<std::uint64_t>(i), 1, 1));
     // Scattered: jump across the whole disk each time.
-    sc_total += scattered.Read(t, Rec(t, static_cast<std::uint64_t>((i * 71) % 150), 1));
+    sc_total +=
+        scattered.Read(t, Rec(t, static_cast<std::uint64_t>((i * 71) % 150), 1, 1));
     t += kUsPerSec;
   }
   EXPECT_LT(seq_total, sc_total);
 }
 
-TEST(GeometricDiskTest, SpinDownAndWake) {
-  GeometricDisk disk(Cu140Datasheet(), SmallGeometry(), TestOptions());
-  disk.Read(0, Rec(0, 0, 1));
+TEST(MagneticDiskGeometryTest, IgnoresTheAverageCostFileRule) {
+  // Same file, far cylinder: the average-cost model would charge only the
+  // sequential overhead; the geometry timing pays the seek.
+  MagneticDisk disk(SmallGeometryDisk(), GeometryOptions());
+  disk.Read(0, Rec(0, 0, 1, 7));
+  const SimTime t2 = kUsPerSec;
+  const SimTime response = disk.Read(t2, Rec(t2, 9 * 16, 1, 7));
+  EXPECT_GE(response, UsFromMs(SmallGeometry().SeekMs(9)));
+}
+
+TEST(MagneticDiskGeometryTest, SpinDownAndWake) {
+  MagneticDisk disk(SmallGeometryDisk(), GeometryOptions());
+  disk.Read(0, Rec(0, 0, 1, 1));
   EXPECT_TRUE(disk.IsSpinningAt(4 * kUsPerSec));
   EXPECT_FALSE(disk.IsSpinningAt(6 * kUsPerSec));
   const SimTime t2 = 20 * kUsPerSec;
-  const SimTime response = disk.Read(t2, Rec(t2, 0, 1));
+  const SimTime response = disk.Read(t2, Rec(t2, 0, 1, 1));
   EXPECT_GE(response, UsFromMs(Cu140Datasheet().spinup_ms));
   EXPECT_EQ(disk.counters().spinups, 1u);
 }
 
-TEST(GeometricDiskTest, EnergyModesMatchAverageModel) {
-  // Idle/sleep accounting uses the same machinery as MagneticDisk: 10 s
-  // idle-then-finish gives 5 s idle + 5 s sleep.
-  DeviceSpec spec = Cu140Datasheet();
-  GeometricDisk disk(spec, SmallGeometry(), TestOptions());
+TEST(MagneticDiskGeometryTest, EnergyModesMatchAverageModel) {
+  // Idle/sleep accounting is the one state machine: 10 s idle-then-finish
+  // gives 5 s idle + 5 s sleep.
+  const DeviceSpec spec = SmallGeometryDisk();
+  MagneticDisk disk(spec, GeometryOptions());
   disk.Finish(10 * kUsPerSec);
   EXPECT_NEAR(disk.energy().total_joules(), 5.0 * spec.idle_w + 5.0 * spec.sleep_w, 1e-6);
 }
 
-TEST(GeometricDiskTest, PresetsSizedLikeTheRealDrives) {
-  EXPECT_NEAR(static_cast<double>(Cu140Geometry().capacity_bytes()) / (1024 * 1024), 40.0,
-              4.0);
-  EXPECT_NEAR(static_cast<double>(KittyhawkGeometry().capacity_bytes()) / (1024 * 1024),
-              20.0, 2.0);
+TEST(MagneticDiskGeometryTest, AdaptiveThresholdMoves) {
+  // The adaptive policy runs on geometry timing too: a premature sleep
+  // doubles the threshold, a long one shrinks it.
+  DeviceOptions options = GeometryOptions();
+  options.spin_down_policy = SpinDownPolicy::kAdaptive;
+  options.spin_down_after_us = 2 * kUsPerSec;
+  MagneticDisk disk(SmallGeometryDisk(), options);
+  disk.Read(0, Rec(0, 0, 1, 1));
+  disk.Read(3 * kUsPerSec, Rec(3 * kUsPerSec, 0, 1, 1));
+  EXPECT_EQ(disk.spin_down_threshold_us(), 4 * kUsPerSec);
+  const SimTime t3 = 600 * kUsPerSec;
+  disk.Read(t3, Rec(t3, 0, 1, 1));
+  EXPECT_EQ(disk.spin_down_threshold_us(), 4 * kUsPerSec * 9 / 10);
+}
+
+TEST(MagneticDiskGeometryTest, PowerLossParksTheHeads) {
+  // A power loss ends in a spin-up, so the next access seeks from cylinder
+  // 0: the same as a fresh disk's first access, plus the spin-up.
+  const SimTime t = 2 * kUsPerSec;
+  MagneticDisk fresh(SmallGeometryDisk(), GeometryOptions());
+  fresh.Read(0, Rec(0, 9 * 16, 1, 1));
+  fresh.PowerLoss(t);
+  const SimTime after_loss = fresh.Read(t, Rec(t, 5 * 16, 1, 1));
+  const SimTime spinup_us = UsFromMs(Cu140Datasheet().spinup_ms);
+  MagneticDisk reference(SmallGeometryDisk(), GeometryOptions());
+  EXPECT_EQ(after_loss, spinup_us + reference.MechanicalTimeUs(5 * 16, 1, 0, t + spinup_us));
+  EXPECT_EQ(fresh.counters().spinups, 1u);
 }
 
 }  // namespace

@@ -76,7 +76,6 @@ TEST(IntegrationTest, GeometryAndAverageModelsAgreeOnEnergyScale) {
   SimConfig average = MakePaperConfig(Cu140Datasheet(), 1024 * 1024);
   SimConfig geometry = average;
   geometry.use_disk_geometry = true;
-  geometry.disk_geometry = Cu140Geometry();
   const SimResult a = RunSimulation(blocks, average);
   const SimResult g = RunSimulation(blocks, geometry);
   // Same spin-state machinery: energies within 25% of each other.

@@ -1,5 +1,6 @@
-// Unit tests for the magnetic-disk model: spin-state machine, seek policy,
-// queueing, and exact energy accounting.
+// Unit tests for the magnetic-disk model on average-cost timing: spin-state
+// machine, seek policy, queueing and exact energy accounting.  The geometry
+// timing of the same class is tested in geometric_disk_test.cc.
 #include <gtest/gtest.h>
 
 #include "src/device/device_catalog.h"

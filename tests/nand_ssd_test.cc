@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/config_text.h"
@@ -367,6 +368,32 @@ TEST(ValidateDeviceSpecTest, NandTopologyFieldsAreChecked) {
             std::string::npos);
 }
 
+TEST(ValidateDeviceSpecTest, DiskGeometryFieldsAreChecked) {
+  DeviceOptions options;
+  options.geometry_timing = true;
+  const std::pair<const char*, void (*)(DiskGeometry*)> cases[] = {
+      {"geometry.cylinders", [](DiskGeometry* g) { g->cylinders = 0; }},
+      {"geometry.heads", [](DiskGeometry* g) { g->heads = 0; }},
+      {"geometry.sectors_per_track", [](DiskGeometry* g) { g->sectors_per_track = 0; }},
+      {"geometry.sector_bytes", [](DiskGeometry* g) { g->sector_bytes = 0; }},
+      {"geometry.rpm", [](DiskGeometry* g) { g->rpm = 0.0; }},
+      {"geometry.rpm", [](DiskGeometry* g) { g->rpm = std::nan(""); }},
+  };
+  for (const auto& [field, breaks] : cases) {
+    DeviceSpec spec = KittyhawkDatasheet();
+    breaks(&spec.geometry);
+    EXPECT_NE(ValidationError(spec, options).find(field), std::string::npos) << field;
+  }
+
+  // The geometry is read only by a disk on its geometry timing: a disk
+  // without one is fine on average costs, and flash never reads it.
+  DeviceSpec spec = Cu140Datasheet();
+  spec.geometry = DiskGeometry{};
+  EXPECT_NE(ValidationError(spec, options).find("geometry.cylinders"), std::string::npos);
+  EXPECT_EQ(ValidationError(spec, DeviceOptions{}), "");
+  EXPECT_EQ(ValidationError(Sdp5Datasheet(), options), "");
+}
+
 TEST(ValidateDeviceSpecTest, ConstructorsRejectMalformedSpecs) {
   DeviceOptions options;
   options.capacity_bytes = kCapacity;
@@ -377,6 +404,11 @@ TEST(ValidateDeviceSpecTest, ConstructorsRejectMalformedSpecs) {
   DeviceSpec card = IntelCardDatasheet();
   card.erase_ms_per_segment = 0.0;
   EXPECT_THROW(LogFlashDevice(card, options), SimError);
+
+  DeviceSpec disk = Cu140Datasheet();
+  disk.geometry.heads = 0;
+  options.geometry_timing = true;
+  EXPECT_THROW(CreateDevice(disk, options), SimError);
 }
 
 // ---- Name-normalized catalog lookups ---------------------------------------

@@ -9,7 +9,6 @@
 #include "src/core/result_io.h"
 #include "src/core/simulator.h"
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
 #include "src/trace/block_mapper.h"
 #include "src/trace/calibrated_workload.h"
 
@@ -156,20 +155,16 @@ TEST(SimulatorOrderingTest, UtilizationRaisesFlashCardEnergy) {
   EXPECT_GT(high_result.max_segment_erases, low_result.max_segment_erases);
 }
 
-// Every catalog device, plus the geometry backend of both disks.
+// Every catalog device, plus both disks on their geometry timing.
 std::vector<SimConfig> EveryDeviceConfig() {
   std::vector<SimConfig> configs;
   for (const DeviceSpec& spec : AllDeviceSpecs()) {
     configs.push_back(MakePaperConfig(spec, 2 * 1024 * 1024));
   }
-  SimConfig cu140 = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
-  cu140.use_disk_geometry = true;
-  cu140.disk_geometry = Cu140Geometry();
-  configs.push_back(cu140);
-  SimConfig kittyhawk = MakePaperConfig(KittyhawkDatasheet(), 2 * 1024 * 1024);
-  kittyhawk.use_disk_geometry = true;
-  kittyhawk.disk_geometry = KittyhawkGeometry();
-  configs.push_back(kittyhawk);
+  for (const DeviceSpec& disk : {Cu140Datasheet(), KittyhawkDatasheet()}) {
+    configs.push_back(MakePaperConfig(disk, 2 * 1024 * 1024));
+    configs.back().use_disk_geometry = true;
+  }
   return configs;
 }
 
@@ -185,6 +180,9 @@ constexpr ConfigMove kResettableFieldMoves[] = {
     [](SimConfig* c) { c->flash_utilization = 0.5; },
     [](SimConfig* c) { c->auto_capacity = false; },
     [](SimConfig* c) { c->flash_async_erasure = false; },
+    [](SimConfig* c) { c->spin_down_after_us = 2 * kUsPerSec; },
+    [](SimConfig* c) { c->spin_down_policy = SpinDownPolicy::kAdaptive; },
+    [](SimConfig* c) { c->use_disk_geometry = true; },
 };
 
 void MoveResettableFields(SimConfig* config) {
@@ -214,7 +212,8 @@ TEST(EffectiveConfigTest, ResetFieldsNeverChangeTheRow) {
       }
       variants.push_back(base);
       MoveResettableFields(&variants.back());
-      EXPECT_EQ(IsLogFlash(base), EffectiveConfig(variants.back()) == variants.back());
+      // Every kind resets some moved field: the spindle's or the flash's.
+      EXPECT_FALSE(EffectiveConfig(variants.back()) == variants.back());
       for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE(workload + " on " + base.device.name +
                      (base.use_disk_geometry ? " (geometry)" : "") + ", variant " +
@@ -226,6 +225,7 @@ TEST(EffectiveConfigTest, ResetFieldsNeverChangeTheRow) {
   }
 }
 
+// Log-structured flash reads every moved field but the spindle's.
 TEST(EffectiveConfigTest, IdempotentAndIdentityOnLogFlash) {
   for (SimConfig config : EveryDeviceConfig()) {
     SCOPED_TRACE(config.device.name);
@@ -234,7 +234,12 @@ TEST(EffectiveConfigTest, IdempotentAndIdentityOnLogFlash) {
     const SimConfig effective = EffectiveConfig(config);
     EXPECT_TRUE(EffectiveConfig(effective) == effective);
     if (IsLogFlash(config)) {
-      EXPECT_TRUE(effective == config);
+      SimConfig flash_fields = config;
+      const SimConfig defaults;
+      flash_fields.spin_down_after_us = defaults.spin_down_after_us;
+      flash_fields.spin_down_policy = defaults.spin_down_policy;
+      flash_fields.use_disk_geometry = defaults.use_disk_geometry;
+      EXPECT_TRUE(effective == flash_fields);
     }
   }
 }
@@ -251,6 +256,13 @@ TEST(EffectiveConfigTest, KeepsFlashDiskUtilizationAndFtlColumns) {
     } else if (config.device.kind == DeviceKind::kMagneticDisk) {
       EXPECT_EQ(effective.flash_utilization, defaults.flash_utilization);
     }
+    // Only a magnetic disk keeps its spindle fields.
+    const bool disk = config.device.kind == DeviceKind::kMagneticDisk;
+    EXPECT_EQ(effective.spin_down_after_us,
+              disk ? 2 * kUsPerSec : defaults.spin_down_after_us);
+    EXPECT_EQ(effective.spin_down_policy,
+              disk ? SpinDownPolicy::kAdaptive : defaults.spin_down_policy);
+    EXPECT_EQ(effective.use_disk_geometry, disk);
     // A reset never changes the run's column groups.
     EXPECT_TRUE(ColumnGroupsOf(effective) == ColumnGroupsOf(config));
     EXPECT_TRUE(ColumnGroupsOf(effective).Has(ColumnGroup::kFtl));
@@ -259,6 +271,25 @@ TEST(EffectiveConfigTest, KeepsFlashDiskUtilizationAndFtlColumns) {
   EXPECT_FALSE(ColumnGroupsOf(EffectiveConfig(plain)).Has(ColumnGroup::kFtl));
   plain.cleaning_policy = CleaningPolicy::kCostBenefit;
   EXPECT_FALSE(ColumnGroupsOf(EffectiveConfig(plain)).Has(ColumnGroup::kFtl));
+}
+
+// The adaptive spin-down policy runs on the geometry timing as on the
+// average-cost one: on the same trace it moves the rows off the fixed
+// threshold's.
+TEST(DiskTimingTest, AdaptiveSpinDownMovesTheRowsOnBothTimings) {
+  const TraceView trace = BlockMapper::Map(GenerateNamedWorkload("mac", 0.1));
+  for (const bool geometry : {false, true}) {
+    SCOPED_TRACE(geometry ? "geometry" : "average-cost");
+    SimConfig fixed = MakePaperConfig(Cu140Datasheet(), 2 * 1024 * 1024);
+    fixed.use_disk_geometry = geometry;
+    fixed.spin_down_after_us = kUsPerSec;
+    SimConfig adaptive = fixed;
+    adaptive.spin_down_policy = SpinDownPolicy::kAdaptive;
+    const SimResult fixed_result = RunSimulation(trace, fixed);
+    const SimResult adaptive_result = RunSimulation(trace, adaptive);
+    EXPECT_NE(fixed_result.counters.spinups, adaptive_result.counters.spinups);
+    EXPECT_NE(RowToJson(ResultToRow(fixed_result)), RowToJson(ResultToRow(adaptive_result)));
+  }
 }
 
 }  // namespace

@@ -181,7 +181,6 @@ TEST(StorageSystemTest, WriteBackSyncFlushesOnSchedule) {
 TEST(StorageSystemTest, GeometryModelIntegrates) {
   SimConfig config = DiskConfig(1024 * 1024, 32 * 1024);
   config.use_disk_geometry = true;
-  config.disk_geometry = Cu140Geometry();
   StorageSystem system(config, 100, kBlock);
   const SimTime read = system.Handle(Rec(0, OpType::kRead, 0, 2));
   EXPECT_GT(read, UsFromMs(1));

@@ -10,15 +10,14 @@
 #include <vector>
 
 #include "src/device/device_catalog.h"
-#include "src/device/geometric_disk.h"
+#include "src/device/storage_device.h"
 #include "src/util/rng.h"
 
 namespace mobisim {
 namespace {
 
-// One catalog spec, built through CreateDevice and the virtual preload; the
-// geometry-based disk model (which StorageSystem builds directly) joins as
-// an extra maker.
+// One catalog spec, built through CreateDevice and the virtual preload; every
+// catalog disk joins a second time on its geometry timing.
 struct DeviceMaker {
   std::string name;
   DeviceSpec spec;
@@ -32,7 +31,11 @@ std::vector<DeviceMaker> AllMakers() {
   for (const DeviceSpec& spec : AllDeviceSpecs()) {
     makers.push_back({spec.name, spec});
   }
-  makers.push_back({"cu140-geometry", Cu140Datasheet(), /*geometry=*/true});
+  for (const DeviceSpec& spec : AllDeviceSpecs()) {
+    if (spec.kind == DeviceKind::kMagneticDisk) {
+      makers.push_back({spec.name + "-geometry", spec, /*geometry=*/true});
+    }
+  }
   return makers;
 }
 
@@ -40,9 +43,7 @@ std::unique_ptr<StorageDevice> Make(const DeviceMaker& maker) {
   DeviceOptions options;
   options.block_bytes = 1024;
   options.capacity_bytes = 4 * 1024 * 1024;
-  if (maker.geometry) {
-    return std::make_unique<GeometricDisk>(maker.spec, Cu140Geometry(), options);
-  }
+  options.geometry_timing = maker.geometry;
   std::unique_ptr<StorageDevice> device = CreateDevice(maker.spec, options);
   device->Preload(1024, 0.7, /*interleave=*/true);
   return device;
