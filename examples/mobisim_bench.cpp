@@ -29,12 +29,13 @@
 //
 // Exit status: 0 on a clean run, 1 when any bench had failed points (the
 // failures are also exported as `_error` rows), 2 on usage errors.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "src/bench_db/bench_db.h"
 #include "src/core/config_text.h"
 #include "src/runner/bench_registry.h"
 #include "src/runner/cli_options.h"
@@ -46,6 +47,41 @@
 namespace {
 
 using namespace mobisim;
+
+// Numbers `point` across the whole invocation.  Each bench counts its rows
+// from 0, so every sink is wrapped to shift a bench's points past the
+// highest one the benches before it wrote: one export never holds two rows
+// with one point, and a single bench's rows keep their numbers.
+struct InvocationPoints {
+  std::uint64_t base = 0;  // added to the running bench's points
+  std::uint64_t next = 0;  // one past the highest point written so far
+};
+
+class InvocationPointSink : public ResultSink {
+ public:
+  InvocationPointSink(ResultSink* inner, InvocationPoints* points)
+      : inner_(inner), points_(points) {}
+
+  void Write(const ResultRow& row) override {
+    ResultRow shifted = row;
+    if (const auto point = row.Uint("point")) {
+      const std::uint64_t global = *point + points_->base;
+      for (ResultField& field : shifted.fields) {
+        if (field.key == "point") {
+          field.value = std::to_string(global);
+        }
+      }
+      points_->next = std::max(points_->next, global + 1);
+    }
+    inner_->Write(shifted);
+  }
+  bool AcceptsErrorRows() const override { return inner_->AcceptsErrorRows(); }
+  bool AcceptsDynamicRows() const override { return inner_->AcceptsDynamicRows(); }
+
+ private:
+  ResultSink* inner_;
+  InvocationPoints* points_;
+};
 
 int Usage() {
   std::fprintf(stderr,
@@ -171,7 +207,11 @@ int RunCommand(std::vector<std::string> args) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  VectorResultSink collected;
+  InvocationPoints points;
+  std::vector<InvocationPointSink> numbered;
+  for (ResultSink* sink : sinks.sinks()) {
+    numbered.emplace_back(sink, &points);
+  }
 
   const std::unique_ptr<TraceCache> trace_cache = OpenTraceCache(common);
 
@@ -182,11 +222,10 @@ int RunCommand(std::vector<std::string> args) {
   options.threads = common.jobs;
   options.seed = common.seed;
   options.replicas = common.replicas;
-  options.sinks = sinks.sinks();
-  options.trace_cache = trace_cache.get();
-  if (!common.db_root.empty()) {
-    options.sinks.push_back(&collected);
+  for (InvocationPointSink& sink : numbered) {
+    options.sinks.push_back(&sink);
   }
+  options.trace_cache = trace_cache.get();
 
   std::size_t failed = 0;
   for (std::size_t i = 0; i < benches.size(); ++i) {
@@ -195,6 +234,7 @@ int RunCommand(std::vector<std::string> args) {
       std::fprintf(stderr, "mobisim_bench: [%zu/%zu] %s\n", i + 1, benches.size(),
                    def->name.c_str());
     }
+    points.base = points.next;
     const std::size_t bench_failed = RunBench(*def, options);
     if (bench_failed > 0) {
       failed += bench_failed;
@@ -202,18 +242,8 @@ int RunCommand(std::vector<std::string> args) {
                    def->name.c_str(), bench_failed, bench_failed == 1 ? "" : "s");
     }
   }
-  sinks.Finish();
-
-  if (!common.db_root.empty()) {
-    BenchDb db(common.db_root);
-    const auto stored = db.StoreRun(meta, collected.rows(), &error);
-    if (!stored) {
-      std::fprintf(stderr, "error storing run: %s\n", error.c_str());
-      return 1;
-    }
-    if (!common.quiet) {
-      std::fprintf(stderr, "mobisim_bench: stored %s\n", stored->c_str());
-    }
+  if (!sinks.Finish("mobisim_bench")) {
+    return 1;
   }
   if (trace_cache != nullptr && !common.quiet) {
     // The stats line is CI's evidence that a warm cache performed zero

@@ -13,7 +13,7 @@
 // of the human-readable table: --jsonl FILE|- and --csv FILE|- write the
 // run as sweep-schema rows, --seed N picks the workload-generator seed,
 // and --replicas N exports N independently seeded re-runs (the table shows
-// the first); --db/--name/--sha land the rows in a bench_db store.
+// the first); --db/--name/--sha merge the rows into a bench_db store.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/bench_db/bench_db.h"
 #include "src/core/config_text.h"
 #include "src/core/simulator.h"
 #include "src/runner/cli_options.h"
@@ -240,7 +239,6 @@ int RunMain(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<ResultRow> rows;
   for (std::size_t replica = 0; replica < replicas; ++replica) {
     ExperimentPoint point;
     point.index = replica;
@@ -256,24 +254,13 @@ int RunMain(int argc, char** argv) {
       replica_result = RunSimulation(
           LoadOrGenerateTraceView(tcache.get(), workload, scale, point.seed), config);
     }
-    ResultRow row = MergePointAndResult(point, replica_result);
+    const ResultRow row = MergePointAndResult(point, replica_result);
     for (ResultSink* sink : sinks.sinks()) {
       sink->Write(row);
     }
-    rows.push_back(std::move(row));
   }
-  sinks.Finish();
-
-  if (!common.db_root.empty()) {
-    BenchDb db(common.db_root);
-    const auto stored = db.StoreRun(meta, rows, &error);
-    if (!stored) {
-      std::fprintf(stderr, "error storing run: %s\n", error.c_str());
-      return 1;
-    }
-    if (!common.quiet) {
-      std::fprintf(stderr, "mobisim_cli: stored %s\n", stored->c_str());
-    }
+  if (!sinks.Finish("mobisim_cli")) {
+    return 1;
   }
   if (tcache != nullptr && !common.quiet) {
     std::fprintf(stderr, "mobisim_cli: %s\n", tcache->StatsLine().c_str());

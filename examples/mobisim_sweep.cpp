@@ -41,11 +41,12 @@
 // then the registered benches of the canned paper experiments (run those
 // with `mobisim_bench`).
 //
-// --db lands the run in a bench_db result store as
+// --db merges the run into a bench_db result store as
 // <DIR>/<sha>/<NAME>.jsonl with a metadata header (spec fingerprint, date,
-// host) and a manifest entry.  JSONL output (--jsonl and --db files)
-// starts with the same metadata header line; readers recognise it by its
-// leading "_meta" key.
+// host) and one manifest entry; shards stored under one name join by
+// point, and a different grid under that name is refused.  JSONL output
+// (--jsonl and --db files) starts with the same metadata header line;
+// readers recognise it by its leading "_meta" key.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -55,7 +56,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/bench_db/bench_db.h"
 #include "src/core/config_text.h"
 #include "src/runner/ablation.h"
 #include "src/runner/bench_registry.h"
@@ -275,18 +275,19 @@ int RunMain(int argc, char** argv) {
   }
   // With no explicit sink, CSV goes to stdout so the tool is useful bare
   // (unless --db already captures the run).
-  if (sinks.sinks().empty() && common.db_root.empty()) {
+  if (sinks.sinks().empty()) {
     sinks.AddStdoutCsv(csv_header);
   }
 
   const std::unique_ptr<TraceCache> trace_cache = OpenTraceCache(common);
 
-  // Only the result store and the matrix keep rows once they have left.
+  // Only the result store (inside SinkSet) and the matrix keep rows once
+  // they have left.
   VectorResultSink collected;
   SweepOptions options;
   options.threads = common.jobs;
   options.sinks = sinks.sinks();
-  if (!common.db_root.empty() || !matrix_path.empty()) {
+  if (!matrix_path.empty()) {
     options.sinks.push_back(&collected);
   }
   options.trace_cache = trace_cache.get();
@@ -319,7 +320,9 @@ int RunMain(int argc, char** argv) {
   };
 
   RunSweep(points, options);
-  sinks.Finish();
+  if (!sinks.Finish("mobisim_sweep")) {
+    return 1;
+  }
   if (!matrix_path.empty() && !WriteMatrix(matrix_path, collected.rows(), common.quiet)) {
     return 1;
   }
@@ -328,19 +331,6 @@ int RunMain(int argc, char** argv) {
   }
   for (const auto& [index, failure] : failures) {
     std::fprintf(stderr, "mobisim_sweep: point %zu failed: %s\n", index, failure.c_str());
-  }
-
-  if (!common.db_root.empty()) {
-    BenchDb db(common.db_root);
-    const auto stored = db.StoreRun(meta, collected.rows(), &error);
-    if (!stored) {
-      std::fprintf(stderr, "error storing run: %s\n", error.c_str());
-      return 1;
-    }
-    if (!common.quiet) {
-      std::fprintf(stderr, "mobisim_sweep: stored %s (spec hash %s)\n",
-                   stored->c_str(), meta.spec_hash.c_str());
-    }
   }
 
   if (summarize) {

@@ -1,12 +1,12 @@
 #include "src/bench_db/bench_db.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "src/util/atomic_file.h"
+#include "src/util/hash.h"
 
 namespace mobisim {
 
@@ -35,6 +35,66 @@ bool SafePathComponent(const std::string& s) {
 }
 
 }  // namespace
+
+bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
+
+std::string PointFingerprint(const ResultRow& row) {
+  return HexU64(Fnv1a64(RowToJson(row)));
+}
+
+bool MergeRowInto(std::map<std::uint64_t, ResultRow>* merged, ResultRow row,
+                  MergeStats* stats, std::string* error) {
+  const auto index = row.Uint("point");
+  if (!index) {
+    SetError(error, "data row without a global point index cannot be merged");
+    return false;
+  }
+  ++stats->rows_in;
+  const auto it = merged->find(*index);
+  if (it == merged->end()) {
+    merged->emplace(*index, std::move(row));
+    return true;
+  }
+  if (PointFingerprint(it->second) == PointFingerprint(row)) {
+    ++stats->duplicates;  // the same deterministic row seen again
+    return true;
+  }
+  const bool stored_error = IsErrorRow(it->second);
+  const bool incoming_error = IsErrorRow(row);
+  if (stored_error && !incoming_error) {
+    it->second = std::move(row);  // a retry succeeded
+    ++stats->overridden;
+    return true;
+  }
+  if (!stored_error && incoming_error) {
+    ++stats->duplicates;  // stale failure after a success: keep the success
+    return true;
+  }
+  if (stored_error) {
+    it->second = std::move(row);  // both failed: keep the later attempt's message
+    ++stats->duplicates;
+    return true;
+  }
+  SetError(error, "point " + std::to_string(*index) +
+                      ": conflicting non-error rows; the inputs are not shards "
+                      "of the same deterministic sweep");
+  return false;
+}
+
+std::string RunFileText(RunMeta meta, const std::vector<ResultRow>& rows) {
+  meta.points = rows.size();
+  std::string text = RowToJson(MetaToRow(meta)) + "\n";
+  for (const ResultRow& row : rows) {
+    text += RowToJson(row);
+    text += '\n';
+  }
+  return text;
+}
+
+bool WriteRunFile(const std::string& path, const RunMeta& meta,
+                  const std::vector<ResultRow>& rows, std::string* error) {
+  return WriteFileAtomic(path, RunFileText(meta, rows), error);
+}
 
 std::optional<StoredRun> LoadRunFile(const std::string& path, std::string* error) {
   std::ifstream in(path);
@@ -82,9 +142,10 @@ std::string BenchDb::RunPath(const std::string& git_sha,
   return root_ + "/" + git_sha + "/" + spec_name + ".jsonl";
 }
 
-std::optional<std::string> BenchDb::StoreRun(RunMeta meta,
+std::optional<std::string> BenchDb::MergeRun(const RunMeta& meta,
                                              const std::vector<ResultRow>& rows,
                                              std::string* error) {
+  // Names first: nothing outside the root may be read or written.
   if (!SafePathComponent(meta.git_sha)) {
     SetError(error, "bad git sha '" + meta.git_sha + "' for a store path");
     return std::nullopt;
@@ -93,156 +154,90 @@ std::optional<std::string> BenchDb::StoreRun(RunMeta meta,
     SetError(error, "bad spec name '" + meta.spec_name + "' for a store path");
     return std::nullopt;
   }
-  meta.points = rows.size();
-
   const std::string path = RunPath(meta.git_sha, meta.spec_name);
-  std::error_code ec;
-  std::filesystem::create_directories(root_ + "/" + meta.git_sha, ec);
-  if (ec) {
-    SetError(error, "cannot create " + root_ + "/" + meta.git_sha + ": " + ec.message());
+  const std::string index_path = root_ + "/index.jsonl";
+  std::string index_error;
+  std::vector<RunMeta> entries = ReadIndex(&index_error);
+  if (!index_error.empty()) {
+    SetError(error, index_error);
     return std::nullopt;
   }
 
-  {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      SetError(error, "cannot write " + path);
-      return std::nullopt;
-    }
-    out << RowToJson(MetaToRow(meta)) << "\n";
-    for (const ResultRow& row : rows) {
-      out << RowToJson(row) << "\n";
-    }
-    if (!out) {
-      SetError(error, "write failed for " + path);
-      return std::nullopt;
-    }
-  }
-
-  std::ofstream index(root_ + "/index.jsonl", std::ios::app);
-  if (!index) {
-    SetError(error, "cannot append to " + root_ + "/index.jsonl");
-    return std::nullopt;
-  }
-  index << RowToJson(MetaToRow(meta)) << "\n";
-  if (!index) {
-    SetError(error, "write failed for " + root_ + "/index.jsonl");
-    return std::nullopt;
-  }
-  return path;
-}
-
-namespace {
-
-bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
-
-}  // namespace
-
-std::optional<std::string> BenchDb::MergeRun(RunMeta meta,
-                                             const std::vector<ResultRow>& rows,
-                                             std::string* error) {
-  const std::string path = RunPath(meta.git_sha, meta.spec_name);
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec)) {
-    return StoreRun(std::move(meta), rows, error);
-  }
-  std::string load_error;
-  auto existing = LoadRunFile(path, &load_error);
-  if (!existing) {
-    SetError(error, "merge target " + path + ": " + load_error);
-    return std::nullopt;
-  }
-  if (existing->has_meta && !meta.spec_hash.empty() &&
-      existing->meta.spec_hash != meta.spec_hash) {
-    SetError(error, path + ": spec fingerprint mismatch (stored " +
-                        existing->meta.spec_hash + ", incoming " + meta.spec_hash +
-                        "); refusing to merge rows of a different experiment");
-    return std::nullopt;
-  }
-
-  // Union by global point index; point order in the merged file.
+  RunMeta header = meta;
   std::map<std::uint64_t, ResultRow> merged;
-  for (ResultRow& row : existing->rows) {
-    const auto index = row.Uint("point");
-    if (!index) {
-      SetError(error, path + ": stored data row without a point index");
+  MergeStats stats;
+  std::string merge_error;
+  std::string stored_text;  // stays empty for a new run
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
+    std::string load_error;
+    auto stored = LoadRunFile(path, &load_error);
+    if (!stored || !ReadFileToString(path, &stored_text, &load_error)) {
+      SetError(error, "merge target " + path + ": " + load_error);
       return std::nullopt;
     }
-    merged.emplace(*index, std::move(row));
+    if (stored->has_meta) {
+      if (!meta.spec_hash.empty() && stored->meta.spec_hash != meta.spec_hash) {
+        SetError(error, path + ": spec fingerprint mismatch (stored " +
+                            stored->meta.spec_hash + ", incoming " + meta.spec_hash +
+                            "); refusing to merge rows of a different experiment");
+        return std::nullopt;
+      }
+      header = stored->meta;  // the run keeps its identity (created, host)
+    }
+    for (ResultRow& row : stored->rows) {
+      if (!MergeRowInto(&merged, std::move(row), &stats, &merge_error)) {
+        SetError(error, path + ": " + merge_error);
+        return std::nullopt;
+      }
+    }
   }
-  bool changed = false;
   for (const ResultRow& row : rows) {
-    const auto index = row.Uint("point");
-    if (!index) {
-      SetError(error, "incoming row without a point index cannot be merged");
-      return std::nullopt;
-    }
-    const auto it = merged.find(*index);
-    if (it == merged.end()) {
-      merged.emplace(*index, row);
-      changed = true;
-      continue;
-    }
-    const std::string stored_json = RowToJson(it->second);
-    const std::string incoming_json = RowToJson(row);
-    if (stored_json == incoming_json) {
-      continue;  // idempotent re-merge
-    }
-    if (IsErrorRow(it->second) && !IsErrorRow(row)) {
-      it->second = row;  // a retry succeeded: the clean row wins
-      changed = true;
-    } else if (!IsErrorRow(it->second) && IsErrorRow(row)) {
-      // A stale retry failed after the point already succeeded: keep success.
-    } else if (IsErrorRow(it->second)) {
-      // Both failed: keep the newer message (later attempt).
-      it->second = row;
-      changed = true;
-    } else {
-      SetError(error, "point " + std::to_string(*index) +
-                          ": conflicting non-error rows; these are not shards "
-                          "of the same deterministic sweep");
+    if (!MergeRowInto(&merged, row, &stats, &merge_error)) {
+      SetError(error, "storing " + path + ": " + merge_error);
       return std::nullopt;
     }
   }
-  if (!changed) {
-    return path;  // nothing to write: re-merging changes nothing, byte for byte
-  }
-
-  // The run keeps its original identity (created / host); only the row set
-  // and point count move.
-  RunMeta header = existing->has_meta ? existing->meta : meta;
-  header.points = merged.size();
-  std::ostringstream out;
-  out << RowToJson(MetaToRow(header)) << "\n";
-  for (const auto& [index, row] : merged) {
+  std::vector<ResultRow> run_rows;
+  run_rows.reserve(merged.size());
+  for (auto& [index, row] : merged) {
     (void)index;
-    out << RowToJson(row) << "\n";
+    run_rows.push_back(std::move(row));
   }
-  std::string write_error;
-  if (!WriteFileAtomic(path, out.str(), &write_error)) {
-    SetError(error, write_error);
-    return std::nullopt;
-  }
+  header.points = run_rows.size();
 
-  // Update (not append) the manifest entry so Verify() keeps passing and
-  // repeated merges never grow the index.
-  std::vector<RunMeta> entries = ReadIndex(nullptr);
-  bool found = false;
-  for (RunMeta& entry : entries) {
-    if (entry.git_sha == header.git_sha && entry.spec_name == header.spec_name) {
-      entry = header;
-      found = true;
+  const std::string text = RunFileText(header, run_rows);
+  if (text != stored_text) {
+    std::filesystem::create_directories(root_ + "/" + meta.git_sha, ec);
+    if (ec) {
+      SetError(error, "cannot create " + root_ + "/" + meta.git_sha + ": " + ec.message());
+      return std::nullopt;
+    }
+    if (!WriteFileAtomic(path, text, error)) {
+      return std::nullopt;
     }
   }
-  if (!found) {
-    entries.push_back(header);
+
+  // One manifest line per run, replaced in place; a second line for the
+  // same run (left by an older store) is dropped.
+  std::string index_text;
+  bool listed = false;
+  for (RunMeta& entry : entries) {
+    if (entry.git_sha == meta.git_sha && entry.spec_name == meta.spec_name) {
+      if (listed) {
+        continue;
+      }
+      entry = header;
+      listed = true;
+    }
+    index_text += RowToJson(MetaToRow(entry)) + "\n";
   }
-  std::ostringstream index_out;
-  for (const RunMeta& entry : entries) {
-    index_out << RowToJson(MetaToRow(entry)) << "\n";
+  if (!listed) {
+    index_text += RowToJson(MetaToRow(header)) + "\n";
   }
-  if (!WriteFileAtomic(root_ + "/index.jsonl", index_out.str(), &write_error)) {
-    SetError(error, write_error);
+  std::string stored_index;
+  ReadFileToString(index_path, &stored_index);  // a new store has none
+  if (index_text != stored_index && !WriteFileAtomic(index_path, index_text, error)) {
     return std::nullopt;
   }
   return path;

@@ -14,9 +14,6 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
-// Rows written for failed sweep points carry only metadata plus `_error`.
-bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
-
 // Two rows that agree on every point column but point, seed and replica
 // (every optional group on) are replicas of the same experiment.
 std::string GroupKey(const ResultRow& row) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/core/simulator.h"
 #include "src/util/parse.h"
 
 namespace mobisim {
@@ -418,18 +419,30 @@ std::vector<std::string> ApplyConfigArgs(SimConfig* config,
 }
 
 std::string DescribeConfig(const SimConfig& config) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "%s dram=%lluK sram=%lluK util=%.0f%% spin_down=%.1fs policy=%s%s%s",
-                config.device.name.c_str(),
+  // Only the settings the device reads (HasSpindle, HasCleaner).
+  const DeviceKind kind = config.device.kind;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), " dram=%lluK sram=%lluK",
                 static_cast<unsigned long long>(config.dram_bytes / 1024),
-                static_cast<unsigned long long>(config.sram_bytes / 1024),
-                config.flash_utilization * 100.0, SecFromUs(config.spin_down_after_us),
-                CleaningPolicyName(config.cleaning_policy),
-                config.write_back_cache ? " write-back" : "",
-                config.use_disk_geometry ? " geometry" : "");
-  std::string out(buf);
-  if (config.ftl_policy != FtlPolicyKind::kLogStructured) {
+                static_cast<unsigned long long>(config.sram_bytes / 1024));
+  std::string out = config.device.name + buf;
+  if (HasSpindle(kind)) {
+    std::snprintf(buf, sizeof(buf), " spin_down=%.1fs", SecFromUs(config.spin_down_after_us));
+  } else {
+    std::snprintf(buf, sizeof(buf), " util=%.0f%%", config.flash_utilization * 100.0);
+  }
+  out += buf;
+  if (HasCleaner(kind)) {
+    out += " policy=";
+    out += CleaningPolicyName(config.cleaning_policy);
+  }
+  if (config.write_back_cache) {
+    out += " write-back";
+  }
+  if (HasSpindle(kind) && config.use_disk_geometry) {
+    out += " geometry";
+  }
+  if (HasCleaner(kind) && config.ftl_policy != FtlPolicyKind::kLogStructured) {
     out += " ftl=";
     out += FtlPolicyKindName(config.ftl_policy);
   }

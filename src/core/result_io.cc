@@ -247,54 +247,6 @@ std::string CsvQuote(const std::string& s) {
   return out;
 }
 
-// Splits one CSV line; `quoted_out` records which fields were quoted.
-bool SplitCsvLine(const std::string& line, std::vector<std::string>* cells,
-                  std::vector<bool>* quoted_out, std::string* error) {
-  cells->clear();
-  if (quoted_out != nullptr) {
-    quoted_out->clear();
-  }
-  std::string cell;
-  bool in_quotes = false;
-  bool was_quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell += c;
-      }
-    } else if (c == '"' && cell.empty() && !was_quoted) {
-      in_quotes = true;
-      was_quoted = true;
-    } else if (c == ',') {
-      cells->push_back(cell);
-      if (quoted_out != nullptr) {
-        quoted_out->push_back(was_quoted);
-      }
-      cell.clear();
-      was_quoted = false;
-    } else {
-      cell += c;
-    }
-  }
-  if (in_quotes) {
-    SetError(error, "unterminated quote in CSV line");
-    return false;
-  }
-  cells->push_back(cell);
-  if (quoted_out != nullptr) {
-    quoted_out->push_back(was_quoted);
-  }
-  return true;
-}
-
 void AddStats(ResultRow* row, const std::string& prefix, const RunningStats& stats) {
   row->AddInt(prefix + "_count", stats.count());
   row->AddNumber(prefix + "_mean", stats.mean());
@@ -571,27 +523,6 @@ std::string RowToCsvLine(const ResultRow& row) {
     out += field.quoted ? CsvQuote(field.value) : field.value;
   }
   return out;
-}
-
-std::optional<ResultRow> RowFromCsv(const std::string& header, const std::string& line,
-                                    std::string* error) {
-  std::vector<std::string> keys;
-  std::vector<std::string> values;
-  std::vector<bool> quoted;
-  if (!SplitCsvLine(header, &keys, nullptr, error) ||
-      !SplitCsvLine(line, &values, &quoted, error)) {
-    return std::nullopt;
-  }
-  if (keys.size() != values.size()) {
-    SetError(error, "CSV header has " + std::to_string(keys.size()) + " columns but row has " +
-                        std::to_string(values.size()));
-    return std::nullopt;
-  }
-  ResultRow row;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    row.fields.push_back(ResultField{keys[i], values[i], quoted[i]});
-  }
-  return row;
 }
 
 }  // namespace mobisim

@@ -2,8 +2,8 @@
 //
 // A SimResult is flattened into a ResultRow: an ordered list of key/value
 // fields (numbers rendered with round-trip precision, strings marked for
-// quoting).  Rows serialize to JSON objects (one per line -> JSONL) and CSV,
-// and parse back for tooling and tests.  The sweep engine prepends
+// quoting).  Rows serialize to JSON objects (one per line -> JSONL), which
+// parse back for tooling and tests, and to CSV.  The sweep engine prepends
 // configuration fields to each row so every output line is self-describing.
 #ifndef MOBISIM_SRC_CORE_RESULT_IO_H_
 #define MOBISIM_SRC_CORE_RESULT_IO_H_
@@ -85,9 +85,6 @@ std::optional<ResultRow> RowFromJson(const std::string& text, std::string* error
 // --- CSV (RFC-4180-style quoting) ---
 std::string RowToCsvHeader(const ResultRow& row);
 std::string RowToCsvLine(const ResultRow& row);
-// Reassembles a row from a header line and a data line.
-std::optional<ResultRow> RowFromCsv(const std::string& header, const std::string& line,
-                                    std::string* error);
 
 }  // namespace mobisim
 

@@ -146,16 +146,22 @@ void ApplyWorkloadRules(const std::string& workload, SimConfig* config) {
   }
 }
 
+bool HasSpindle(DeviceKind kind) { return kind == DeviceKind::kMagneticDisk; }
+
+bool HasCleaner(DeviceKind kind) {
+  return kind == DeviceKind::kFlashCard || kind == DeviceKind::kNandSsd;
+}
+
 SimConfig EffectiveConfig(const SimConfig& config) {
   const DeviceKind kind = config.device.kind;
   const SimConfig defaults;
   SimConfig effective = config;
-  if (kind != DeviceKind::kMagneticDisk) {
+  if (!HasSpindle(kind)) {
     effective.spin_down_after_us = defaults.spin_down_after_us;
     effective.spin_down_policy = defaults.spin_down_policy;
     effective.use_disk_geometry = defaults.use_disk_geometry;
   }
-  if (kind == DeviceKind::kFlashCard || kind == DeviceKind::kNandSsd) {
+  if (HasCleaner(kind)) {
     return effective;
   }
   effective.export_columns = ColumnGroupsOf(config);
@@ -164,7 +170,7 @@ SimConfig EffectiveConfig(const SimConfig& config) {
   effective.background_cleaning = defaults.background_cleaning;
   effective.separate_cleaning_segment = defaults.separate_cleaning_segment;
   effective.interleave_prefill = defaults.interleave_prefill;
-  if (kind == DeviceKind::kMagneticDisk) {
+  if (HasSpindle(kind)) {
     effective.flash_utilization = defaults.flash_utilization;
     effective.auto_capacity = defaults.auto_capacity;
     effective.flash_async_erasure = defaults.flash_async_erasure;

@@ -44,17 +44,22 @@ SimResult RunSimulation(const TraceView& trace, const SimConfig& config);
 // the buffer cache.
 void ApplyWorkloadRules(const std::string& workload, SimConfig* config);
 
-// `config` with every field its device kind never reads reset to the
-// SimConfig default, so two configs that simulate identically compare equal.
-//   - Every device but a magnetic disk has no spindle: spin_down_after_us,
-//     spin_down_policy and use_disk_geometry reset.  Log-structured flash
-//     (kFlashCard, kNandSsd) reads every other field.
-//   - Flash and magnetic disks have no cleaner or FTL: ftl_policy,
-//     cleaning_policy, background_cleaning, separate_cleaning_segment and
-//     interleave_prefill reset.  Flash disks keep flash_utilization, which
-//     sizes their capacity and pre-erased pool.
-//   - Magnetic disks also reset flash_utilization, auto_capacity and
-//     flash_async_erasure.
+// Which settings each device kind reads: the one per-kind rule that
+// EffectiveConfig applies and DescribeConfig labels by.
+//   - Only a magnetic disk has a spindle: spin_down_after_us,
+//     spin_down_policy and use_disk_geometry.
+//   - Only log-structured flash (kFlashCard, kNandSsd) has a cleaner and an
+//     FTL: ftl_policy, cleaning_policy, background_cleaning,
+//     separate_cleaning_segment and interleave_prefill.
+//   - Every other kind is flash, and reads flash_utilization, auto_capacity
+//     and flash_async_erasure (a flash disk's capacity and pre-erased pool
+//     follow them).
+bool HasSpindle(DeviceKind kind);
+bool HasCleaner(DeviceKind kind);
+
+// `config` with every field its device kind never reads (above) reset to
+// the SimConfig default, so two configs that simulate identically compare
+// equal.
 // A reset never changes a run's columns: export_columns takes
 // ColumnGroupsOf(config) before any field resets.  The fault block is never
 // touched.  RunSimulation of the result equals RunSimulation of `config`

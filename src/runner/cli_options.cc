@@ -1,11 +1,13 @@
 #include "src/runner/cli_options.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <iostream>
 
 #include <unistd.h>
 
+#include "src/bench_db/bench_db.h"
 #include "src/trace/trace_cache.h"
 #include "src/util/parse.h"
 
@@ -216,6 +218,13 @@ bool SinkSet::Open(const CliOptions& options, const RunMeta& meta,
     csv_ = std::make_unique<CsvResultSink>(*out, csv_header);
     sinks_.push_back(csv_.get());
   }
+  if (!options.db_root.empty()) {
+    store_rows_ = std::make_unique<VectorResultSink>();
+    sinks_.push_back(store_rows_.get());
+    db_root_ = options.db_root;
+    meta_ = meta;
+  }
+  quiet_ = options.quiet;
   return true;
 }
 
@@ -224,7 +233,7 @@ void SinkSet::AddStdoutCsv(const std::string& csv_header) {
   sinks_.push_back(csv_.get());
 }
 
-void SinkSet::Finish() {
+void SinkSet::CloseSinks() {
   if (finished_) {
     return;
   }
@@ -238,6 +247,25 @@ void SinkSet::Finish() {
   if (csv_file_.is_open()) {
     csv_file_.close();
   }
+}
+
+bool SinkSet::Finish(const char* tool) {
+  const bool store = !finished_ && store_rows_ != nullptr;
+  CloseSinks();
+  if (!store) {
+    return true;
+  }
+  std::string error;
+  const auto stored = BenchDb(db_root_).MergeRun(meta_, store_rows_->rows(), &error);
+  if (!stored) {
+    std::fprintf(stderr, "%s: error storing run: %s\n", tool, error.c_str());
+    return false;
+  }
+  if (!quiet_) {
+    std::fprintf(stderr, "%s: stored %s (spec hash %s)\n", tool, stored->c_str(),
+                 meta_.spec_hash.c_str());
+  }
+  return true;
 }
 
 }  // namespace mobisim

@@ -8,7 +8,7 @@
 //   --replicas N             independent re-runs per grid cell
 //   --jsonl FILE|-           one JSON object per row (metadata header first)
 //   --csv FILE|-             fixed-schema CSV
-//   --db DIR                 land the run in a bench_db result store
+//   --db DIR                 merge the run into a bench_db result store
 //   --name NAME              run name inside the store (required with --db)
 //   --sha SHA                commit id for the store (default: $GITHUB_SHA,
 //                            then $MOBISIM_GIT_SHA, then "local")
@@ -21,7 +21,8 @@
 // tool-specific tokens behind, so the three tools cannot drift apart again.
 // SinkSet turns parsed options into ready-to-use streaming ResultSinks —
 // the open-file/metadata-header/tee wiring previously duplicated in every
-// bench main().
+// bench main() — and is the one caller of BenchDb::MergeRun: every tool's
+// `--db` lands through it.
 #ifndef MOBISIM_SRC_RUNNER_CLI_OPTIONS_H_
 #define MOBISIM_SRC_RUNNER_CLI_OPTIONS_H_
 
@@ -91,17 +92,20 @@ std::string DefaultGitSha();
 
 // The export destinations a CliOptions asks for, opened and owned in one
 // place.  JSONL files start with the RunMeta header line; CSV sinks carry
-// `csv_header` so even an empty run emits a well-formed table.
+// `csv_header` so even an empty run emits a well-formed table; with --db a
+// collector keeps every row for the store.
 class SinkSet {
  public:
   SinkSet() = default;
-  ~SinkSet() { Finish(); }
+  ~SinkSet() { CloseSinks(); }
   SinkSet(const SinkSet&) = delete;
   SinkSet& operator=(const SinkSet&) = delete;
 
-  // Opens the requested sinks ("-" = stdout).  Returns false with `error`
-  // when a file cannot be opened.  Safe to call on options with no export
-  // destinations (sinks() is then empty).
+  // Opens the requested sinks ("-" = stdout) and, with options.db_root
+  // set, a collector that takes every row, `_error` and dynamic rows
+  // included.  Returns false with `error` when a file cannot be opened.
+  // Safe to call on options with no export destinations (sinks() is then
+  // empty).
   bool Open(const CliOptions& options, const RunMeta& meta,
             const std::string& csv_header, std::string* error);
 
@@ -113,14 +117,25 @@ class SinkSet {
   const std::vector<ResultSink*>& sinks() const { return sinks_; }
 
   // Finishes every sink exactly once (flush, default CSV header on empty
-  // runs) and closes the files.  Called automatically on destruction.
-  void Finish();
+  // runs), closes the files and, with --db, merges the collected rows into
+  // the store through BenchDb::MergeRun.  Reports the stored path (unless
+  // quiet) or the store's refusal on stderr, prefixed with `tool`, and
+  // returns false on a refusal so the tool exits 1.  The destructor only
+  // closes the sinks: a run abandoned on an error path never reaches the
+  // store.
+  bool Finish(const char* tool);
 
  private:
+  void CloseSinks();
+
   std::ofstream jsonl_file_;
   std::ofstream csv_file_;
   std::unique_ptr<JsonlResultSink> jsonl_;
   std::unique_ptr<CsvResultSink> csv_;
+  std::unique_ptr<VectorResultSink> store_rows_;  // with --db only
+  std::string db_root_;
+  RunMeta meta_;
+  bool quiet_ = false;
   std::vector<ResultSink*> sinks_;
   bool finished_ = false;
 };

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "src/core/config_text.h"
+#include "src/trace/calibrated_workload.h"
 #include "src/util/hash.h"
 #include "src/util/parse.h"
 
@@ -247,8 +248,7 @@ bool ApplySpecAssignment(ExperimentSpec* spec, const std::string& raw_key,
   if (key == "workloads") {
     spec->workloads.clear();
     return ForEachListItem(key, value, error, [&](const std::string& name) {
-      if (name != "mac" && name != "dos" && name != "pc" && name != "hp" &&
-          name != "synth") {
+      if (!IsNamedWorkload(name)) {
         SetError(error, "unknown workload '" + name + "' in workloads list");
         return false;
       }

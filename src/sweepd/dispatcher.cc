@@ -175,13 +175,7 @@ std::string RenderResults(const Spool& spool, const SpoolMeta& meta) {
   header.git_sha = "live";
   header.created = meta.created;
   header.host = meta.host;
-  header.points = merged.rows.size();
-  std::ostringstream out;
-  out << RowToJson(MetaToRow(header)) << "\n";
-  for (const ResultRow& row : merged.rows) {
-    out << RowToJson(row) << "\n";
-  }
-  return out.str();
+  return RunFileText(header, merged.rows);
 }
 
 }  // namespace

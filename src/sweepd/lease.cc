@@ -10,7 +10,6 @@
 
 #include "src/runner/cli_options.h"
 #include "src/sweepd/merge.h"
-#include "src/util/atomic_file.h"
 #include "src/util/hash.h"
 #include "src/util/heartbeat.h"
 
@@ -371,8 +370,9 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   const std::size_t expected = ExpectedItemPoints(item, meta_.points);
   if (merged.size() < expected) {
     // A /done racing an unacknowledged /results chunk (or a worker that
-    // lost track) must not publish a short shard; the client re-uploads
-    // and retries.
+    // lost track) must not publish a short shard.  The worker gives the
+    // lease up; on expiry the item is requeued and its next attempt
+    // resumes from these part rows.
     ResultRow row;
     row.AddText("error", "incomplete upload");
     row.AddInt("have", merged.size());
@@ -383,26 +383,23 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
     return response;
   }
 
-  std::size_t error_rows = 0;
   RunMeta run_meta;
   run_meta.spec_name = meta_.name;
   run_meta.spec_hash = meta_.spec_hash;
   run_meta.git_sha = DefaultGitSha();
   run_meta.created = NowUtc();
   run_meta.host = HostName();
-  run_meta.points = merged.size();
   run_meta.columns = columns_;
-  std::ostringstream out;
-  out << RowToJson(MetaToRow(run_meta)) << "\n";
-  for (const auto& [index, row] : merged) {
+  std::vector<ResultRow> rows;
+  rows.reserve(merged.size());
+  std::size_t error_rows = 0;
+  for (auto& [index, row] : merged) {
     (void)index;
-    if (IsErrorRow(row)) {
-      ++error_rows;
-    }
-    out << RowToJson(row) << "\n";
+    error_rows += IsErrorRow(row) ? 1 : 0;
+    rows.push_back(std::move(row));
   }
   std::string error;
-  if (!WriteFileAtomic(spool_->RowsPath(item.id), out.str(), &error)) {
+  if (!WriteRunFile(spool_->RowsPath(item.id), run_meta, rows, &error)) {
     return HttpError(500, error);
   }
   if (!spool_->FinishItem(item, &error)) {
@@ -421,18 +418,18 @@ HttpResponse LeaseService::HandleDone(const HttpRequest& request) {
   event.AddText("event", error_rows > 0 ? "shard_poisoned" : "shard_done");
   event.AddText("item", item.id);
   event.AddInt("attempt", item.attempt);
-  event.AddInt("rows", merged.size());
+  event.AddInt("rows", rows.size());
   event.AddInt("error_rows", error_rows);
   event.AddInt("owner", owner);
   spool_->AppendEvent(std::move(event));
   if (options_.log != nullptr) {
-    *options_.log << "sweepd: " << item.id << " done (" << merged.size()
+    *options_.log << "sweepd: " << item.id << " done (" << rows.size()
                   << " rows, " << error_rows << " errors)\n";
   }
 
   ResultRow row;
   row.AddText("state", "ok");
-  row.AddInt("rows", merged.size());
+  row.AddInt("rows", rows.size());
   row.AddInt("error_rows", error_rows);
   return JsonOk(row);
 }

@@ -6,15 +6,11 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <sstream>
 
 #include "src/bench_db/bench_db.h"
 #include "src/runner/cli_options.h"
 #include "src/runner/sweep_runner.h"
 #include "src/sweepd/spool.h"
-#include "src/util/atomic_file.h"
-#include "src/util/hash.h"
 
 namespace mobisim {
 
@@ -45,51 +41,6 @@ MergedRun Finalize(std::map<std::uint64_t, ResultRow> merged, MergeStats stats,
 }
 
 }  // namespace
-
-bool MergeRowInto(std::map<std::uint64_t, ResultRow>* merged, ResultRow row,
-                  MergeStats* stats, std::string* error) {
-  const auto index = row.Uint("point");
-  if (!index) {
-    SetError(error, "data row without a global point index cannot be merged");
-    return false;
-  }
-  ++stats->rows_in;
-  const auto it = merged->find(*index);
-  if (it == merged->end()) {
-    merged->emplace(*index, std::move(row));
-    return true;
-  }
-  if (PointFingerprint(it->second) == PointFingerprint(row)) {
-    ++stats->duplicates;  // the same deterministic row seen again
-    return true;
-  }
-  const bool stored_error = IsErrorRow(it->second);
-  const bool incoming_error = IsErrorRow(row);
-  if (stored_error && !incoming_error) {
-    it->second = std::move(row);  // a retry succeeded
-    ++stats->overridden;
-    return true;
-  }
-  if (!stored_error && incoming_error) {
-    ++stats->duplicates;  // stale failure after a success: keep the success
-    return true;
-  }
-  if (stored_error) {
-    it->second = std::move(row);  // both failed: keep the later attempt's message
-    ++stats->duplicates;
-    return true;
-  }
-  SetError(error, "point " + std::to_string(*index) +
-                      ": conflicting non-error rows; the inputs are not shards "
-                      "of the same deterministic sweep");
-  return false;
-}
-
-bool IsErrorRow(const ResultRow& row) { return row.Find("_error") != nullptr; }
-
-std::string PointFingerprint(const ResultRow& row) {
-  return HexU64(Fnv1a64(RowToJson(row)));
-}
 
 std::vector<ResultRow> LoadPartialRows(const std::string& path) {
   std::vector<ResultRow> rows;
@@ -220,16 +171,9 @@ int ExportMergedRun(const MergedRun& merged, const CliOptions& common,
   meta.columns = merged.columns;
 
   std::string error;
-  if (!merged_path.empty()) {
-    std::ostringstream out;
-    out << RowToJson(MetaToRow(meta)) << "\n";
-    for (const ResultRow& row : merged.rows) {
-      out << RowToJson(row) << "\n";
-    }
-    if (!WriteFileAtomic(merged_path, out.str(), &error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
+  if (!merged_path.empty() && !WriteRunFile(merged_path, meta, merged.rows, &error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 1;
   }
 
   SinkSet sinks;
@@ -237,16 +181,12 @@ int ExportMergedRun(const MergedRun& merged, const CliOptions& common,
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-  // With no destination at all, JSONL goes to stdout: the merged run IS the
-  // output of a merge, not a side effect.
-  std::unique_ptr<JsonlResultSink> stdout_jsonl;
-  std::vector<ResultSink*> outs = sinks.sinks();
-  if (outs.empty() && common.db_root.empty() && merged_path.empty()) {
-    std::cout << RowToJson(MetaToRow(meta)) << "\n";
-    stdout_jsonl = std::make_unique<JsonlResultSink>(std::cout);
-    outs.push_back(stdout_jsonl.get());
+  // With no destination at all, the run file goes to stdout: the merged run
+  // IS the output of a merge, not a side effect.
+  if (sinks.sinks().empty() && merged_path.empty()) {
+    std::cout << RunFileText(meta, merged.rows) << std::flush;
   }
-  for (ResultSink* sink : outs) {
+  for (ResultSink* sink : sinks.sinks()) {
     for (const ResultRow& row : merged.rows) {
       if (IsErrorRow(row) && !sink->AcceptsErrorRows()) {
         continue;
@@ -254,22 +194,8 @@ int ExportMergedRun(const MergedRun& merged, const CliOptions& common,
       sink->Write(row);
     }
   }
-  sinks.Finish();
-  if (stdout_jsonl != nullptr) {
-    stdout_jsonl->Finish();
-  }
-
-  if (!common.db_root.empty()) {
-    BenchDb db(common.db_root);
-    const auto stored = db.MergeRun(meta, merged.rows, &error);
-    if (!stored) {
-      std::fprintf(stderr, "error merging into store: %s\n", error.c_str());
-      return 1;
-    }
-    if (!common.quiet) {
-      std::fprintf(stderr, "%s: merged into %s (spec hash %s)\n", tool,
-                   stored->c_str(), meta.spec_hash.c_str());
-    }
+  if (!sinks.Finish(tool)) {
+    return 1;
   }
   if (!common.quiet) {
     std::fprintf(stderr,

@@ -283,16 +283,13 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
     pending_rows = 0;
   };
 
-  // Every row this item uploaded, kept for the one 409 replay below.
-  std::string uploaded;
   std::size_t error_rows = 0;
   SweepOptions sweep_options;
   sweep_options.threads = options.jobs;
   sweep_options.trace_cache = trace_cache;
   sweep_options.on_emit = [&](const SweepOutcome& outcome) {
-    const std::string line = RowToJson(outcome.row) + "\n";
-    pending += line;
-    uploaded += line;
+    pending += RowToJson(outcome.row);
+    pending += '\n';
     ++pending_rows;
     error_rows += IsErrorRow(outcome.row) ? 1 : 0;
     item_rows.fetch_add(1);
@@ -320,38 +317,23 @@ void RunLeasedItem(const ResultRow& grant, const WorkerOptions& options,
     return;
   }
 
-  // Finalize.  One 409 ("incomplete upload") repair pass: re-send every row
-  // this worker simulated — the service's fingerprint dedup makes the full
-  // replay cheap and harmless — then try /done once more.
-  for (int round = 0;; ++round) {
-    HttpResponse response;
-    std::string error;
-    ResultRow done_body;
-    done_body.AddText("token", token);
-    if (!transport->Post("/done", RowToJson(done_body) + "\n", &response,
-                         &error)) {
-      ++summary->lost_leases;
-      if (options.log != nullptr) {
-        *options.log << "sweepd-worker: done: " << error << "\n";
-      }
-      return;
-    }
-    if (response.status == 200) {
-      break;
-    }
-    if (response.status == 409 && round == 0) {
-      HttpResponse replay_response;
-      if (!uploaded.empty() &&
-          transport->Post("/results", TokenLine(token) + uploaded,
-                          &replay_response, &error) &&
-          replay_response.status == 200) {
-        continue;
-      }
-    }
+  // Finalize.  Any answer but 200 loses the lease, a 409 ("incomplete
+  // upload") included: the worker keeps no copy of its rows to replay, so
+  // the lease expires, the dispatcher requeues the item, and the next
+  // attempt inherits this one's part rows as its resume set — the path a
+  // killed worker takes.
+  HttpResponse response;
+  std::string error;
+  ResultRow done_body;
+  done_body.AddText("token", token);
+  const bool sent =
+      transport->Post("/done", RowToJson(done_body) + "\n", &response, &error);
+  if (!sent || response.status != 200) {
     ++summary->lost_leases;
     if (options.log != nullptr) {
-      *options.log << "sweepd-worker: done rejected (" << response.status
-                   << "): " << response.body;
+      *options.log << "sweepd-worker: done rejected: "
+                   << (sent ? std::to_string(response.status) + " " + response.body
+                            : error + "\n");
     }
     return;
   }

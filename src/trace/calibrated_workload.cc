@@ -220,19 +220,41 @@ SynthWorkloadConfig NamedSynthConfig(double scale, std::uint64_t seed) {
   return config;
 }
 
+namespace {
+
+// The calibrated presets by name.  The paper names the dos workload both
+// "pc" (section 4.1) and "dos".
+struct CalibratedPreset {
+  const char* name;
+  CalibratedWorkloadConfig (*config)(double scale);
+};
+const CalibratedPreset kCalibratedPresets[] = {
+    {"mac", MacWorkloadConfig},
+    {"dos", DosWorkloadConfig},
+    {"pc", DosWorkloadConfig},
+    {"hp", HpWorkloadConfig},
+};
+
+const CalibratedPreset* FindCalibratedPreset(const std::string& name) {
+  for (const CalibratedPreset& preset : kCalibratedPresets) {
+    if (name == preset.name) {
+      return &preset;
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+bool IsNamedWorkload(const std::string& name) {
+  return name == "synth" || FindCalibratedPreset(name) != nullptr;
+}
+
 CalibratedWorkloadConfig NamedCalibratedConfig(const std::string& name, double scale,
                                                std::uint64_t seed) {
-  CalibratedWorkloadConfig config;
-  if (name == "mac") {
-    config = MacWorkloadConfig(scale);
-  } else if (name == "dos" || name == "pc") {
-    // The paper names this workload both "pc" (section 4.1) and "dos".
-    config = DosWorkloadConfig(scale);
-  } else if (name == "hp") {
-    config = HpWorkloadConfig(scale);
-  } else {
-    MOBISIM_CHECK(false && "unknown workload name");
-  }
+  const CalibratedPreset* preset = FindCalibratedPreset(name);
+  MOBISIM_CHECK(preset != nullptr && "unknown workload name");
+  CalibratedWorkloadConfig config = preset->config(scale);
   config.seed += seed;
   return config;
 }

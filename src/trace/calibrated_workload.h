@@ -66,6 +66,11 @@ CalibratedWorkloadConfig HpWorkloadConfig(double scale = 1.0);
 
 Trace GenerateCalibratedWorkload(const CalibratedWorkloadConfig& config);
 
+// True for the named presets: "synth" and the calibrated "mac", "dos"
+// (alias "pc") and "hp".  The one table of workload names every driver and
+// the trace cache ask.
+bool IsNamedWorkload(const std::string& name);
+
 // The generator configurations the named presets resolve to at (scale,
 // seed): "synth" scales its op count; "mac", "dos" (alias "pc") and "hp"
 // take their Table 3 preset, whose seed `seed` offsets.

@@ -85,8 +85,7 @@ std::string CanonicalTraceKeyText(const std::string& workload, double scale,
       << "request_seed = " << seed << "\n";
   if (workload == "synth") {
     AppendSynthConfig(out, NamedSynthConfig(scale, seed));
-  } else if (workload == "mac" || workload == "dos" || workload == "pc" ||
-             workload == "hp") {
+  } else if (IsNamedWorkload(workload)) {
     AppendCalibratedConfig(out, NamedCalibratedConfig(workload, scale, seed));
   } else {
     // Unknown names MOBISIM_CHECK-fail at generation time; the key is only

@@ -24,28 +24,19 @@ void AsciiPlot::SetSize(std::size_t width, std::size_t height) {
   height_ = height;
 }
 
-void AsciiPlot::SetYRange(double lo, double hi) {
-  MOBISIM_CHECK(lo < hi);
-  fixed_y_ = true;
-  y_lo_ = lo;
-  y_hi_ = hi;
-}
-
 void AsciiPlot::Render(std::ostream& out) const {
   double x_lo = std::numeric_limits<double>::infinity();
   double x_hi = -x_lo;
-  double y_lo = fixed_y_ ? y_lo_ : std::numeric_limits<double>::infinity();
-  double y_hi = fixed_y_ ? y_hi_ : -std::numeric_limits<double>::infinity();
+  double y_lo = x_lo;
+  double y_hi = x_hi;
   bool any = false;
   for (const Series& s : series_) {
     for (std::size_t i = 0; i < s.xs.size(); ++i) {
       any = true;
       x_lo = std::min(x_lo, s.xs[i]);
       x_hi = std::max(x_hi, s.xs[i]);
-      if (!fixed_y_) {
-        y_lo = std::min(y_lo, s.ys[i]);
-        y_hi = std::max(y_hi, s.ys[i]);
-      }
+      y_lo = std::min(y_lo, s.ys[i]);
+      y_hi = std::max(y_hi, s.ys[i]);
     }
   }
   if (!any) {
@@ -58,11 +49,9 @@ void AsciiPlot::Render(std::ostream& out) const {
   if (y_hi == y_lo) {
     y_hi = y_lo + 1.0;
   }
-  if (!fixed_y_) {
-    const double margin = 0.05 * (y_hi - y_lo);
-    y_lo -= margin;
-    y_hi += margin;
-  }
+  const double margin = 0.05 * (y_hi - y_lo);
+  y_lo -= margin;
+  y_hi += margin;
 
   std::vector<std::string> grid(height_, std::string(width_, ' '));
   auto plot_point = [&](double x, double y, char glyph) {

@@ -22,9 +22,6 @@ class AsciiPlot {
 
   // Plot area size in characters (default 64 x 20).
   void SetSize(std::size_t width, std::size_t height);
-  // Force axis ranges (otherwise auto-scaled to the data with 5% margin).
-  void SetYRange(double lo, double hi);
-
   void Render(std::ostream& out) const;
 
  private:
@@ -40,9 +37,6 @@ class AsciiPlot {
   std::string y_label_;
   std::size_t width_ = 64;
   std::size_t height_ = 20;
-  bool fixed_y_ = false;
-  double y_lo_ = 0.0;
-  double y_hi_ = 1.0;
   std::vector<Series> series_;
 };
 

@@ -51,14 +51,6 @@ double Rng::Normal(double mean, double stddev) {
 
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
-Rng Rng::Fork() {
-  // The stream is drawn first and the seed second: the order every trace
-  // was generated with.
-  const std::uint64_t stream = NextU64() >> 1;
-  const std::uint64_t seed = NextU64();
-  return Rng(seed, stream);
-}
-
 DiscreteDistribution::DiscreteDistribution(std::vector<double> weights) {
   MOBISIM_CHECK(!weights.empty());
   MOBISIM_CHECK(weights.size() <= std::numeric_limits<std::uint32_t>::max());

@@ -59,10 +59,6 @@ class Rng {
   // Bernoulli trial.
   bool Chance(double probability) { return NextDouble() < probability; }
 
-  // Creates an independent generator derived from this one (for giving each
-  // workload component its own stream without coupling draw orders).
-  Rng Fork();
-
  private:
   static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
 

@@ -207,45 +207,4 @@ std::vector<double> ReservoirSample::Quantiles(const std::vector<double>& qs) co
   return out;
 }
 
-Histogram::Histogram(double lo, double bucket_width, std::size_t bucket_count)
-    : lo_(lo), width_(bucket_width), counts_(bucket_count, 0) {
-  MOBISIM_CHECK(bucket_width > 0.0);
-  MOBISIM_CHECK(bucket_count > 0);
-}
-
-void Histogram::Add(double value) {
-  ++total_;
-  if (value < lo_) {
-    ++underflow_;
-    return;
-  }
-  const double offset = (value - lo_) / width_;
-  if (offset >= static_cast<double>(counts_.size())) {
-    ++overflow_;
-    return;
-  }
-  ++counts_[static_cast<std::size_t>(offset)];
-}
-
-double Histogram::Quantile(double q) const {
-  MOBISIM_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) {
-    return lo_;
-  }
-  const double target = q * static_cast<double>(total_);
-  double cumulative = static_cast<double>(underflow_);
-  if (cumulative >= target) {
-    return lo_;
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double fraction = (target - cumulative) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + fraction * width_;
-    }
-    cumulative = next;
-  }
-  return lo_ + width_ * static_cast<double>(counts_.size());
-}
-
 }  // namespace mobisim

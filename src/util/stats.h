@@ -99,34 +99,6 @@ class ReservoirSample {
   bool released_ = false;
 };
 
-// Fixed-width linear histogram with overflow bucket; used by benches to
-// report latency distributions and by tests to sanity-check generators.
-class Histogram {
- public:
-  // Buckets: [lo, lo+width), [lo+width, ...), ..., plus an overflow bucket.
-  Histogram(double lo, double bucket_width, std::size_t bucket_count);
-
-  void Add(double value);
-
-  std::uint64_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  double bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-
-  // Linear-interpolated quantile estimate, q in [0, 1].
-  double Quantile(double q) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
-
 }  // namespace mobisim
 
 #endif  // MOBISIM_SRC_UTIL_STATS_H_

@@ -85,24 +85,4 @@ void TablePrinter::Print(std::ostream& out) const {
   }
 }
 
-void TablePrinter::PrintCsv(std::ostream& out) const {
-  TablePrinter copy = *this;
-  if (copy.row_open_ && !copy.pending_.empty()) {
-    copy.AddRow(std::move(copy.pending_));
-  }
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) {
-        out << ",";
-      }
-      out << row[i];
-    }
-    out << "\n";
-  };
-  print_row(copy.headers_);
-  for (const auto& row : copy.rows_) {
-    print_row(row);
-  }
-}
-
 }  // namespace mobisim

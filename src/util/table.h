@@ -25,8 +25,6 @@ class TablePrinter {
   TablePrinter& Cell(std::int64_t value);
 
   void Print(std::ostream& out) const;
-  // Comma-separated form for downstream plotting.
-  void PrintCsv(std::ostream& out) const;
 
   std::size_t row_count() const { return rows_.size(); }
 

@@ -57,15 +57,5 @@ TEST(AsciiPlotTest, MonotoneSeriesRendersMonotonically) {
   EXPECT_GT(top_col, bottom_col);
 }
 
-TEST(AsciiPlotTest, FixedYRangeClips) {
-  AsciiPlot plot("Clip", "x", "y");
-  plot.SetYRange(0.0, 10.0);
-  plot.AddSeries("s", '@', {0.0, 1.0}, {5.0, 5.0});
-  std::ostringstream out;
-  plot.Render(out);
-  // Top tick label should read 10.00.
-  EXPECT_NE(out.str().find("10.00"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mobisim

@@ -1,6 +1,8 @@
 // Tests for the per-commit result store (src/bench_db) and the regression
-// diff harness: metadata round-trips, manifest integrity under tampering,
-// spec fingerprint stability, and pass/noise/regression classification.
+// diff harness: metadata round-trips, merging into a stored run (shards,
+// refusals, idempotence, checked names), manifest integrity under
+// tampering, spec fingerprint stability, and pass/noise/regression
+// classification.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -9,10 +11,13 @@
 #include <utility>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include "src/bench_db/bench_db.h"
 #include "src/bench_db/benchdiff.h"
+#include "src/runner/cli_options.h"
 #include "src/runner/experiment_spec.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/sweep_runner.h"
@@ -26,6 +31,19 @@ std::string FreshDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+ino_t Inode(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
 }
 
 RunMeta MakeMeta(const std::string& sha) {
@@ -162,7 +180,7 @@ TEST(BenchDbTest, StoreLoadIndexRoundTrip) {
 
   const std::vector<ResultRow> rows = MakeReplicatedRows();
   std::string error;
-  const auto path = db.StoreRun(MakeMeta("sha1"), rows, &error);
+  const auto path = db.MergeRun(MakeMeta("sha1"), rows, &error);
   ASSERT_TRUE(path.has_value()) << error;
   EXPECT_EQ(*path, db.RunPath("sha1", "refspec"));
 
@@ -181,7 +199,7 @@ TEST(BenchDbTest, StoreLoadIndexRoundTrip) {
   }
 
   // A second run lands beside it and the manifest records both, in order.
-  ASSERT_TRUE(db.StoreRun(MakeMeta("sha2"), rows, &error).has_value()) << error;
+  ASSERT_TRUE(db.MergeRun(MakeMeta("sha2"), rows, &error).has_value()) << error;
   const std::vector<RunMeta> index = db.ReadIndex(&error);
   ASSERT_EQ(index.size(), 2u);
   EXPECT_EQ(index[0].git_sha, "sha1");
@@ -204,19 +222,169 @@ TEST(BenchDbTest, StoreRejectsPathEscapes) {
   std::string error;
   RunMeta meta = MakeMeta("ok");
   meta.spec_name = "../escape";
-  EXPECT_FALSE(db.StoreRun(meta, {}, &error).has_value());
+  EXPECT_FALSE(db.MergeRun(meta, {}, &error).has_value());
   meta = MakeMeta("a/b");
-  EXPECT_FALSE(db.StoreRun(meta, {}, &error).has_value());
+  EXPECT_FALSE(db.MergeRun(meta, {}, &error).has_value());
   meta = MakeMeta("ok");
   meta.spec_name = "index";  // would collide with index.jsonl
-  EXPECT_FALSE(db.StoreRun(meta, {}, &error).has_value());
+  EXPECT_FALSE(db.MergeRun(meta, {}, &error).has_value());
+}
+
+// Two shards of one grid stored under one (sha, name) hold the union of
+// their rows in point order, under one manifest line.
+TEST(BenchDbTest, ShardsStoredUnderOneNameHoldTheirUnion) {
+  const std::string root = FreshDir("store_shards");
+  BenchDb db(root);
+  const std::vector<ResultRow> rows = MakeReplicatedRows();
+  std::vector<ResultRow> even;
+  std::vector<ResultRow> odd;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    (i % 2 == 0 ? even : odd).push_back(rows[i]);
+  }
+  std::string error;
+  ASSERT_TRUE(db.MergeRun(MakeMeta("sha1"), even, &error).has_value()) << error;
+  const auto path = db.MergeRun(MakeMeta("sha1"), odd, &error);
+  ASSERT_TRUE(path.has_value()) << error;
+
+  const auto run = LoadRunFile(*path, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  EXPECT_EQ(run->meta.points, rows.size());
+  ASSERT_EQ(run->rows.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(RowToJson(run->rows[i]), RowToJson(rows[i]));
+  }
+  EXPECT_EQ(db.ReadIndex(&error).size(), 1u);
+  EXPECT_TRUE(db.Verify(&error)) << error;
+}
+
+// A different grid under the same name is refused, naming both
+// fingerprints, and leaves the store as it was.
+TEST(BenchDbTest, ChangedGridUnderOneNameIsRefused) {
+  const std::string root = FreshDir("store_changed");
+  BenchDb db(root);
+  std::string error;
+  ASSERT_TRUE(db.MergeRun(MakeMeta("sha1"), MakeReplicatedRows(), &error).has_value())
+      << error;
+  const std::string run_bytes = Slurp(db.RunPath("sha1", "refspec"));
+  const std::string index_bytes = Slurp(root + "/index.jsonl");
+
+  RunMeta changed = MakeMeta("sha1");
+  changed.spec_hash = "0123456789abcdef";
+  std::vector<ResultRow> rows = MakeReplicatedRows();
+  ScaleField(&rows[0], "total_energy_j", 2.0);
+  EXPECT_FALSE(db.MergeRun(changed, rows, &error).has_value());
+  EXPECT_NE(error.find("00000000deadbeef"), std::string::npos) << error;
+  EXPECT_NE(error.find("0123456789abcdef"), std::string::npos) << error;
+
+  EXPECT_EQ(Slurp(db.RunPath("sha1", "refspec")), run_bytes);
+  EXPECT_EQ(Slurp(root + "/index.jsonl"), index_bytes);
+  EXPECT_TRUE(db.Verify(&error)) << error;
+}
+
+// Storing the same rows again rewrites neither file: same bytes, same inode.
+TEST(BenchDbTest, IdenticalReStoreChangesNoByte) {
+  const std::string root = FreshDir("store_again");
+  BenchDb db(root);
+  std::string error;
+  const auto path = db.MergeRun(MakeMeta("sha1"), MakeReplicatedRows(), &error);
+  ASSERT_TRUE(path.has_value()) << error;
+  const std::string index_path = root + "/index.jsonl";
+  const std::string run_bytes = Slurp(*path);
+  const std::string index_bytes = Slurp(index_path);
+  const auto run_inode = Inode(*path);
+  const auto index_inode = Inode(index_path);
+
+  RunMeta again = MakeMeta("sha1");
+  again.created = "2026-08-07T00:00:00Z";  // a later run of the same grid
+  again.host = "otherhost";
+  ASSERT_TRUE(db.MergeRun(again, MakeReplicatedRows(), &error).has_value()) << error;
+  EXPECT_EQ(Slurp(*path), run_bytes);
+  EXPECT_EQ(Slurp(index_path), index_bytes);
+  EXPECT_EQ(Inode(*path), run_inode);
+  EXPECT_EQ(Inode(index_path), index_inode);
+  EXPECT_TRUE(db.Verify(&error)) << error;
+}
+
+// A name that climbs out of the root is refused before any path is used,
+// even when a mergeable run file sits where it points.
+TEST(BenchDbTest, EscapingNameTouchesNothingOutsideTheRoot) {
+  const std::string dir = FreshDir("store_escape");
+  const std::string root = dir + "/store";
+  const std::string outside = dir + "/outside.jsonl";
+  RunMeta victim = MakeMeta("sha1");
+  victim.spec_name = "outside";
+  victim.points = 1;
+  {
+    std::ofstream out(outside);
+    out << RowToJson(MetaToRow(victim)) << "\n"
+        << RowToJson(MakeReplicatedRows()[0]) << "\n";
+  }
+  const std::string before = Slurp(outside);
+
+  BenchDb db(root);
+  RunMeta meta = MakeMeta("sha1");
+  meta.spec_name = "../../outside";
+  std::string error;
+  EXPECT_FALSE(db.MergeRun(meta, MakeReplicatedRows(), &error).has_value());
+  EXPECT_NE(error.find("bad spec name"), std::string::npos) << error;
+  EXPECT_EQ(Slurp(outside), before);
+  EXPECT_FALSE(std::filesystem::exists(root));
+}
+
+// SinkSet is the store's one caller: with --db it collects every row and
+// Finish merges them, so shards join, a re-store changes no byte, and a
+// refusal comes back as false.
+TEST(SinkSetTest, DbRunsMergeIntoTheStore) {
+  const std::string root = FreshDir("sinkset_db");
+  CliOptions options;
+  options.db_root = root;
+  options.quiet = true;
+  const std::vector<ResultRow> rows = MakeReplicatedRows();
+  const auto store = [&](const RunMeta& meta, std::size_t first, std::size_t last) {
+    SinkSet sinks;
+    std::string error;
+    EXPECT_TRUE(sinks.Open(options, meta, "", &error)) << error;
+    for (ResultSink* sink : sinks.sinks()) {
+      for (std::size_t i = first; i < last; ++i) {
+        sink->Write(rows[i]);
+      }
+    }
+    return sinks.Finish("sinkset_test");
+  };
+  BenchDb db(root);
+  const std::string path = db.RunPath("sha1", "refspec");
+  EXPECT_TRUE(store(MakeMeta("sha1"), 0, 2));
+  EXPECT_TRUE(store(MakeMeta("sha1"), 2, rows.size()));
+  const std::string run_bytes = Slurp(path);
+  const std::string index_bytes = Slurp(root + "/index.jsonl");
+  EXPECT_TRUE(store(MakeMeta("sha1"), 0, rows.size()));
+  EXPECT_EQ(Slurp(path), run_bytes);
+  EXPECT_EQ(Slurp(root + "/index.jsonl"), index_bytes);
+  RunMeta changed = MakeMeta("sha1");
+  changed.spec_hash = "0123456789abcdef";
+  EXPECT_FALSE(store(changed, 0, rows.size()));
+
+  std::string error;
+  EXPECT_EQ(db.ReadIndex(&error).size(), 1u);
+  const auto run = LoadRunFile(path, &error);
+  ASSERT_TRUE(run.has_value()) << error;
+  EXPECT_EQ(run->rows.size(), rows.size());
+  EXPECT_TRUE(db.Verify(&error)) << error;
+
+  // A run abandoned before Finish never reaches the store.
+  {
+    SinkSet sinks;
+    ASSERT_TRUE(sinks.Open(options, MakeMeta("sha2"), "", &error)) << error;
+    sinks.sinks()[0]->Write(rows[0]);
+  }
+  EXPECT_FALSE(std::filesystem::exists(db.RunPath("sha2", "refspec")));
 }
 
 TEST(BenchDbTest, VerifyDetectsTamperedHeaderAndTruncation) {
   const std::string root = FreshDir("store_tamper");
   BenchDb db(root);
   std::string error;
-  ASSERT_TRUE(db.StoreRun(MakeMeta("sha1"), MakeReplicatedRows(), &error).has_value())
+  ASSERT_TRUE(db.MergeRun(MakeMeta("sha1"), MakeReplicatedRows(), &error).has_value())
       << error;
   ASSERT_TRUE(db.Verify(&error)) << error;
 

@@ -156,5 +156,38 @@ TEST(DescribeConfigTest, MentionsKeyFields) {
   EXPECT_NE(text.find("2048K"), std::string::npos);
 }
 
+// Each kind is labelled with only the settings it reads (HasSpindle,
+// HasCleaner): a spindle's spin-down and geometry on magnetic disks, the
+// utilization on every flash kind, the cleaner and FTL on cards and NAND.
+TEST(DescribeConfigTest, LabelsOnlyTheSettingsTheDeviceReads) {
+  struct Case {
+    DeviceSpec device;
+    bool spindle;
+    bool flash;
+    bool cleaner;
+  };
+  const Case cases[] = {
+      {Cu140Datasheet(), true, false, false},
+      {Sdp5Datasheet(), false, true, false},
+      {IntelCardDatasheet(), false, true, true},
+      {NandSsd4ch(), false, true, true},
+  };
+  for (const Case& c : cases) {
+    SimConfig config = MakePaperConfig(c.device, 2 * 1024 * 1024);
+    config.flash_utilization = 0.9;
+    config.spin_down_after_us = UsFromSec(5);
+    config.use_disk_geometry = true;
+    config.ftl_policy = FtlPolicyKind::kPageDiff;
+    const std::string text = DescribeConfig(config);
+    SCOPED_TRACE(text);
+    EXPECT_EQ(text.rfind(c.device.name + " dram=2048K sram=", 0), 0u);
+    EXPECT_EQ(text.find("util=90%") != std::string::npos, c.flash);
+    EXPECT_EQ(text.find("spin_down=5.0s") != std::string::npos, c.spindle);
+    EXPECT_EQ(text.find(" geometry") != std::string::npos, c.spindle);
+    EXPECT_EQ(text.find("policy=") != std::string::npos, c.cleaner);
+    EXPECT_EQ(text.find("ftl=page-diff") != std::string::npos, c.cleaner);
+  }
+}
+
 }  // namespace
 }  // namespace mobisim

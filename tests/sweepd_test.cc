@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -590,6 +591,61 @@ TEST_P(WorkerTest, PolicyGridShardsMergeByteIdenticalToSerial) {
 // A flat directory of `mobisim_sweep --shard` outputs whose rows are all
 // `_error` rows merges to the CSV header its shards wrote: their metadata
 // name the grid's column groups, which a spool merge reads from its spec.
+// A worker whose /done is refused (409 "incomplete upload") gives the lease
+// up: one lost lease, no /results after the refusal (it keeps no copy of
+// its rows to replay), and its part rows stay in the spool as the next
+// attempt's resume set.
+TEST(WorkerTest, RefusedDoneLosesTheLeaseWithoutAReplay) {
+  const std::string root = FreshDir("workerrefused");
+  std::filesystem::remove_all(root);
+  std::string error;
+  ASSERT_TRUE(Spool::Create(root, kTinySpec, "tiny", 1, &error).has_value()) << error;
+  Spool spool(root);
+  const auto meta = spool.ReadMeta(&error);
+  ASSERT_TRUE(meta.has_value()) << error;
+  const auto spec_text = spool.ReadSpecText(&error);
+  ASSERT_TRUE(spec_text.has_value()) << error;
+  LeaseService service(&spool, *meta, *spec_text, {});
+  service.set_drained(true);
+
+  std::mutex mu;
+  std::vector<std::string> paths;  // every request the worker sent, in order
+  HttpServer server;
+  ASSERT_TRUE(server.Start(
+      0,
+      [&](const HttpRequest& request) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          paths.push_back(request.path);
+        }
+        if (request.path == "/done") {
+          HttpResponse refused;
+          refused.status = 409;
+          refused.body = "{\"error\":\"incomplete upload\"}\n";
+          return refused;
+        }
+        return service.Handle(request).value_or(HttpNotFound());
+      },
+      &error))
+      << error;
+
+  const WorkerSummary summary =
+      RunWorkerLoop(WorkerFor(Transport::kConnect, root, server.port()));
+  server.Stop();
+  EXPECT_EQ(summary.lost_leases, 1u);
+  EXPECT_EQ(summary.items, 0u);
+  const auto done = std::find(paths.begin(), paths.end(), "/done");
+  ASSERT_NE(done, paths.end());
+  EXPECT_EQ(std::count(paths.begin(), paths.end(), "/done"), 1);
+  EXPECT_EQ(std::find(done, paths.end(), "/results"), paths.end());
+  EXPECT_EQ(spool.CountItems().done, 0u);
+  std::size_t part_rows = 0;
+  for (const std::string& part : spool.PartPaths("shard-0000")) {
+    part_rows += LoadPartialRows(part).size();
+  }
+  EXPECT_EQ(part_rows, 4u);
+}
+
 TEST(MergeTest, FlatShardsOfErrorRowsKeepTheirGridsColumns) {
   constexpr char kSpec[] =
       "devices = intel-datasheet\n"
